@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StepError
+from .errors import DomainError, NumericsError, StepError
 from .params import ScaledParams
 
 #: default dimensionless integration step (in units of 1/kappa)
@@ -114,9 +114,8 @@ def evolve_moments(params: ScaledParams, t: float, dt: float = DEFAULT_DT) -> Mo
         y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.all(np.isfinite(y)) or np.abs(y).max() > 1e12:
             raise StepError(f"moment integration diverged (dt={dt})")
-    assert abs(y[1] - y[0]) < 1e-10 and abs(y[3] - y[2]) < 1e-10, (
-        "conjugate-moment symmetry broken during integration"
-    )
+    if not (abs(y[1] - y[0]) < 1e-10 and abs(y[3] - y[2]) < 1e-10):
+        raise NumericsError("conjugate-moment symmetry broken during integration")
     return MomentSet(mean_amp=float(y[0]), mean_sq=float(y[2]), mean_photon=float(y[4]))
 
 
@@ -139,7 +138,7 @@ def quad_variance_single(params: ScaledParams) -> tuple[float, float]:
     # the expansion cancels moments that diverge as b -> 1, so allow the
     # corresponding roundoff on top of the 1e-12 agreement
     tol = 1e-12 * max(1.0, abs(n), abs(s))
-    assert abs(var_plus - closed_plus) <= tol and abs(var_minus - closed_minus) <= tol, (
-        "moment expansion disagrees with the closed-form variance"
-    )
+    ok = abs(var_plus - closed_plus) <= tol and abs(var_minus - closed_minus) <= tol
+    if not ok:
+        raise NumericsError("moment expansion disagrees with the closed-form variance")
     return closed_plus, closed_minus

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .errors import DomainError, NormalizationWarning, QuadratureError
 from .params import Q_KINDS, GaussianQ, ScaledParams, gaussian_form, squeeze_coeffs
 
@@ -29,6 +28,12 @@ from .params import Q_KINDS, GaussianQ, ScaledParams, gaussian_form, squeeze_coe
 BOUNDARY_RATIO = 1e-12
 
 CHAR_KINDS = ("coherent", "squeezed")
+
+
+def trapezoid_weights(n: int) -> np.ndarray:
+    w = np.ones(n)
+    w[0] = w[-1] = 0.5
+    return w
 
 
 @dataclass(frozen=True)
@@ -53,7 +58,7 @@ class QuadratureSpec:
 
     def grid(self) -> tuple[np.ndarray, np.ndarray, float]:
         x = np.linspace(-self.extent, self.extent, self.nodes)
-        return x, kernels.trapezoid_weights(self.nodes), x[1] - x[0]
+        return x, trapezoid_weights(self.nodes), x[1] - x[0]
 
 
 def q_coherent(alpha, params: ScaledParams):
@@ -132,6 +137,57 @@ def q_from_char_fn(
     return float((total * h * h / np.pi**2).real)
 
 
+def _max_exponent(re_b, re_g, cross_ik, cross_jl) -> float:
+    """max over (i, j, k, l) of re_b[i, j] + re_g[k, l] + cross_ik[i, k]
+    + cross_jl[j, l], by two O(n^3) max-plus reductions."""
+    over_k = (re_g[None, :, :] + cross_ik[:, :, None]).max(axis=1)  # [i, l]
+    return float((re_b[:, :, None] + over_k[:, None, :] + cross_jl[None, :, :]).max())
+
+
+def _superposition_sum(x, w, u, v, a, alpha):
+    """Weighted sum of exp(E) over the 4-d grid beta = x[i]+1j*x[j],
+    gamma = x[k]+1j*x[l], where E is the variable part of the superposition
+    kernel exponent; the alpha-only constant is folded in by the caller.
+
+    Returns the sum with max Re(E) over the grid and over its boundary, so
+    the caller can reject a box that truncates a non-negligible integrand.
+
+    The only coupling of beta and gamma is c*conj(gamma)*beta with c = u-1,
+    which splits exactly into c*(x[i]*x[k] + x[j]*x[l]) +
+    1j*c*(x[j]*x[k] - x[i]*x[l]).  So exp(E) factors into the planes
+    exp(E_beta[i,j]), exp(E_gamma[k,l]) and the 2-index cross factors
+    R[i,k] R[j,l] P[j,k] conj(P[i,l]), with P = exp(1j*c*x x'), and the same
+    trapezoid sum of the same integrand contracts as
+    T[i,j,l] = sum_k R[i,k] P[j,k] G[k,l], G the weighted gamma plane (O(n^4)
+    multiply-adds, O(n^2) exponentials), then one O(n^3) contraction.
+    """
+    c = u - 1.0  # in (-1/3, 0]
+    ac = alpha.conjugate()
+    beta = x[:, None] + 1j * x[None, :]  # also the gamma plane
+    betac = beta.conj()
+    # c/2 (x^2 + x'^2) moves out of the planes into R = exp(c/2 (x + x')^2),
+    # which never exceeds one, so no factor overflows on a wide box
+    diag = -0.5 * c * (x[:, None] ** 2 + x[None, :] ** 2) - betac * beta
+    e_b = diag + a * betac + 0.5 * v * beta * beta + (ac - v * alpha) * beta
+    e_g = diag + (ac - a) * beta + (1.0 - u) * alpha * betac + 0.5 * v * betac * betac
+    ww = w[:, None] * w[None, :]
+    cross = 0.5 * c * (x[:, None] + x[None, :]) ** 2
+    r = np.exp(cross)
+    p = np.exp(1j * c * np.outer(x, x))
+    t = np.einsum("ik,jk,kl->ijl", r, p, ww * np.exp(e_g), optimize=True)
+    total = np.einsum("ijl,ij,jl,il->", t, ww * np.exp(e_b), r, p.conj(), optimize=True)
+    re_b, re_g = e_b.real, e_g.real
+    edge = [0, -1]
+    peak = _max_exponent(re_b, re_g, cross, cross)
+    bnd = max(
+        _max_exponent(re_b[edge], re_g, cross[edge], cross),  # i on the edge
+        _max_exponent(re_b[:, edge], re_g, cross, cross[edge]),  # j
+        _max_exponent(re_b, re_g[edge], cross[:, edge], cross),  # k
+        _max_exponent(re_b, re_g[:, edge], cross, cross[:, edge]),  # l
+    )
+    return complex(total), peak, bnd
+
+
 def superpose_q_numeric(
     alpha: complex,
     params: ScaledParams,
@@ -149,16 +205,14 @@ def superpose_q_numeric(
     spec = quad_spec or QuadratureSpec()
     u, v = squeeze_coeffs(params)
     a = params.a
+    alpha = complex(alpha)
     x, w, h = spec.grid()
-    total, peak, bnd = kernels.superposition_sum(
-        x, w, u, v, a, float(np.real(alpha)), float(np.imag(alpha))
-    )
+    total, peak, bnd = _superposition_sum(x, w, u, v, a, alpha)
     if bnd - peak > math.log(BOUNDARY_RATIO):
         raise QuadratureError(
             f"superposition integrand not negligible at the box edge "
             f"(ratio {math.exp(bnd - peak):.2e}); increase extent"
         )
-    alpha = complex(alpha)
     const = (
         -abs(alpha) ** 2 + a * alpha - a * a + 0.5 * v * alpha * alpha
     )  # alpha-only part of the exponent
@@ -196,6 +250,9 @@ class QGrid:
     def __post_init__(self):
         if self.values.shape != (self.n, self.n):
             raise DomainError(f"values must be {self.n}x{self.n}")
+        finite = np.all(np.isfinite(self.values)) and math.isfinite(self.normalization)
+        if not finite:
+            raise DomainError("Q values must be finite")
         if np.any(self.values < 0):
             raise DomainError("Q values must be non-negative")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combined import MomentSet
-from .errors import DomainError
+from .errors import DomainError, NumericsError
 from .params import CavityConfig, ScaledParams, gaussian_form, scale
 
 #: coherent-state quadrature variance of a single beam
@@ -87,9 +87,11 @@ def quad_variance_pair(params: ScaledParams) -> tuple[float, float]:
     closed_minus = 2 + b / (1 - b)
     # cancellation of near-threshold moments limits the attainable agreement
     tol = 1e-12 * max(1.0, abs(n), abs(s))
-    assert abs(var_plus - closed_plus) <= tol and abs(var_minus - closed_minus) <= tol, (
-        "moment expansion disagrees with the closed-form pair variance"
-    )
+    ok = abs(var_plus - closed_plus) <= tol and abs(var_minus - closed_minus) <= tol
+    if not ok:
+        raise NumericsError(
+            "moment expansion disagrees with the closed-form pair variance"
+        )
     return closed_plus, closed_minus
 
 

@@ -140,6 +140,15 @@ class TestQGrid:
         assert main(["qgrid", "--grid-n", "4"]) == 2
         assert main(["qgrid", "--grid-extent", "wide"]) == 2
 
+    def test_overflowing_drive_exit_code(self, capsys):
+        # a = 27 overflows exp(a^2); the grid is refused, nothing is written
+        code = main(["qgrid", "--eps1", "13.5", "--eps2", "0", "--format", "json"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err.strip().splitlines()[-1])
+        assert error["error"] == "DomainError"
+
 
 class TestVerify:
     def test_all_checks_pass(self, capsys, tmp_path):

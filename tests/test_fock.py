@@ -78,6 +78,15 @@ class TestSteadyState:
         for which in ("a", "a2", "adag_a"):
             assert abs(expect(lo, which) - expect(hi, which)) < 1e-8
 
+    def test_truncation_doubling_at_default_cutoff(self):
+        # b = 0.75: a cutoff of 40 leaves moments off by ~1e-7
+        config = CavityConfig(1.0, 0.0, 0.375)
+        dim = default_truncation(config)
+        lo = steady_state(config, trunc=dim)
+        hi = steady_state(config, trunc=2 * dim)
+        for which in ("a", "a2", "adag_a"):
+            assert abs(expect(lo, which) - expect(hi, which)) < 1e-8
+
     @pytest.mark.parametrize("a,b", GRID_AB)
     def test_oracle_equivalence_over_drive_grid(self, a, b):
         closed = steady_moments_combined(ScaledParams(a, b))
@@ -114,6 +123,10 @@ class TestDefaultTruncation:
     def test_scales_near_threshold(self):
         # b = 0.85: ceil(40 / (1 - 0.7225)) = 145
         assert default_truncation(CavityConfig(1.0, 0.0, 0.425)) == 145
+
+    def test_scales_from_b_07(self):
+        # b = 0.75: ceil(40 / (1 - 0.5625)) = 92
+        assert default_truncation(CavityConfig(1.0, 0.0, 0.375)) == 92
 
     def test_cap_exceeded(self):
         with pytest.raises(TruncationError):

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsuperpose import (
     DomainError,
@@ -19,7 +21,8 @@ from qsuperpose import (
     q_superposed,
     superpose_q_numeric,
 )
-from qsuperpose import kernels
+from qsuperpose.params import squeeze_coeffs
+from qsuperpose.qfunctions import _superposition_sum, trapezoid_weights
 
 INV_PI = 0.3183098861837907
 Q_COH_ORIGIN = 0.22207727194479512  # exp(-0.36)/pi at a=0.6
@@ -162,30 +165,54 @@ class TestSuperpositionIntegral:
             QuadratureSpec(nodes=4)
 
 
-class TestKernelBackends:
-    @pytest.mark.skipif(
-        kernels.superposition_sum_numba is None, reason="numba unavailable"
+class TestSuperpositionSum:
+    """The factorized kernel against the 4-d sum written out term by term."""
+
+    @staticmethod
+    def direct_sum(x, w, u, v, a, alpha):
+        """Weighted sum of exp(E) over every grid point (i, j, k, l), the max
+        of Re(E), its max on the grid boundary, and the sum of |w exp(E)|."""
+        n = len(x)
+        plane = x[:, None] + 1j * x[None, :]
+        beta = plane[:, :, None, None]
+        gam = plane[None, None, :, :]
+        ac = np.conj(alpha)
+        e = (
+            -abs(beta) ** 2
+            + a * np.conj(beta)
+            + 0.5 * v * beta**2
+            + (ac - v * alpha) * beta
+            - abs(gam) ** 2
+            + (ac - a) * gam
+            + (1 - u) * alpha * np.conj(gam)
+            + 0.5 * v * np.conj(gam) ** 2
+            + (u - 1) * np.conj(gam) * beta
+        )
+        wt = np.einsum("i,j,k,l->ijkl", w, w, w, w)
+        terms = wt * np.exp(e)
+        boundary = np.ones((n,) * 4, dtype=bool)
+        boundary[1:-1, 1:-1, 1:-1, 1:-1] = False
+        return terms.sum(), e.real.max(), e.real[boundary].max(), abs(terms).sum()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(8, 16),
+        a=st.floats(0.0, 3.0),
+        b=st.floats(0.0, 0.95),
+        extent=st.floats(1.0, 12.0),
+        d_re=st.floats(-2.0, 2.0),
+        d_im=st.floats(-2.0, 2.0),
     )
-    def test_numba_and_numpy_paths_agree(self, params_ref):
-        from qsuperpose.params import squeeze_coeffs
-
-        u, v = squeeze_coeffs(params_ref)
-        x = np.linspace(-6.0, 6.0, 24)
-        w = kernels.trapezoid_weights(24)
-        for alpha in (0.3 + 0.1j, -0.2 + 0.5j):
-            jit = kernels.superposition_sum_numba(
-                x, w, u, v, params_ref.a, alpha.real, alpha.imag
-            )
-            ref = kernels.superposition_sum_numpy(
-                x, w, u, v, params_ref.a, alpha.real, alpha.imag
-            )
-            assert jit[0] == pytest.approx(ref[0], rel=1e-12)
-            assert jit[1] == pytest.approx(ref[1], abs=1e-12)
-            assert jit[2] == pytest.approx(ref[2], abs=1e-12)
-
-    def test_backend_reported(self):
-        assert kernels.backend() in ("numba", "numpy")
-        assert (kernels.backend() == "numba") == kernels.USE_NUMBA
+    def test_matches_direct_sum(self, n, a, b, extent, d_re, d_im):
+        u, v = squeeze_coeffs(ScaledParams(a, b))
+        x = np.linspace(-extent, extent, n)
+        w = trapezoid_weights(n)
+        alpha = complex(a + d_re, d_im)
+        total, peak, bnd = _superposition_sum(x, w, u, v, a, alpha)
+        want, want_peak, want_bnd, scale = self.direct_sum(x, w, u, v, a, alpha)
+        assert abs(total - want) <= 1e-10 * scale
+        assert peak == pytest.approx(want_peak, abs=1e-12)
+        assert bnd == pytest.approx(want_bnd, abs=1e-12)
 
 
 class TestQGrid:
@@ -213,6 +240,11 @@ class TestQGrid:
     def test_bad_kind_rejected(self, params_ref):
         with pytest.raises(DomainError):
             q_grid("husimi", params_ref)
+
+    def test_non_finite_values_rejected(self):
+        # exp(a^2) overflows while exp(-a^2) is still subnormal
+        with pytest.raises(DomainError), pytest.warns(NormalizationWarning):
+            q_grid("coherent", ScaledParams(27.0, 0.0), n=16)
 
     def test_coarse_grid_warns_and_records_deficit(self, params_ref):
         with pytest.warns(NormalizationWarning):

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qsuperpose import (
     CavityConfig,
     DomainError,
+    NumericsError,
     PAIR_BASELINE,
     SINGLE_BEAM_BASELINE,
     ScaledParams,
@@ -17,6 +20,7 @@ from qsuperpose import (
     steady_moments_combined,
     superposed_moments,
 )
+from qsuperpose import superposed
 from conftest import GRID_AB
 
 # frozen closed-form values at (a, b) = (0.6, 0.4)
@@ -115,6 +119,14 @@ class TestPairVariance:
         vp, vm = quad_variance_pair(ScaledParams(0.0, float(b)))
         assert vp * vm == pytest.approx((4 - b * b) / (1 - b * b), rel=1e-12)
         assert vp * vm >= 4.0 - 1e-12
+
+
+    def test_disagreeing_moments_raise(self, monkeypatch, params_ref):
+        good = superposed_moments(params_ref)
+        bad = dataclasses.replace(good, mean_photon=good.mean_photon + 1e-6)
+        monkeypatch.setattr(superposed, "superposed_moments", lambda params: bad)
+        with pytest.raises(NumericsError):
+            quad_variance_pair(params_ref)
 
 
 class TestQuadratureSqueezing:
