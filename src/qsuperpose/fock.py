@@ -3,7 +3,7 @@
 Ground truth for every closed form in the package: the driven damped cavity
 is realized as a Lindblad master equation (vacuum-reservoir dissipator at
 rate kappa plus the combined drive Hamiltonian), its steady state is found by
-a direct null-space solve of the vectorized generator, and expectation values
+a direct sparse solve of the vectorized generator, and expectation values
 are taken with explicit truncated ladder operators.  Nothing here reuses the
 closed-form results it is meant to check.
 
@@ -11,12 +11,13 @@ Conventions: Fock levels 0..N-1, annihilation matrix entries
 a[n-1, n] = sqrt(n), density matrices vectorized row-major so that
 vec(A rho B) = kron(A, B.T) vec(rho).
 
-Solver strategy: the trace-augmented (N^2+1) x N^2 system is factorized
-densely (rank-revealing least squares, which also certifies the null space
-is one-dimensional) up to N = 64; beyond that the dense factorization is too
-large and a sparse direct solve with the trace constraint replacing one
-redundant row is used instead.  If either factorization looks untrustworthy,
-the solver falls back to long-time propagation of the master equation.
+Solver strategy: one sparse LU factorization of the generator with the
+redundant (0,0) equation replaced by the trace constraint.  That matrix is
+nonsingular exactly when the steady state is unique, so the factors certify
+uniqueness: an exactly singular factorization, or a reciprocal condition
+estimate below RCOND_FLOOR, raises SolveError.  If the solution misses the
+residual bound, the solver falls back to long-time propagation of the
+master equation.
 """
 
 import math
@@ -26,20 +27,22 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
 from .combined import MomentSet
 from .errors import DomainError, SolveError, StepError, TruncationError
 from .params import CavityConfig, scale
 
-#: largest truncation solved by the dense augmented factorization
-DENSE_LIMIT = 64
 #: hard cap on the automatic truncation
 TRUNC_CAP = 200
 #: acceptable population in the top 10% of Fock levels
 TAIL_TOL = 1e-8
 #: tolerated missing norm of a truncated coherent vector
 COHERENT_TAIL_TOL = 1e-10
+#: smallest accepted reciprocal condition estimate of the trace-constrained
+#: generator; unique steady states give 1.8e-4..0.12 for N = 16..200, a
+#: two-dimensional null space ~1e-16
+RCOND_FLOOR = 1e-10
 
 _EXPECT_KINDS = (
     "a",
@@ -142,31 +145,24 @@ def _finalize(x: np.ndarray, dim: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def _solve_dense(lind: sp.csr_matrix, dim: int) -> np.ndarray:
-    """Rank-revealing least squares on the trace-augmented system."""
-    m = np.vstack([lind.toarray(), np.eye(dim, dtype=complex).reshape(1, -1)])
-    rhs = np.zeros(dim * dim + 1, dtype=complex)
-    rhs[-1] = 1.0
-    x, _, rank, _ = sla.lstsq(m, rhs, lapack_driver="gelsy")
-    if rank < dim * dim:
-        raise SolveError(
-            f"steady state not unique: generator rank {rank} < {dim * dim}"
-        )
-    if np.abs(m @ x - rhs).max() > 1e-8:
-        raise _IllConditioned
-    return _finalize(x, dim)
-
-
-def _solve_sparse(lind: sp.csr_matrix, dim: int) -> np.ndarray:
-    """Sparse direct solve with the trace row replacing the (0,0) equation,
-    which is redundant with the rest of the generator."""
-    a = lind.tolil(copy=True)
-    trace_row = np.zeros(dim * dim, dtype=complex)
-    trace_row[:: dim + 1] = 1.0
-    a[0, :] = trace_row
-    rhs = np.zeros(dim * dim, dtype=complex)
-    rhs[0] = 1.0
-    x = spsolve(a.tocsc(), rhs)
+def _solve_lu(lind: sp.csr_matrix, dim: int) -> np.ndarray:
+    """Sparse LU solve with the trace row replacing the (0,0) equation,
+    which is redundant with the rest of the generator.  A second solve with
+    a fixed random probe r estimates the reciprocal condition
+    max|r| / (max|A| max|A^-1 r|) of that system A."""
+    trace_row = sp.csr_matrix(np.eye(dim, dtype=complex).reshape(1, -1))
+    system = sp.vstack([trace_row, lind[1:]], format="csc")
+    try:
+        lu = splu(system)
+    except RuntimeError as exc:  # exactly singular
+        raise SolveError(f"steady state not unique: {exc}") from None
+    probe = np.random.default_rng(0).standard_normal(dim * dim)
+    rhs = np.column_stack([np.zeros_like(probe), probe]).astype(complex)
+    rhs[0, 0] = 1.0
+    x, y = lu.solve(rhs).T
+    rcond = np.abs(probe).max() / (np.abs(system.data).max() * np.abs(y).max())
+    if not rcond > RCOND_FLOOR:
+        raise SolveError(f"steady state not unique: reciprocal condition {rcond:.2e}")
     if not np.all(np.isfinite(x)) or np.abs(lind @ x).max() > 1e-9 * np.abs(x).max():
         raise _IllConditioned
     return _finalize(x, dim)
@@ -213,14 +209,11 @@ def _solve_cached(
     config = CavityConfig(kappa, eps1, eps2)
     lind = liouvillian(config, dim)
     if method == "auto":
-        method = "dense" if dim <= DENSE_LIMIT else "sparse"
-    if method == "propagate":
-        return _steady_by_propagation(config, dim, lind)
-    solver = _solve_dense if method == "dense" else _solve_sparse
-    try:
-        return solver(lind, dim)
-    except _IllConditioned:
-        return _steady_by_propagation(config, dim, lind)
+        try:
+            return _solve_lu(lind, dim)
+        except _IllConditioned:
+            pass
+    return _steady_by_propagation(config, dim, lind)
 
 
 def steady_state(
@@ -228,16 +221,18 @@ def steady_state(
 ) -> DensityMatrix:
     """Steady state of the driven damped cavity.
 
-    trunc=None uses :func:`default_truncation`.  method is "auto", "dense",
-    "sparse", or "propagate"; auto picks dense below N=64 and sparse above.
-    Raises :class:`TruncationError` when the returned state still has
-    significant population near the cutoff (raise the truncation), and
-    :class:`SolveError` when no trustworthy solution exists.
+    trunc=None uses :func:`default_truncation`.  method "auto" solves by
+    sparse LU and falls back to propagation from vacuum when the solution
+    misses the residual bound |L x| <= 1e-9 max|x|; "propagate" only
+    propagates.  Raises :class:`SolveError` when the steady state is not
+    unique (never propagating, which would pick one of many) or no
+    trustworthy solution exists, and :class:`TruncationError` when the
+    state still has significant population near the cutoff.
     """
     dim = default_truncation(config) if trunc is None else int(trunc)
     if dim < 8:
         raise DomainError(f"truncation must be at least 8, got {dim}")
-    if method not in ("auto", "dense", "sparse", "propagate"):
+    if method not in ("auto", "propagate"):
         raise DomainError(f"unknown method {method!r}")
     elements = _solve_cached(config.kappa, config.eps1, config.eps2, dim, method)
     return DensityMatrix(dim=dim, elements=elements)

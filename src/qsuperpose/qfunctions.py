@@ -293,7 +293,8 @@ def q_grid(
 ) -> QGrid:
     """Sample a closed-form Q function on a centered square grid.
 
-    extent=None picks :func:`auto_extent`.  If the discrete normalization
+    extent=None picks :func:`auto_extent`.  A closed form that overflows
+    at this drive raises :class:`DomainError`.  If the discrete normalization
     deviates from one by more than 1e-4 a :class:`NormalizationWarning` is
     issued and the deviation is left visible in ``normalization``.
     """
@@ -309,9 +310,14 @@ def q_grid(
     form = gaussian_form(params, kind)
     ax = np.linspace(-extent, extent, n)
     alpha = ax[:, None] + 1j * ax[None, :]
-    values = form(alpha)
     dx = ax[1] - ax[0]
-    norm = float(values.sum() * dx * dx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = form(alpha)
+        norm = float(values.sum() * dx * dx)
+    if not (np.all(np.isfinite(values)) and math.isfinite(norm)):
+        raise DomainError(
+            f"closed-form {kind} Q overflows at this drive (a = {params.a:.6g})"
+        )
     if abs(norm - 1) > 1e-4:
         warnings.warn(
             NormalizationWarning(

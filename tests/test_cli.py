@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import pytest
 
@@ -148,6 +149,20 @@ class TestQGrid:
         assert captured.out == ""
         error = json.loads(captured.err.strip().splitlines()[-1])
         assert error["error"] == "DomainError"
+
+    def test_overflowing_drive_blames_the_closed_form(self, capsys):
+        # any warning would turn into an exception and escape main
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["qgrid", "--eps1", "13.5", "--eps2", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "DomainError"
+        assert "overflows" in error["message"] and "grid" not in error["message"]
 
 
 class TestVerify:

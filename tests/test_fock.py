@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 
 from qsuperpose import (
     CavityConfig,
@@ -20,7 +22,8 @@ from qsuperpose import (
     superposed_moments,
     superposition_oracle,
 )
-from qsuperpose.fock import ladder
+from qsuperpose import fock
+from qsuperpose.fock import hamiltonian, ladder, liouvillian
 from conftest import GRID_AB
 
 REF_CONFIG = CavityConfig(1.0, 0.3, 0.2)
@@ -96,19 +99,50 @@ class TestSteadyState:
         assert expect(rho, "adag_a") == pytest.approx(closed.mean_photon, abs=1e-6)
 
     def test_solver_paths_agree(self):
-        dense = steady_state(REF_CONFIG, trunc=40, method="dense")
-        sparse = steady_state(REF_CONFIG, trunc=40, method="sparse")
-        prop = steady_state(CavityConfig(1.0, 0.3, 0.1), trunc=16, method="propagate")
-        direct = steady_state(CavityConfig(1.0, 0.3, 0.1), trunc=16, method="dense")
-        np.testing.assert_allclose(dense.elements, sparse.elements, atol=1e-10)
+        # independent reference: the null space of the dense generator
+        config = CavityConfig(1.0, 0.3, 0.1)
+        null = sla.null_space(liouvillian(config, 16).toarray())
+        assert null.shape[1] == 1
+        ref = null[:, 0].reshape(16, 16)
+        ref = ref / np.trace(ref)
+        direct = steady_state(config, trunc=16, method="auto")
+        prop = steady_state(config, trunc=16, method="propagate")
+        np.testing.assert_allclose(direct.elements, ref, rtol=0, atol=1e-12)
+        ref_rho = DensityMatrix(16, 0.5 * (ref + ref.conj().T))
         for which in ("a", "a2", "adag_a"):
-            assert abs(expect(prop, which) - expect(direct, which)) < 1e-9
+            assert abs(expect(prop, which) - expect(ref_rho, which)) < 1e-9
 
     def test_tiny_truncation_rejected(self):
         with pytest.raises(DomainError):
             steady_state(REF_CONFIG, trunc=4)
-        with pytest.raises(DomainError):
-            steady_state(REF_CONFIG, trunc=40, method="magic")
+        for method in ("magic", "dense", "sparse"):
+            with pytest.raises(DomainError):
+                steady_state(REF_CONFIG, trunc=40, method=method)
+
+    @pytest.mark.parametrize("generator", ("hamiltonian_only", "zero"))
+    def test_non_unique_steady_state_raises(self, generator, monkeypatch):
+        # kappa = 0 leaves every function of H stationary; the zero matrix
+        # makes every state stationary.  Neither may reach propagation,
+        # which from vacuum would silently pick one of many steady states.
+        dim = 16
+        if generator == "zero":
+            lind = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
+        else:
+            h = sp.csr_matrix(hamiltonian(REF_CONFIG, dim))
+            ident = sp.identity(dim, format="csr", dtype=complex)
+            lind = (-1j * (sp.kron(h, ident) - sp.kron(ident, h.T))).tocsr()
+        propagated = []
+        monkeypatch.setattr(fock, "liouvillian", lambda config, n: lind)
+        monkeypatch.setattr(
+            fock, "_steady_by_propagation", lambda *args: propagated.append(args)
+        )
+        fock._solve_cached.cache_clear()
+        try:
+            with pytest.raises(SolveError, match="not unique"):
+                steady_state(REF_CONFIG, trunc=dim)
+        finally:
+            fock._solve_cached.cache_clear()
+        assert propagated == []
 
     def test_elements_are_immutable(self):
         rho = steady_state(REF_CONFIG, trunc=40)
