@@ -11,13 +11,13 @@ Conventions: Fock levels 0..N-1, annihilation matrix entries
 a[n-1, n] = sqrt(n), density matrices vectorized row-major so that
 vec(A rho B) = kron(A, B.T) vec(rho).
 
-Solver strategy: one sparse LU factorization of the generator with the
-redundant (0,0) equation replaced by the trace constraint.  That matrix is
-nonsingular exactly when the steady state is unique, so the factors certify
-uniqueness: an exactly singular factorization, or a reciprocal condition
-estimate below RCOND_FLOOR, raises SolveError.  If the solution misses the
-residual bound, the solver falls back to long-time propagation of the
-master equation.
+Solver strategy: one real sparse LU factorization (every drive is real, so
+is the generator) with the redundant (0,0) equation replaced by the trace
+constraint.  That matrix is nonsingular exactly when the steady state is
+unique, so the factors certify uniqueness: an exactly singular
+factorization, or a reciprocal condition estimate below RCOND_FLOOR, raises
+SolveError.  If the solution misses the residual bound, the solver falls
+back to long-time propagation of the master equation.
 """
 
 import math
@@ -40,8 +40,8 @@ TAIL_TOL = 1e-8
 #: tolerated missing norm of a truncated coherent vector
 COHERENT_TAIL_TOL = 1e-10
 #: smallest accepted reciprocal condition estimate of the trace-constrained
-#: generator; unique steady states give 1.8e-4..0.12 for N = 16..200, a
-#: two-dimensional null space ~1e-16
+#: generator; unique steady states give 7.2e-5..0.097 (N = 16..200, kappa =
+#: 0.5..2, a <= 2.2, b <= 0.89), the kappa = 0 generator 5e-21..8e-13
 RCOND_FLOOR = 1e-10
 
 _EXPECT_KINDS = (
@@ -68,17 +68,16 @@ def hamiltonian(config: CavityConfig, dim: int) -> np.ndarray:
 
 
 def liouvillian(config: CavityConfig, dim: int) -> sp.csr_matrix:
-    """Vectorized Lindblad generator (row-major convention), sparse."""
-    am = sp.csr_matrix(ladder(dim).astype(complex))
-    ad = am.conj().T.tocsr()
-    h = sp.csr_matrix(hamiltonian(config, dim))
+    """Vectorized Lindblad generator (row-major convention), sparse float64:
+    H = iK with K real, so -i[H, rho] = K rho - rho K."""
+    am = sp.csr_matrix(ladder(dim))
+    ad = am.T.tocsr()
+    k = config.eps1 * (ad - am) + 0.5 * config.eps2 * (am @ am - ad @ ad)
     nop = (ad @ am).tocsr()
-    ident = sp.identity(dim, format="csr", dtype=complex)
-    lind = -1j * (sp.kron(h, ident) - sp.kron(ident, h.T))
+    ident = sp.identity(dim, format="csr")
+    lind = sp.kron(k, ident) - sp.kron(ident, k.T)
     lind = lind + config.kappa * (
-        sp.kron(am, am.conj())
-        - 0.5 * sp.kron(nop, ident)
-        - 0.5 * sp.kron(ident, nop.T)
+        sp.kron(am, am) - 0.5 * sp.kron(nop, ident) - 0.5 * sp.kron(ident, nop.T)
     )
     return lind.tocsr()
 
@@ -146,18 +145,25 @@ def _finalize(x: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _solve_lu(lind: sp.csr_matrix, dim: int) -> np.ndarray:
-    """Sparse LU solve with the trace row replacing the (0,0) equation,
-    which is redundant with the rest of the generator.  A second solve with
-    a fixed random probe r estimates the reciprocal condition
-    max|r| / (max|A| max|A^-1 r|) of that system A."""
-    trace_row = sp.csr_matrix(np.eye(dim, dtype=complex).reshape(1, -1))
+    """Sparse LU solve in the generator's dtype, with the trace row replacing
+    the (0,0) equation, which is redundant with the rest of the generator.
+    SuperLU's symmetric mode pivots on the diagonal at any size, which suits
+    a diagonal with no zero: 1 in the trace row, -kappa (m+n)/2 in each (m,n)
+    equation.  A second solve with a fixed random probe r estimates the
+    reciprocal condition max|r| / (max|A| max|A^-1 r|) of that system A."""
+    trace_row = sp.csr_matrix(np.eye(dim, dtype=lind.dtype).reshape(1, -1))
     system = sp.vstack([trace_row, lind[1:]], format="csc")
     try:
-        lu = splu(system)
+        lu = splu(
+            system,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
     except RuntimeError as exc:  # exactly singular
         raise SolveError(f"steady state not unique: {exc}") from None
     probe = np.random.default_rng(0).standard_normal(dim * dim)
-    rhs = np.column_stack([np.zeros_like(probe), probe]).astype(complex)
+    rhs = np.column_stack([np.zeros_like(probe), probe]).astype(lind.dtype)
     rhs[0, 0] = 1.0
     x, y = lu.solve(rhs).T
     rcond = np.abs(probe).max() / (np.abs(system.data).max() * np.abs(y).max())
@@ -179,7 +185,7 @@ def _steady_by_propagation(
     p = scale(config)
     dt = 0.5 / (config.kappa * dim)
     t_max = 60.0 / (config.kappa * (1.0 - p.b))
-    x = np.zeros(dim * dim, dtype=complex)
+    x = np.zeros(dim * dim, dtype=lind.dtype)
     x[0] = 1.0
     steps = int(t_max / dt)
     for i in range(steps):
@@ -262,7 +268,7 @@ def propagate(
     if dt <= 0:
         raise StepError(f"step must be positive, got {dt}")
     lind = liouvillian(config, dim)
-    x = np.zeros(dim * dim, dtype=complex)
+    x = np.zeros(dim * dim, dtype=lind.dtype)
     x[0] = 1.0
     n_full, rem = divmod(t, dt)
     for _ in range(int(n_full)):

@@ -26,6 +26,10 @@ from .params import Q_KINDS, GaussianQ, ScaledParams, gaussian_form, squeeze_coe
 
 #: integrand-to-peak ratio above which a quadrature box is rejected
 BOUNDARY_RATIO = 1e-12
+#: bytes allowed for the largest complex array a grid evaluation builds: the
+#: n x n grid of q_grid, the n^3 intermediate of the superposition kernel;
+#: peak use is about three times it
+ARRAY_BYTES_CAP = 2**28
 
 CHAR_KINDS = ("coherent", "squeezed")
 
@@ -43,7 +47,9 @@ class QuadratureSpec:
     The same extent and node count apply to every real dimension of the
     integral (two for the characteristic-function transform, four for the
     superposition kernel).  ``rtol`` is the agreement the caller expects
-    against the closed form when the box covers the integrand.
+    against the closed form when the box covers the integrand.  ``nodes`` is
+    capped so that the kernel's complex nodes^3 intermediate fits
+    :data:`ARRAY_BYTES_CAP`.
     """
 
     extent: float = 8.0
@@ -55,6 +61,11 @@ class QuadratureSpec:
             raise DomainError(f"extent must be positive, got {self.extent}")
         if self.nodes < 8:
             raise DomainError(f"need at least 8 nodes per axis, got {self.nodes}")
+        if 16 * self.nodes**3 > ARRAY_BYTES_CAP:
+            raise DomainError(
+                f"{self.nodes} nodes per axis need a {16 * self.nodes**3 >> 20} MiB "
+                f"kernel array, above the cap of {ARRAY_BYTES_CAP >> 20} MiB"
+            )
 
     def grid(self) -> tuple[np.ndarray, np.ndarray, float]:
         x = np.linspace(-self.extent, self.extent, self.nodes)
@@ -293,7 +304,8 @@ def q_grid(
 ) -> QGrid:
     """Sample a closed-form Q function on a centered square grid.
 
-    extent=None picks :func:`auto_extent`.  A closed form that overflows
+    extent=None picks :func:`auto_extent`.  n is capped so that the complex
+    n x n grid fits :data:`ARRAY_BYTES_CAP`.  A closed form that overflows
     at this drive raises :class:`DomainError`.  If the discrete normalization
     deviates from one by more than 1e-4 a :class:`NormalizationWarning` is
     issued and the deviation is left visible in ``normalization``.
@@ -303,6 +315,11 @@ def q_grid(
     if int(n) != n or n < 16:
         raise DomainError(f"need n >= 16 grid points per axis, got {n}")
     n = int(n)
+    if 16 * n**2 > ARRAY_BYTES_CAP:
+        raise DomainError(
+            f"n = {n} grid points per axis need a {16 * n**2 >> 20} MiB grid, "
+            f"above the cap of {ARRAY_BYTES_CAP >> 20} MiB"
+        )
     if extent is None:
         extent = auto_extent(params, kind)
     elif extent <= 0:

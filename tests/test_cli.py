@@ -1,11 +1,12 @@
 import csv
 import io
 import json
+import math
 import warnings
 
 import pytest
 
-from qsuperpose import CavityConfig
+from qsuperpose import CavityConfig, qfunctions
 from qsuperpose.cli import main, report_payload
 
 REPORT_KEYS = [
@@ -137,9 +138,16 @@ class TestQGrid:
         assert env["extent"] == 5.0
         assert len(env["values"]) == 256
 
-    def test_grid_validation(self, capsys):
+    def test_grid_validation(self, capsys, monkeypatch):
         assert main(["qgrid", "--grid-n", "4"]) == 2
         assert main(["qgrid", "--grid-extent", "wide"]) == 2
+        # one point per axis above the memory cap; with the closed form
+        # removed, a missing cap fails at once instead of allocating the grid
+        monkeypatch.setattr(qfunctions, "gaussian_form", None)
+        too_many = math.isqrt(qfunctions.ARRAY_BYTES_CAP // 16) + 1
+        assert main(["qgrid", "--grid-n", str(too_many)]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "DomainError" and "cap" in error["message"]
 
     def test_overflowing_drive_exit_code(self, capsys):
         # a = 27 overflows exp(a^2); the grid is refused, nothing is written

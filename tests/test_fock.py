@@ -51,6 +51,21 @@ class TestOperators:
         # exact identity except in the truncation corner
         np.testing.assert_allclose(comm[:29, :29], np.eye(29)[:29, :29], atol=1e-12)
 
+    def test_liouvillian_is_real(self):
+        # real drives: H = iK with K real, so the generator is float64 and
+        # equals, entry for entry, the complex one written out from H
+        config, dim = CavityConfig(0.7, 0.3, 0.2), 12
+        lind = liouvillian(config, dim)
+        assert lind.dtype == np.float64
+        h = hamiltonian(config, dim)
+        am = ladder(dim)
+        nop = am.T @ am
+        ident = np.eye(dim)
+        want = -1j * (np.kron(h, ident) - np.kron(ident, h.T)) + config.kappa * (
+            np.kron(am, am) - 0.5 * np.kron(nop, ident) - 0.5 * np.kron(ident, nop.T)
+        )
+        assert np.abs(lind.toarray() - want).max() == 0.0
+
 
 class TestSteadyState:
     def test_undriven_cavity_is_vacuum(self):
@@ -119,7 +134,9 @@ class TestSteadyState:
             with pytest.raises(DomainError):
                 steady_state(REF_CONFIG, trunc=40, method=method)
 
-    @pytest.mark.parametrize("generator", ("hamiltonian_only", "zero"))
+    @pytest.mark.parametrize(
+        "generator", ("hamiltonian_only", "hamiltonian_only_real", "zero")
+    )
     def test_non_unique_steady_state_raises(self, generator, monkeypatch):
         # kappa = 0 leaves every function of H stationary; the zero matrix
         # makes every state stationary.  Neither may reach propagation,
@@ -127,10 +144,14 @@ class TestSteadyState:
         dim = 16
         if generator == "zero":
             lind = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
-        else:
+        elif generator == "hamiltonian_only":
             h = sp.csr_matrix(hamiltonian(REF_CONFIG, dim))
             ident = sp.identity(dim, format="csr", dtype=complex)
             lind = (-1j * (sp.kron(h, ident) - sp.kron(ident, h.T))).tocsr()
+        else:  # the same generator over the reals, -i[H, rho] = K rho - rho K
+            k = sp.csr_matrix((-1j * hamiltonian(REF_CONFIG, dim)).real)
+            ident = sp.identity(dim, format="csr")
+            lind = (sp.kron(k, ident) - sp.kron(ident, k.T)).tocsr()
         propagated = []
         monkeypatch.setattr(fock, "liouvillian", lambda config, n: lind)
         monkeypatch.setattr(
@@ -143,6 +164,27 @@ class TestSteadyState:
         finally:
             fock._solve_cached.cache_clear()
         assert propagated == []
+
+    @pytest.mark.parametrize(
+        "a,b", ((0.0, 0.89), (2.2, 0.0), (2.2, 0.89), (1.0, 0.85))
+    )
+    def test_lu_at_the_corners_of_reach(self, a, b, monkeypatch):
+        # default truncations up to N = 194, where the factorization takes
+        # diagonal pivots without a threshold: the LU solution itself must
+        # meet the residual bound, with no propagation behind it
+        def no_fallback(*args):
+            raise AssertionError("the LU solution missed the residual bound")
+
+        monkeypatch.setattr(fock, "_steady_by_propagation", no_fallback)
+        fock._solve_cached.cache_clear()
+        try:
+            rho = steady_state(CavityConfig(1.0, a / 2, b / 2))
+        finally:
+            fock._solve_cached.cache_clear()
+        closed = steady_moments_combined(ScaledParams(a, b))
+        assert abs(expect(rho, "a") - closed.mean_amp) < 1e-8
+        assert abs(expect(rho, "a2") - closed.mean_sq) < 1e-8
+        assert abs(expect(rho, "adag_a") - closed.mean_photon) < 1e-8
 
     def test_elements_are_immutable(self):
         rho = steady_state(REF_CONFIG, trunc=40)

@@ -1,6 +1,8 @@
 import csv
 import io
+import itertools
 import json
+import math
 import warnings
 
 import numpy as np
@@ -22,8 +24,9 @@ from qsuperpose import (
     q_superposed,
     superpose_q_numeric,
 )
+from qsuperpose import qfunctions
 from qsuperpose.params import squeeze_coeffs
-from qsuperpose.qfunctions import _superposition_sum, trapezoid_weights
+from qsuperpose.qfunctions import ARRAY_BYTES_CAP, _superposition_sum, trapezoid_weights
 
 INV_PI = 0.3183098861837907
 Q_COH_ORIGIN = 0.22207727194479512  # exp(-0.36)/pi at a=0.6
@@ -164,6 +167,12 @@ class TestSuperpositionIntegral:
             QuadratureSpec(extent=-1.0)
         with pytest.raises(DomainError):
             QuadratureSpec(nodes=4)
+        # the smallest node count whose complex nodes^3 kernel array
+        # exceeds the byte cap; a spec allocates nothing
+        nodes = next(n for n in itertools.count(8) if 16 * n**3 > ARRAY_BYTES_CAP)
+        QuadratureSpec(nodes=nodes - 1)
+        with pytest.raises(DomainError, match="cap"):
+            QuadratureSpec(nodes=nodes)
 
 
 class TestSuperpositionSum:
@@ -237,6 +246,15 @@ class TestQGrid:
     def test_too_few_points_rejected(self, params_ref):
         with pytest.raises(DomainError):
             q_grid("superposed", params_ref, n=8)
+
+    def test_oversized_grid_rejected(self, params_ref, monkeypatch):
+        # the smallest n whose complex n x n grid exceeds the byte cap; with
+        # the closed form removed, a missing cap fails at once instead of
+        # allocating the grid
+        monkeypatch.setattr(qfunctions, "gaussian_form", None)
+        n = math.isqrt(ARRAY_BYTES_CAP // 16) + 1
+        with pytest.raises(DomainError, match="cap"):
+            q_grid("superposed", params_ref, n=n)
 
     def test_bad_kind_rejected(self, params_ref):
         with pytest.raises(DomainError):
