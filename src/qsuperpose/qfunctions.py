@@ -62,9 +62,10 @@ class QuadratureSpec:
         if self.nodes < 8:
             raise DomainError(f"need at least 8 nodes per axis, got {self.nodes}")
         if 16 * self.nodes**3 > ARRAY_BYTES_CAP:
+            mib = 16 * self.nodes**3 / 2**20
             raise DomainError(
-                f"{self.nodes} nodes per axis need a {16 * self.nodes**3 >> 20} MiB "
-                f"kernel array, above the cap of {ARRAY_BYTES_CAP >> 20} MiB"
+                f"{self.nodes} nodes per axis need a {mib:.1f} MiB kernel array, "
+                f"above the cap of {ARRAY_BYTES_CAP >> 20} MiB"
             )
 
     def grid(self) -> tuple[np.ndarray, np.ndarray, float]:
@@ -317,7 +318,7 @@ def q_grid(
     n = int(n)
     if 16 * n**2 > ARRAY_BYTES_CAP:
         raise DomainError(
-            f"n = {n} grid points per axis need a {16 * n**2 >> 20} MiB grid, "
+            f"n = {n} grid points per axis need a {16 * n**2 / 2**20:.1f} MiB grid, "
             f"above the cap of {ARRAY_BYTES_CAP >> 20} MiB"
         )
     if extent is None:
