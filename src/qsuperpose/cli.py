@@ -18,7 +18,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,47 +39,6 @@ def _round9(x: float) -> float:
 
 def _f9(x) -> str:
     return f"{x:.9g}" if isinstance(x, float) else str(x)
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """One validated CLI invocation."""
-
-    command: str
-    config: CavityConfig
-    sweep: tuple[str, float, float, int] | None = None
-    kind: str = "superposed"
-    grid_n: int = 128
-    grid_extent: float | None = None
-    trunc: int | None = None
-    tol: float = 1e-6
-    out: Path | None = None
-    fmt: str = "json"
-
-    def __post_init__(self):
-        if self.fmt not in ("csv", "json"):
-            raise DomainError(f"format must be csv or json, got {self.fmt!r}")
-        if self.command == "qgrid" and self.kind not in Q_KINDS:
-            raise DomainError(f"kind must be one of {Q_KINDS}, got {self.kind!r}")
-        if self.sweep is not None:
-            param, start, stop, steps = self.sweep
-            if param not in SWEEP_PARAMS:
-                raise DomainError(f"sweep parameter must be one of {SWEEP_PARAMS}")
-            if steps < 2:
-                raise DomainError(f"sweeps need at least 2 steps, got {steps}")
-            for v in (start, stop):
-                # endpoint configs must be constructible: this also enforces
-                # that the whole range stays inside the stability domain
-                self._config_with(param, v)
-
-    def _config_with(self, param: str, value: float) -> CavityConfig:
-        fields = {
-            "kappa": self.config.kappa,
-            "eps1": self.config.eps1,
-            "eps2": self.config.eps2,
-        }
-        fields[param] = _round9(value)
-        return CavityConfig(**fields)
 
 
 def report_payload(config: CavityConfig) -> dict:
@@ -104,13 +63,25 @@ def report_payload(config: CavityConfig) -> dict:
     return {k: _round9(v) for k, v in payload.items()}
 
 
-def _emit(spec: RunSpec, text: str) -> None:
-    if spec.out is not None:
-        spec.out.write_text(text, encoding="utf-8")
+def _config(args: argparse.Namespace) -> CavityConfig:
+    return CavityConfig(_round9(args.kappa), _round9(args.eps1), _round9(args.eps2))
+
+
+def _auto_or(text: str, parse, what: str):
+    """None for 'auto', else ``parse(text)``; ``what`` opens the error."""
+    if text == "auto":
+        return None
+    try:
+        return parse(text)
+    except ValueError:
+        raise DomainError(f"{what} or 'auto', got {text!r}") from None
+
+
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out is not None:
+        args.out.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
@@ -122,41 +93,69 @@ def _rows_to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _run_report(spec: RunSpec) -> int:
-    payload = report_payload(spec.config)
-    if spec.fmt == "json":
-        _emit(spec, json.dumps(payload, indent=2) + "\n")
+def _write_rows(args: argparse.Namespace, rows: list[dict]) -> None:
+    """CSV, or indented JSON: one object for ``report``, a list otherwise."""
+    if args.format == "csv":
+        _emit(args, _rows_to_csv(rows))
     else:
-        _emit(spec, _rows_to_csv([payload]))
+        doc = rows[0] if args.command == "report" else rows
+        _emit(args, json.dumps(doc, indent=2) + "\n")
+
+
+def _run_report(args: argparse.Namespace) -> int:
+    _write_rows(args, [report_payload(_config(args))])
     return 0
 
 
-def _run_sweep(spec: RunSpec) -> int:
-    param, start, stop, steps = spec.sweep
-    rows = []
-    for value in np.linspace(start, stop, steps):
-        config = spec._config_with(param, float(value))
-        rows.append(report_payload(config))
-    if spec.fmt == "csv":
-        _emit(spec, _rows_to_csv(rows))
-    else:
-        _emit(spec, json.dumps(rows, indent=2) + "\n")
+def _parse_sweep(text: str) -> tuple[str, float, float, int]:
+    parts = text.split(":")
+    if len(parts) != 4:
+        raise DomainError(f"sweep must look like param:start:stop:steps, got {text!r}")
+    param, start, stop, steps = parts
+    try:
+        start, stop, steps = float(start), float(stop), int(steps)
+    except ValueError as exc:
+        raise DomainError(f"bad sweep specification {text!r}: {exc}") from None
+    if param not in SWEEP_PARAMS:
+        raise DomainError(f"sweep parameter must be one of {SWEEP_PARAMS}")
+    if steps < 2:
+        raise DomainError(f"sweeps need at least 2 steps, got {steps}")
+    return param, start, stop, steps
+
+
+def _run_sweep(args: argparse.Namespace) -> int:
+    config = _config(args)
+    param, start, stop, steps = _parse_sweep(args.sweep)
+
+    def at(value: float) -> CavityConfig:
+        return replace(config, **{param: _round9(value)})
+
+    # endpoint configs first, so a range that leaves the stability domain
+    # names its endpoint before any row is computed
+    for value in (start, stop):
+        at(value)
+    rows = [report_payload(at(float(v))) for v in np.linspace(start, stop, steps)]
+    _write_rows(args, rows)
     return 0
 
 
-def _run_qgrid(spec: RunSpec) -> int:
-    grid = q_grid(spec.kind, scale(spec.config), n=spec.grid_n, extent=spec.grid_extent)
-    if spec.fmt == "csv":
+def _run_qgrid(args: argparse.Namespace) -> int:
+    config = _config(args)
+    extent = _auto_or(args.grid_extent, float, "grid extent must be a number")
+    grid = q_grid(args.kind, scale(config), n=args.grid_n, extent=extent)
+    if args.format == "csv":
         buf = io.StringIO()
         grid.write_csv(buf)
-        _emit(spec, buf.getvalue())
+        _emit(args, buf.getvalue())
     else:
-        _emit(spec, json.dumps(grid.as_json_dict()) + "\n")
+        _emit(args, json.dumps(grid.as_json_dict()) + "\n")
     return 0
 
 
-def _run_verify(spec: RunSpec) -> int:
-    results = run_verification(spec.config, trunc=spec.trunc, tol=spec.tol)
+def _run_verify(args: argparse.Namespace) -> int:
+    config = _config(args)
+    trunc = _auto_or(args.trunc, int, "truncation must be an integer")
+    results = run_verification(config, trunc=trunc, tol=args.tol)
     width = max(len(r.name) for r in results) + 2
     lines = [f"{'check':<{width}}{'max_dev':<15}{'tol':<15}status"]
     for r in results:
@@ -167,21 +166,11 @@ def _run_verify(spec: RunSpec) -> int:
     n_fail = sum(not r.passed for r in results)
     lines.append(f"{len(results) - n_fail}/{len(results)} checks passed")
     print("\n".join(lines))
-    if spec.out is not None:
+    if args.out is not None:
         rows = [
-            {
-                "name": r.name,
-                "max_deviation": _round9(r.max_deviation),
-                "tolerance": r.tolerance,
-                "passed": r.passed,
-                "note": r.note,
-            }
-            for r in results
+            r.to_dict() | {"max_deviation": _round9(r.max_deviation)} for r in results
         ]
-        if spec.fmt == "csv":
-            spec.out.write_text(_rows_to_csv(rows), encoding="utf-8")
-        else:
-            spec.out.write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
+        _write_rows(args, rows)
     return 0 if n_fail == 0 else 3
 
 
@@ -193,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, eps1_default=0.0, eps2_default=0.0):
+    def add_common(p, run, eps1_default=0.0, eps2_default=0.0):
+        p.set_defaults(run=run)
         p.add_argument("--kappa", type=float, default=1.0, help="cavity damping rate")
         p.add_argument(
             "--eps1", type=float, default=eps1_default, help="coherent drive rate"
@@ -207,11 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None, help="output file")
 
     rep = sub.add_parser("report", help="single-configuration report")
-    add_common(rep)
+    add_common(rep, _run_report)
     rep.add_argument("--format", choices=("json", "csv"), default="json")
 
     swp = sub.add_parser("sweep", help="parameter sweep")
-    add_common(swp)
+    add_common(swp, _run_sweep)
     swp.add_argument(
         "--sweep",
         required=True,
@@ -221,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     grd = sub.add_parser("qgrid", help="sample a Q function on a grid")
-    add_common(grd)
+    add_common(grd, _run_qgrid)
     grd.add_argument("--kind", choices=Q_KINDS, default="superposed")
     grd.add_argument("--grid-n", type=int, default=128, help="points per axis")
     grd.add_argument(
@@ -230,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     grd.add_argument("--format", choices=("csv", "json"), default="csv")
 
     ver = sub.add_parser("verify", help="run the oracle-equivalence suite")
-    add_common(ver, eps1_default=0.3, eps2_default=0.2)
+    add_common(ver, _run_verify, eps1_default=0.3, eps2_default=0.2)
     ver.add_argument(
         "--trunc", default="auto", help="Fock truncation for the oracle, or 'auto'"
     )
@@ -241,67 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_sweep(text: str) -> tuple[str, float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 4:
-        raise DomainError(f"sweep must look like param:start:stop:steps, got {text!r}")
-    param, start, stop, steps = parts
-    try:
-        return param, float(start), float(stop), int(steps)
-    except ValueError as exc:
-        raise DomainError(f"bad sweep specification {text!r}: {exc}") from None
-
-
-def runspec_from_args(args: argparse.Namespace) -> RunSpec:
-    config = CavityConfig(
-        _round9(args.kappa), _round9(args.eps1), _round9(args.eps2)
-    )
-    kwargs = {
-        "command": args.command,
-        "config": config,
-        "out": args.out,
-        "fmt": args.format,
-    }
-    if args.command == "sweep":
-        kwargs["sweep"] = _parse_sweep(args.sweep)
-    if args.command == "qgrid":
-        kwargs["kind"] = args.kind
-        kwargs["grid_n"] = args.grid_n
-        if args.grid_extent != "auto":
-            try:
-                kwargs["grid_extent"] = float(args.grid_extent)
-            except ValueError:
-                raise DomainError(
-                    f"grid extent must be a number or 'auto', got {args.grid_extent!r}"
-                ) from None
-    if args.command == "verify":
-        if args.trunc != "auto":
-            try:
-                kwargs["trunc"] = int(args.trunc)
-            except ValueError:
-                raise DomainError(
-                    f"truncation must be an integer or 'auto', got {args.trunc!r}"
-                ) from None
-        kwargs["tol"] = args.tol
-    return RunSpec(**kwargs)
-
-
-_RUNNERS = {
-    "report": _run_report,
-    "sweep": _run_sweep,
-    "qgrid": _run_qgrid,
-    "verify": _run_verify,
-}
-
-
-def run(spec: RunSpec) -> int:
-    return _RUNNERS[spec.command](spec)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return run(runspec_from_args(args))
+        return args.run(args)
     except ValidationError as exc:
         _print_error(exc)
         return 2

@@ -209,50 +209,39 @@ def _rk4_step(lind: sp.csr_matrix, x: np.ndarray, h: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _solve_cached(
-    kappa: float, eps1: float, eps2: float, dim: int, method: str
-) -> np.ndarray:
+def _solve_cached(kappa: float, eps1: float, eps2: float, dim: int) -> np.ndarray:
     config = CavityConfig(kappa, eps1, eps2)
     lind = liouvillian(config, dim)
-    if method == "auto":
-        try:
-            return _solve_lu(lind, dim)
-        except _IllConditioned:
-            pass
-    return _steady_by_propagation(config, dim, lind)
+    try:
+        return _solve_lu(lind, dim)
+    except _IllConditioned:
+        return _steady_by_propagation(config, dim, lind)
 
 
-def steady_state(
-    config: CavityConfig, trunc: int | None = None, method: str = "auto"
-) -> DensityMatrix:
+def steady_state(config: CavityConfig, trunc: int | None = None) -> DensityMatrix:
     """Steady state of the driven damped cavity.
 
-    trunc=None uses :func:`default_truncation`.  method "auto" solves by
-    sparse LU and falls back to propagation from vacuum when the solution
-    misses the residual bound |L x| <= 1e-9 max|x|; "propagate" only
-    propagates.  Raises :class:`SolveError` when the steady state is not
-    unique (never propagating, which would pick one of many) or no
-    trustworthy solution exists, and :class:`TruncationError` when the
-    state still has significant population near the cutoff.
+    trunc=None uses :func:`default_truncation`.  Solves by sparse LU and
+    falls back to propagation from vacuum when the solution misses the
+    residual bound |L x| <= 1e-9 max|x|.  Raises :class:`SolveError` when
+    the steady state is not unique (never propagating, which would pick one
+    of many) or no trustworthy solution exists, and
+    :class:`TruncationError` when the state still has significant
+    population near the cutoff.
     """
     dim = default_truncation(config) if trunc is None else int(trunc)
     if dim < 8:
         raise DomainError(f"truncation must be at least 8, got {dim}")
-    if method not in ("auto", "propagate"):
-        raise DomainError(f"unknown method {method!r}")
-    elements = _solve_cached(config.kappa, config.eps1, config.eps2, dim, method)
+    elements = _solve_cached(config.kappa, config.eps1, config.eps2, dim)
     return DensityMatrix(dim=dim, elements=elements)
 
 
 def propagate(
-    config: CavityConfig,
-    t: float,
-    dt: float | None = None,
-    trunc: int | None = None,
+    config: CavityConfig, t: float, trunc: int | None = None
 ) -> DensityMatrix:
     """Master-equation state at time t, starting from vacuum.
 
-    Fixed-step RK4 on the vectorized generator; dt defaults to
+    Fixed-step RK4 on the vectorized generator with step dt =
     0.2/(kappa*N), well inside the stability region of the fastest decaying
     coherence and small enough that the integration error cannot push the
     state's zero eigenvalues below the positivity tolerance.  t is in the
@@ -263,10 +252,7 @@ def propagate(
     dim = default_truncation(config) if trunc is None else int(trunc)
     if dim < 8:
         raise DomainError(f"truncation must be at least 8, got {dim}")
-    if dt is None:
-        dt = 0.2 / (config.kappa * dim)
-    if dt <= 0:
-        raise StepError(f"step must be positive, got {dt}")
+    dt = 0.2 / (config.kappa * dim)
     lind = liouvillian(config, dim)
     x = np.zeros(dim * dim, dtype=lind.dtype)
     x[0] = 1.0

@@ -13,6 +13,7 @@ those parameter types, the stability checks, and the coefficients (u, v, A)
 of the Gaussian Husimi Q functions every other module consumes.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +148,14 @@ class GaussianQ:
         return float(
             np.sqrt(det) / np.pi * np.exp(-self.linear**2 / (self.quad - self.squeeze))
         )
+
+    def half_width(self, sigmas: float) -> float:
+        """Half-width of an origin-centred square box covering the displaced
+        peak plus ``sigmas`` standard deviations of the widest Gaussian axis
+        (at least the vacuum width)."""
+        mean = self.linear / (self.quad - self.squeeze)
+        sigma = math.sqrt(1 / (2 * (self.quad - abs(self.squeeze))))
+        return abs(mean) + sigmas * max(1.0, sigma)
 
 
 def gaussian_form(params: ScaledParams, kind: str) -> GaussianQ:

@@ -17,12 +17,12 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NormalizationWarning, QuadratureError
-from .params import Q_KINDS, GaussianQ, ScaledParams, gaussian_form, squeeze_coeffs
+from .params import Q_KINDS, ScaledParams, gaussian_form, squeeze_coeffs
 
 #: integrand-to-peak ratio above which a quadrature box is rejected
 BOUNDARY_RATIO = 1e-12
@@ -32,6 +32,20 @@ BOUNDARY_RATIO = 1e-12
 ARRAY_BYTES_CAP = 2**28
 
 CHAR_KINDS = ("coherent", "squeezed")
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an int; DomainError unless it is a finite integer."""
+    if not (math.isfinite(value) and value == int(value)):
+        raise DomainError(f"{name} must be a finite integer, got {value}")
+    return int(value)
+
+
+def _check_extent(extent: float) -> None:
+    if not math.isfinite(extent):
+        raise DomainError(f"extent must be finite, got {extent}")
+    if extent <= 0:
+        raise DomainError(f"extent must be positive, got {extent}")
 
 
 def trapezoid_weights(n: int) -> np.ndarray:
@@ -57,8 +71,8 @@ class QuadratureSpec:
     rtol: float = 1e-3
 
     def __post_init__(self):
-        if not np.isfinite(self.extent) or self.extent <= 0:
-            raise DomainError(f"extent must be positive, got {self.extent}")
+        _check_extent(self.extent)
+        object.__setattr__(self, "nodes", _count("nodes", self.nodes))
         if self.nodes < 8:
             raise DomainError(f"need at least 8 nodes per axis, got {self.nodes}")
         if 16 * self.nodes**3 > ARRAY_BYTES_CAP:
@@ -232,15 +246,6 @@ def superpose_q_numeric(
     return float((pref * np.exp(const) * total * h**4).real)
 
 
-def auto_extent(params: ScaledParams, kind: str) -> float:
-    """Grid half-width covering the displaced peak plus six standard
-    deviations of the widest Gaussian axis (at least the vacuum width)."""
-    g = gaussian_form(params, kind)
-    mean = g.linear / (g.quad - g.squeeze)
-    sigma = math.sqrt(1 / (2 * (g.quad - abs(g.squeeze))))
-    return abs(mean) + 6 * max(1.0, sigma)
-
-
 @dataclass(frozen=True)
 class QGrid:
     """A Q function sampled on a centered square grid.
@@ -257,7 +262,6 @@ class QGrid:
     dx: float
     values: np.ndarray
     normalization: float
-    form: GaussianQ = field(repr=False)
 
     def __post_init__(self):
         if self.values.shape != (self.n, self.n):
@@ -305,27 +309,30 @@ def q_grid(
 ) -> QGrid:
     """Sample a closed-form Q function on a centered square grid.
 
-    extent=None picks :func:`auto_extent`.  n is capped so that the complex
-    n x n grid fits :data:`ARRAY_BYTES_CAP`.  A closed form that overflows
-    at this drive raises :class:`DomainError`.  If the discrete normalization
-    deviates from one by more than 1e-4 a :class:`NormalizationWarning` is
-    issued and the deviation is left visible in ``normalization``.
+    extent=None covers the peak plus six standard deviations
+    (:meth:`GaussianQ.half_width`).  n is capped so that the complex n x n
+    grid fits :data:`ARRAY_BYTES_CAP`.  A non-finite or non-integral n, or a
+    non-finite extent, raises :class:`DomainError` before anything is
+    allocated; a closed form that overflows at this drive raises it too.
+    If the discrete normalization deviates from one by more than 1e-4 a
+    :class:`NormalizationWarning` is issued and the deviation is left
+    visible in ``normalization``.
     """
     if kind not in Q_KINDS:
         raise DomainError(f"kind must be one of {Q_KINDS}, got {kind!r}")
-    if int(n) != n or n < 16:
+    n = _count("n", n)
+    if n < 16:
         raise DomainError(f"need n >= 16 grid points per axis, got {n}")
-    n = int(n)
     if 16 * n**2 > ARRAY_BYTES_CAP:
         raise DomainError(
             f"n = {n} grid points per axis need a {16 * n**2 / 2**20:.1f} MiB grid, "
             f"above the cap of {ARRAY_BYTES_CAP >> 20} MiB"
         )
-    if extent is None:
-        extent = auto_extent(params, kind)
-    elif extent <= 0:
-        raise DomainError(f"extent must be positive, got {extent}")
+    if extent is not None:
+        _check_extent(extent)
     form = gaussian_form(params, kind)
+    if extent is None:
+        extent = form.half_width(6)
     ax = np.linspace(-extent, extent, n)
     alpha = ax[:, None] + 1j * ax[None, :]
     dx = ax[1] - ax[0]
@@ -351,5 +358,4 @@ def q_grid(
         dx=float(dx),
         values=values,
         normalization=norm,
-        form=form,
     )

@@ -10,8 +10,7 @@ squeezing, and the output light through the mirror inherits the cavity
 squeezing unchanged.
 """
 
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,9 +56,7 @@ def moments_via_qfunction(
     """
     form = gaussian_form(params, "superposed")
     if extent is None:
-        mean = form.linear / (form.quad - form.squeeze)
-        sigma = math.sqrt(1 / (2 * (form.quad - abs(form.squeeze))))
-        extent = abs(mean) + 10 * max(1.0, sigma)
+        extent = form.half_width(10)
     ax = np.linspace(-extent, extent, n)
     dx = ax[1] - ax[0]
     alpha = ax[:, None] + 1j * ax[None, :]
@@ -141,21 +138,7 @@ class SqueezingReport:
             raise DomainError("output photon flux must be kappa * mean_photon")
 
     def to_dict(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "eps1": self.eps1,
-            "eps2": self.eps2,
-            "a": self.a,
-            "b": self.b,
-            "mean_photon": self.mean_photon,
-            "mean_photon_out": self.mean_photon_out,
-            "var_plus": self.var_plus,
-            "var_minus": self.var_minus,
-            "var_plus_out": self.var_plus_out,
-            "var_minus_out": self.var_minus_out,
-            "squeezing": self.squeezing,
-            "squeezing_out": self.squeezing_out,
-        }
+        return asdict(self)
 
 
 def output_report(config: CavityConfig) -> SqueezingReport:

@@ -6,7 +6,7 @@ integration) and reports its worst deviation.  Everything is deterministic:
 fixed grids, fixed summation orders, no sampling.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,13 +45,7 @@ class CheckResult:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def _within(name: str, dev: float, tol: float, note: str = "") -> CheckResult:
@@ -61,9 +55,7 @@ def _within(name: str, dev: float, tol: float, note: str = "") -> CheckResult:
 def _norm_quadrature(params: ScaledParams, kind: str) -> float:
     """Discrete integral of the closed-form Q over a generous box."""
     form = gaussian_form(params, kind)
-    mean = form.linear / (form.quad - form.squeeze)
-    sigma = np.sqrt(1 / (2 * (form.quad - abs(form.squeeze))))
-    extent = abs(mean) + 9 * max(1.0, sigma)
+    extent = form.half_width(9)
     ax = np.linspace(-extent, extent, 801)
     dx = ax[1] - ax[0]
     vals = form(ax[:, None] + 1j * ax[None, :])

@@ -113,6 +113,21 @@ class TestSweep:
         err_lines = capsys.readouterr().err.strip().splitlines()
         assert all(json.loads(line)["error"] == "DomainError" for line in err_lines[1:])
 
+    def test_unstable_endpoint_named(self, capsys):
+        # the stop point is checked before any row is computed
+        assert main(["sweep", "--sweep", "eps2:0:1:3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "StabilityError"
+        assert "eps2=1.0" in error["message"]
+
+    def test_non_numeric_bound_rejected(self, capsys):
+        assert main(["sweep", "--sweep", "eps2:a:0.4:3"]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "DomainError"
+        assert "bad sweep specification" in error["message"]
+
 
 class TestQGrid:
     def test_csv_output(self, tmp_path):
@@ -141,6 +156,13 @@ class TestQGrid:
     def test_grid_validation(self, capsys, monkeypatch):
         assert main(["qgrid", "--grid-n", "4"]) == 2
         assert main(["qgrid", "--grid-extent", "wide"]) == 2
+        for extent in ("nan", "inf"):
+            assert main(["qgrid", "--grid-extent", extent]) == 2
+            error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert error == {
+                "error": "DomainError",
+                "message": f"extent must be finite, got {extent}",
+            }
         # one point per axis above the memory cap; with the closed form
         # removed, a missing cap fails at once instead of allocating the grid
         monkeypatch.setattr(qfunctions, "gaussian_form", None)
@@ -183,6 +205,16 @@ class TestVerify:
         results = json.loads(out.read_text())
         assert len(results) == 13
         assert all(r["passed"] for r in results)
+        for r in results:
+            assert list(r) == ["name", "max_deviation", "tolerance", "passed", "note"]
+            assert r["max_deviation"] == float(f"{r['max_deviation']:.9g}")
+
+    @pytest.mark.parametrize("trunc", ("abc", "8.5"))
+    def test_non_integer_truncation_rejected(self, trunc, capsys):
+        assert main(["verify", "--trunc", trunc]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "DomainError"
 
     def test_deterministic(self, capsys):
         assert main(["verify"]) == 0

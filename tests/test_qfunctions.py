@@ -167,6 +167,13 @@ class TestSuperpositionIntegral:
             QuadratureSpec(extent=-1.0)
         with pytest.raises(DomainError):
             QuadratureSpec(nodes=4)
+        for extent in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="extent must be finite"):
+                QuadratureSpec(extent=extent)
+        for nodes in (math.nan, math.inf, 32.5):
+            with pytest.raises(DomainError, match="nodes must be a finite integer"):
+                QuadratureSpec(nodes=nodes)
+        assert isinstance(QuadratureSpec(nodes=32.0).nodes, int)
         # the smallest node count whose complex nodes^3 kernel array
         # exceeds the byte cap; a spec allocates nothing
         nodes = next(n for n in itertools.count(8) if 16 * n**3 > ARRAY_BYTES_CAP)
@@ -246,6 +253,16 @@ class TestQGrid:
     def test_too_few_points_rejected(self, params_ref):
         with pytest.raises(DomainError):
             q_grid("superposed", params_ref, n=8)
+
+    def test_non_finite_size_and_extent_rejected(self, params_ref, monkeypatch):
+        # rejected before the closed form is built or anything allocated
+        monkeypatch.setattr(qfunctions, "gaussian_form", None)
+        for n in (math.nan, math.inf, 32.5):
+            with pytest.raises(DomainError, match="n must be a finite integer"):
+                q_grid("superposed", params_ref, n=n)
+        for extent in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="extent must be finite"):
+                q_grid("superposed", params_ref, n=16, extent=extent)
 
     def test_oversized_grid_rejected(self, params_ref, monkeypatch):
         # the smallest n whose complex n x n grid exceeds the byte cap; with
