@@ -27,14 +27,6 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .fock import (
-    DensityMatrix,
-    default_truncation,
-    expect,
-    propagate,
-    steady_state,
-    superposition_oracle,
-)
 from .params import (
     CavityConfig,
     GaussianQ,
@@ -68,6 +60,33 @@ from .superposed import (
 )
 
 __version__ = "0.1.0"
+
+#: names served lazily from :mod:`qsuperpose.fock`, so that a process which
+#: never touches the Fock oracle never imports it (or scipy)
+_FOCK_NAMES = frozenset(
+    {
+        "DensityMatrix",
+        "default_truncation",
+        "expect",
+        "propagate",
+        "steady_state",
+        "superposition_oracle",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _FOCK_NAMES:
+        from . import fock
+
+        value = getattr(fock, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _FOCK_NAMES)
 
 __all__ = [
     "CavityConfig",

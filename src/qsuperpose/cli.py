@@ -10,7 +10,8 @@ Subcommands:
 All emitted floats carry 9 significant digits, and input rates are snapped to
 9 significant digits first, so re-running on the recorded parameters
 reproduces every derived column exactly.  Exit codes: 0 success, 2 invalid
-input, 3 numerical failure (including any failed verify check).
+input, 3 numerical failure (including any failed verify check).  Errors and
+warnings go to stderr as one JSON line each.
 """
 
 import argparse
@@ -18,6 +19,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,7 +30,6 @@ from .errors import DomainError, NumericsError, ValidationError
 from .params import CavityConfig, Q_KINDS, scale
 from .qfunctions import q_grid
 from .superposed import output_report
-from .verification import run_verification
 
 SWEEP_PARAMS = ("kappa", "eps1", "eps2")
 
@@ -153,6 +154,9 @@ def _run_qgrid(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    # the Fock oracle (and scipy) loads only here: no other command uses it
+    from .verification import run_verification
+
     config = _config(args)
     trunc = _auto_or(args.trunc, int, "truncation must be an integer")
     results = run_verification(config, trunc=trunc, tol=args.tol)
@@ -233,22 +237,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.run(args)
-    except ValidationError as exc:
-        _print_error(exc)
-        return 2
-    except NumericsError as exc:
-        _print_error(exc)
-        return 3
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.run(args)
+        except ValidationError as exc:
+            _print_error(exc)
+            return 2
+        except NumericsError as exc:
+            _print_error(exc)
+            return 3
+
+
+def _print_json_line(record: dict) -> None:
+    json.dump(record, sys.stderr)
+    sys.stderr.write("\n")
 
 
 def _print_error(exc: Exception) -> None:
-    json.dump(
-        {"error": type(exc).__name__, "message": str(exc)},
-        sys.stderr,
-    )
-    sys.stderr.write("\n")
+    _print_json_line({"error": type(exc).__name__, "message": str(exc)})
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """``warnings.showwarning`` for the CLI: one JSON line on stderr, with no
+    source path, line number or source line."""
+    _print_json_line({"warning": category.__name__, "message": str(message)})
 
 
 def entry() -> None:  # console-script target

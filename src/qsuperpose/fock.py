@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
@@ -124,7 +123,7 @@ class DensityMatrix:
             raise SolveError("density matrix is not Hermitian")
         if abs(np.trace(arr) - 1.0) > 1e-10:
             raise SolveError(f"trace {np.trace(arr)} is not 1")
-        eigmin = sla.eigvalsh(arr)[0]
+        eigmin = np.linalg.eigvalsh(arr)[0]
         if eigmin < -1e-10:
             raise SolveError(f"negative eigenvalue {eigmin:.3e}")
         tail_levels = math.ceil(0.1 * self.dim)
@@ -282,14 +281,27 @@ def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
     return c
 
 
+def _exp_raising(z: complex, dim: int) -> np.ndarray:
+    """exp(z a^dag) on the truncated space, from its finite series (a^dag is
+    nilpotent there): entry [m, n] = z^k sqrt(m!/n!) / k! with k = m - n >= 0,
+    built one subdiagonal at a time.  exp(z a) is its transpose."""
+    out = np.identity(dim, dtype=complex)
+    idx = np.arange(dim)
+    sub = np.ones(dim, dtype=complex)
+    for k in range(1, dim):
+        sub = sub[:-1] * (z * np.sqrt(idx[k:]) / k)
+        out[idx[k:], idx[:-k]] = sub
+    return out
+
+
 def expect(rho: DensityMatrix, which: str, arg: complex | None = None):
     """Expectation value against explicit truncated operators.
 
     which: "a", "a2", "adag_a", "quad_var_plus", "quad_var_minus",
     "char_fn" (requires arg z; antinormally-ordered <exp(-z* a) exp(z a^dag)>
-    via truncated matrix exponentials), or "husimi" (requires arg alpha;
-    <alpha|rho|alpha>/pi).  Moments come back complex, variances and the
-    Husimi value as floats.
+    with both exponentials summed exactly on the truncated space), or
+    "husimi" (requires arg alpha; <alpha|rho|alpha>/pi).  Moments come back
+    complex, variances and the Husimi value as floats.
     """
     if which not in _EXPECT_KINDS:
         raise DomainError(f"which must be one of {_EXPECT_KINDS}, got {which!r}")
@@ -315,7 +327,7 @@ def expect(rho: DensityMatrix, which: str, arg: complex | None = None):
     # char_fn; the coherent-tail criterion bounds how far exp(z a^dag)
     # pushes weight toward the cutoff
     coherent_vector(arg, rho.dim)
-    op = sla.expm(-np.conj(arg) * am) @ sla.expm(arg * am.T)
+    op = _exp_raising(-np.conj(arg), rho.dim).T @ _exp_raising(arg, rho.dim)
     return complex(np.einsum("ij,ji->", mat, op))
 
 

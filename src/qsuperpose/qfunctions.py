@@ -13,7 +13,6 @@ integrals use d^2alpha = d(Re alpha) d(Im alpha); the 1/pi prefactors only
 normalize under that measure.
 """
 
-import csv
 import io
 import math
 import warnings
@@ -276,14 +275,13 @@ class QGrid:
         return np.linspace(-self.extent, self.extent, self.n)
 
     def write_csv(self, fh: io.TextIOBase) -> None:
-        """Rows of (re, im, q), row-major over the grid, 9 significant digits."""
-        writer = csv.writer(fh)
-        writer.writerow(["re", "im", "q"])
-        ax = self.axis()
-        for i in range(self.n):
-            re = f"{ax[i]:.9g}"
-            for j in range(self.n):
-                writer.writerow([re, f"{ax[j]:.9g}", f"{self.values[i, j]:.9g}"])
+        """Rows of (re, im, q), row-major over the grid, 9 significant digits,
+        with the CRLF terminator of the csv module's default dialect (no cell
+        is ever quoted: every cell is a finite number)."""
+        labels = [f"{x:.9g}" for x in self.axis().tolist()]
+        fh.write("re,im,q\r\n")
+        for re, row in zip(labels, self.values.tolist()):
+            fh.write("".join([f"{re},{im},{q:.9g}\r\n" for im, q in zip(labels, row)]))
 
     def as_json_dict(self) -> dict:
         """Compact JSON envelope with the values flattened row-major."""
@@ -297,7 +295,7 @@ class QGrid:
             "n": self.n,
             "dx": float(f"{self.dx:.9g}"),
             "normalization": float(f"{self.normalization:.9g}"),
-            "values": [float(f"{v:.9g}") for v in self.values.ravel()],
+            "values": [float(f"{v:.9g}") for v in self.values.ravel().tolist()],
         }
 
 

@@ -2,10 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import qsuperpose
 from qsuperpose import CavityConfig, qfunctions
 from qsuperpose.cli import main, report_payload
 
@@ -195,6 +200,23 @@ class TestQGrid:
         assert "overflows" in error["message"] and "grid" not in error["message"]
 
 
+    def test_warning_is_one_json_line(self, capsys):
+        # pinned to "always" so that an earlier identical warning in this
+        # process cannot hide it
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            code = main(["qgrid", "--grid-n", "16", "--grid-extent", "1.5"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 16 * 16 + 1
+        assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+        record = json.loads(captured.err)
+        assert list(record) == ["warning", "message"]
+        assert record["warning"] == "NormalizationWarning"
+        assert "normalization" in record["message"]
+        assert ".py" not in captured.err and qfunctions.__file__ not in captured.err
+
+
 class TestVerify:
     def test_all_checks_pass(self, capsys, tmp_path):
         out = tmp_path / "verify.json"
@@ -235,3 +257,51 @@ class TestVerify:
         rows = list(csv.DictReader(io.StringIO(out.read_text())))
         assert len(rows) == 13
         assert {r["passed"] for r in rows} == {"True"}
+
+
+#: run in a fresh interpreter: which modules do report, qgrid and verify load?
+COLD_PATH_SCRIPT = """
+import contextlib, io, json, sys
+import qsuperpose.cli
+
+def scipy_loaded():
+    return any(m.split(".")[0] == "scipy" for m in sys.modules)
+
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(qsuperpose.cli.main(["report"]))
+    codes.append(qsuperpose.cli.main(["qgrid", "--grid-n", "16"]))
+    before_verify = scipy_loaded()
+    codes.append(qsuperpose.cli.main(["verify"]))
+print(json.dumps({"codes": codes, "before_verify": before_verify,
+                  "after_verify": scipy_loaded()}))
+"""
+
+
+class TestColdPath:
+    def test_only_verify_loads_scipy(self):
+        src = str(Path(qsuperpose.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_PATH_SCRIPT],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["codes"] == [0, 0, 0]
+        assert result["before_verify"] is False  # report and qgrid: no scipy
+        assert result["after_verify"] is True
+
+    def test_lazy_oracle_names(self):
+        assert qsuperpose.steady_state is qsuperpose.fock.steady_state
+        for name in qsuperpose.__all__:
+            assert getattr(qsuperpose, name) is not None
+        namespace = {}
+        exec("from qsuperpose import *", namespace)
+        assert set(qsuperpose.__all__) <= set(namespace)
+        for name in ("DensityMatrix", "default_truncation", "expect", "propagate",
+                     "steady_state", "superposition_oracle"):
+            assert namespace[name] is getattr(qsuperpose.fock, name)
+        with pytest.raises(AttributeError):
+            qsuperpose.no_such_name

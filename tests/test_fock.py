@@ -288,6 +288,26 @@ class TestExpectations:
         assert expect(coh, "char_fn", z) == pytest.approx(want_coh, abs=1e-6)
         assert expect(sqz, "char_fn", z) == pytest.approx(want_sqz, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "dim, z",
+        ((12, 0.5 + 0j), (12, 0.3 - 0.4j), (40, -0.8 + 1.1j), (60, 1.5j), (100, 2.0 - 1.0j)),
+    )
+    def test_char_fn_matches_matrix_exponentials(self, dim, z):
+        # scipy's Pade expm of the truncated ladder operators against the
+        # finite series, operator by operator and in the expectation value
+        am = ladder(dim)
+        raise_op, lower_op = sla.expm(z * am.T), sla.expm(-np.conj(z) * am)
+        scale = np.abs(raise_op).max()
+        assert np.abs(fock._exp_raising(z, dim) - raise_op).max() <= 1e-11 * scale
+        scale = np.abs(lower_op).max()
+        got = fock._exp_raising(-np.conj(z), dim).T
+        assert np.abs(got - lower_op).max() <= 1e-11 * scale
+        c = fock.coherent_vector(0.2 + 0.1j, dim)
+        rho = DensityMatrix(dim=dim, elements=np.outer(c, c.conj()))
+        op = lower_op @ raise_op
+        want = np.einsum("ij,ji->", rho.elements, op)
+        assert abs(expect(rho, "char_fn", z) - want) <= 1e-11 * np.abs(op).max()
+
     def test_husimi_amplitude_beyond_truncation(self):
         rho = steady_state(CavityConfig(1.0, 0.0, 0.0), trunc=12)
         with pytest.raises(TruncationError):

@@ -232,7 +232,63 @@ class TestSuperpositionSum:
         assert bnd == pytest.approx(want_bnd, abs=1e-12)
 
 
+def _per_cell_csv(grid) -> str:
+    """The grid CSV as written one csv.writer row at a time, from numpy
+    scalars: the reference for the package's faster writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["re", "im", "q"])
+    ax = grid.axis()
+    for i in range(grid.n):
+        for j in range(grid.n):
+            writer.writerow([f"{ax[i]:.9g}", f"{ax[j]:.9g}", f"{grid.values[i, j]:.9g}"])
+    return buf.getvalue()
+
+
+def _per_cell_json(grid) -> str:
+    """The JSON envelope with each value rounded from its numpy scalar."""
+    env = {
+        "kind": grid.kind,
+        "params": {"a": float(f"{grid.params.a:.9g}"), "b": float(f"{grid.params.b:.9g}")},
+        "extent": float(f"{grid.extent:.9g}"),
+        "n": grid.n,
+        "dx": float(f"{grid.dx:.9g}"),
+        "normalization": float(f"{grid.normalization:.9g}"),
+        "values": [float(f"{v:.9g}") for v in grid.values.ravel()],
+    }
+    return json.dumps(env)
+
+
+def _assert_same_text(got: str, want: str) -> None:
+    """Equality of long texts, reporting only the first difference (pytest's
+    own diff of two long strings takes minutes)."""
+    same = got == want
+    at = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+    if at is None:
+        at = min(len(got), len(want))
+    lo, hi = max(at - 20, 0), at + 20
+    assert same, f"first difference at {at}: {got[lo:hi]!r} != {want[lo:hi]!r}"
+
+
 class TestQGrid:
+    @pytest.mark.parametrize(
+        "kind, a, b, n, extent",
+        (
+            ("coherent", 0.6, 0.0, 33, None),
+            ("squeezed", 0.0, 0.8, 48, None),
+            ("superposed", 0.6, 0.4, 47, 5.0),
+            ("superposed", 3.7, 0.3, 64, None),
+        ),
+    )
+    def test_writers_match_per_cell_formatting(self, kind, a, b, n, extent):
+        grid = q_grid(kind, ScaledParams(a, b), n=n, extent=extent)
+        want = _per_cell_csv(grid)
+        assert "e-" in want  # the tails print in exponent form
+        buf = io.StringIO()
+        grid.write_csv(buf)
+        _assert_same_text(buf.getvalue(), want)
+        _assert_same_text(json.dumps(grid.as_json_dict()), _per_cell_json(grid))
+
     def test_vacuum_normalization(self):
         grid = q_grid("coherent", ScaledParams(0.0, 0.0), n=128, extent=6.0)
         assert abs(grid.normalization - 1.0) < 1e-6
