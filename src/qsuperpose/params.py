@@ -23,6 +23,33 @@ from .errors import DomainError, StabilityError
 Q_KINDS = ("coherent", "squeezed", "superposed")
 
 
+def as_count(name: str, value) -> int:
+    """``value`` as an int; DomainError unless it is a finite integer."""
+    if not (math.isfinite(value) and value == int(value)):
+        raise DomainError(f"{name} must be a finite integer, got {value}")
+    return int(value)
+
+
+def check_extent(extent: float) -> None:
+    """DomainError unless a grid half-width is finite and positive."""
+    if not math.isfinite(extent):
+        raise DomainError(f"extent must be finite, got {extent}")
+    if extent <= 0:
+        raise DomainError(f"extent must be positive, got {extent}")
+
+
+def check_grid(n, extent: float | None) -> int:
+    """``n`` as an int for an n x n phase-space grid of half-width ``extent``
+    (None: chosen later); DomainError unless n is an integer >= 16 and the
+    extent passes :func:`check_extent`."""
+    n = as_count("n", n)
+    if n < 16:
+        raise DomainError(f"need n >= 16 grid points per axis, got {n}")
+    if extent is not None:
+        check_extent(extent)
+    return n
+
+
 @dataclass(frozen=True)
 class CavityConfig:
     """Physical rates of the driven cavity.
@@ -140,6 +167,16 @@ class GaussianQ:
         )
         out = self.prefactor * np.exp(expo)
         return float(out) if out.ndim == 0 else out
+
+    def axis_factors(self, ax) -> tuple[np.ndarray, np.ndarray]:
+        """Factors fx, fy on the real axis ``ax`` with Q(x + iy) = fx(x)*fy(y):
+        fx = exp(-(quad - squeeze)*x^2 + 2*linear*x) and
+        fy = prefactor*exp(-(quad + squeeze)*y^2).  So Q on the grid ax x ax is
+        their outer product, and its sums against x, x^2, y^2 are products
+        of 1-d sums."""
+        ax = np.asarray(ax, dtype=float)
+        fx = np.exp(-(self.quad - self.squeeze) * ax**2 + 2 * self.linear * ax)
+        return fx, self.prefactor * np.exp(-(self.quad + self.squeeze) * ax**2)
 
     @property
     def normalized_prefactor(self) -> float:

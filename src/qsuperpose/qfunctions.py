@@ -21,7 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NormalizationWarning, QuadratureError
-from .params import Q_KINDS, ScaledParams, gaussian_form, squeeze_coeffs
+from .params import (
+    Q_KINDS,
+    ScaledParams,
+    as_count,
+    check_extent,
+    check_grid,
+    gaussian_form,
+    squeeze_coeffs,
+)
 
 #: integrand-to-peak ratio above which a quadrature box is rejected
 BOUNDARY_RATIO = 1e-12
@@ -31,20 +39,6 @@ BOUNDARY_RATIO = 1e-12
 ARRAY_BYTES_CAP = 2**28
 
 CHAR_KINDS = ("coherent", "squeezed")
-
-
-def _count(name: str, value) -> int:
-    """``value`` as an int; DomainError unless it is a finite integer."""
-    if not (math.isfinite(value) and value == int(value)):
-        raise DomainError(f"{name} must be a finite integer, got {value}")
-    return int(value)
-
-
-def _check_extent(extent: float) -> None:
-    if not math.isfinite(extent):
-        raise DomainError(f"extent must be finite, got {extent}")
-    if extent <= 0:
-        raise DomainError(f"extent must be positive, got {extent}")
 
 
 def trapezoid_weights(n: int) -> np.ndarray:
@@ -70,8 +64,8 @@ class QuadratureSpec:
     rtol: float = 1e-3
 
     def __post_init__(self):
-        _check_extent(self.extent)
-        object.__setattr__(self, "nodes", _count("nodes", self.nodes))
+        check_extent(self.extent)
+        object.__setattr__(self, "nodes", as_count("nodes", self.nodes))
         if self.nodes < 8:
             raise DomainError(f"need at least 8 nodes per axis, got {self.nodes}")
         if 16 * self.nodes**3 > ARRAY_BYTES_CAP:
@@ -318,16 +312,12 @@ def q_grid(
     """
     if kind not in Q_KINDS:
         raise DomainError(f"kind must be one of {Q_KINDS}, got {kind!r}")
-    n = _count("n", n)
-    if n < 16:
-        raise DomainError(f"need n >= 16 grid points per axis, got {n}")
+    n = check_grid(n, extent)
     if 16 * n**2 > ARRAY_BYTES_CAP:
         raise DomainError(
             f"n = {n} grid points per axis need a {16 * n**2 / 2**20:.1f} MiB grid, "
             f"above the cap of {ARRAY_BYTES_CAP >> 20} MiB"
         )
-    if extent is not None:
-        _check_extent(extent)
     form = gaussian_form(params, kind)
     if extent is None:
         extent = form.half_width(6)

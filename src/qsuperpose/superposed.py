@@ -16,7 +16,7 @@ import numpy as np
 
 from .combined import MomentSet
 from .errors import DomainError, NumericsError
-from .params import CavityConfig, ScaledParams, gaussian_form, scale
+from .params import CavityConfig, ScaledParams, check_grid, gaussian_form, scale
 
 #: coherent-state quadrature variance of a single beam
 SINGLE_BEAM_BASELINE = 1.0
@@ -53,19 +53,27 @@ def moments_via_qfunction(
     Antinormal ordering: mean_photon = int Q |alpha|^2 d^2alpha - 1, while
     <a> and <a^2> carry over unordered.  Serves as an independent check on
     :func:`superposed_moments`; defaults resolve the integrals to ~1e-9.
+
+    With alpha = x + iy, the sums of Q x, Q (x^2 - y^2) and Q (x^2 + y^2) over
+    the n x n grid of half-width ``extent`` (default ``half_width(10)``) are
+    taken exactly as products of 1-d sums (:meth:`GaussianQ.axis_factors`).
+    A non-finite or non-integral n, n < 16, or a non-finite or non-positive
+    extent raises :class:`DomainError` before anything is evaluated.
     """
+    n = check_grid(n, extent)
     form = gaussian_form(params, "superposed")
     if extent is None:
         extent = form.half_width(10)
     ax = np.linspace(-extent, extent, n)
     dx = ax[1] - ax[0]
-    alpha = ax[:, None] + 1j * ax[None, :]
-    q = form(alpha)
-    w = q * dx * dx
-    mean_amp = float((w * alpha.real).sum())
-    mean_sq = float((w * (alpha**2).real).sum())
-    mean_photon = float((w * (alpha.real**2 + alpha.imag**2)).sum()) - 1.0
-    return MomentSet(mean_amp=mean_amp, mean_sq=mean_sq, mean_photon=mean_photon)
+    fx, fy = form.axis_factors(ax)
+    sx, sx1, sx2 = fx.sum() * dx, (fx * ax).sum() * dx, (fx * ax**2).sum() * dx
+    sy, sy2 = fy.sum() * dx, (fy * ax**2).sum() * dx
+    return MomentSet(
+        mean_amp=float(sx1 * sy),
+        mean_sq=float(sx2 * sy - sx * sy2),
+        mean_photon=float(sx2 * sy + sx * sy2) - 1.0,
+    )
 
 
 def quad_variance_pair(params: ScaledParams) -> tuple[float, float]:

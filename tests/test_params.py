@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsuperpose import (
     CavityConfig,
@@ -12,6 +14,7 @@ from qsuperpose import (
     squeeze_coeffs,
     superposed_norm,
 )
+from qsuperpose.params import Q_KINDS
 from conftest import GRID_AB, phase_integral
 
 # frozen expectations for (a, b) = (0.6, 0.4); u and v are exact rationals
@@ -163,3 +166,25 @@ class TestGaussianQ:
         assert vec.shape == (3,)
         for alpha, val in zip(pts, vec):
             assert form(complex(alpha)) == pytest.approx(val, rel=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(Q_KINDS),
+        a=st.floats(0.0, 5.0),
+        b=st.floats(0.0, 1.0, exclude_max=True),
+        extent=st.floats(0.5, 10.0),
+        nx=st.integers(1, 40),
+        ny=st.integers(1, 40),
+    )
+    def test_axis_factors_outer_product_is_q(self, kind, a, b, extent, nx, ny):
+        # the x axis also covers the displaced peak; on this box every
+        # exponent term is below ~700 in size, so GaussianQ.__call__ itself
+        # is accurate to ~1e-13 (its grouping by |alpha|^2 and Re(alpha^2)
+        # cancels to eps*quad*y^2 near b = 1, which the box keeps small)
+        form = gaussian_form(ScaledParams(a, b), kind)
+        x = np.linspace(-extent, extent + a, nx)
+        y = np.linspace(-extent, extent, ny)
+        fx, _ = form.axis_factors(x)
+        _, fy = form.axis_factors(y)
+        want = form(x[:, None] + 1j * y[None, :])
+        np.testing.assert_allclose(fx[:, None] * fy[None, :], want, rtol=1e-12, atol=0)

@@ -98,6 +98,30 @@ class TestSuperposedMoments:
         )
 
 
+class TestMomentsValidation:
+    """moments_via_qfunction rejects a bad grid before evaluating anything."""
+
+    @pytest.fixture(autouse=True)
+    def no_evaluation(self, monkeypatch):
+        monkeypatch.setattr(superposed, "gaussian_form", None)
+
+    @pytest.mark.parametrize("n", (1, 15, float("nan"), float("inf"), 30.5))
+    def test_bad_n(self, params_ref, n):
+        with pytest.raises(DomainError, match="n must be a finite integer|n >= 16"):
+            moments_via_qfunction(params_ref, n=n)
+
+    @pytest.mark.parametrize("extent", (float("nan"), float("inf"), -3.0, 0.0))
+    def test_bad_extent(self, params_ref, extent):
+        with pytest.raises(DomainError, match="extent must be"):
+            moments_via_qfunction(params_ref, extent=extent)
+
+
+def test_moments_accept_an_integral_float_n(params_ref):
+    assert moments_via_qfunction(params_ref, n=601.0) == moments_via_qfunction(
+        params_ref
+    )
+
+
 class TestPairVariance:
     def test_coherent_pair_baseline(self):
         assert quad_variance_pair(ScaledParams(0.0, 0.0)) == (2.0, 2.0)

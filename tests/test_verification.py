@@ -1,0 +1,88 @@
+"""The phase-space quadratures behind ``verify``: equal to the unfactorized
+2-d sums over the whole stable domain, and still able to fail."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qsuperpose import DomainError, ScaledParams, gaussian_form, moments_via_qfunction
+from qsuperpose import superposed, verification
+from qsuperpose.params import Q_KINDS
+from qsuperpose.verification import (
+    _norm_quadrature,
+    check_pair_variance_quadrature,
+    check_q_normalization,
+)
+
+
+def direct_sums(form, n, extent):
+    """Sums of Q, Q x, Q (x^2 - y^2) and Q (x^2 + y^2) times dx^2 over the
+    n x n grid, term by term.  Q(x + iy) is evaluated from its exponent
+    -quad (x^2 + y^2) + squeeze (x^2 - y^2) + 2 linear x grouped by x and y:
+    grouped by |alpha|^2 and Re(alpha^2) instead, the rounding of the
+    cancelling y^2 terms grows like eps quad y^2 ~ eps/(1 - b) on these boxes
+    and alone exceeds 1e-12 as b -> 1."""
+    ax = np.linspace(-extent, extent, n)
+    dx = ax[1] - ax[0]
+    x, y = ax[:, None], ax[None, :]
+    q = form.prefactor * np.exp(
+        -(form.quad - form.squeeze) * x**2
+        + 2 * form.linear * x
+        - (form.quad + form.squeeze) * y**2
+    )
+    w = q * dx * dx
+    return w.sum(), (w * x).sum(), (w * (x**2 - y**2)).sum(), (w * (x**2 + y**2)).sum()
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.floats(0.0, 5.0), b=st.floats(0.0, 1.0, exclude_max=True))
+def test_factorized_sums_equal_the_2d_sums(a, b):
+    p = ScaledParams(a, b)
+    for kind in Q_KINDS:
+        form = gaussian_form(p, kind)
+        norm = direct_sums(form, 801, form.half_width(9))[0]
+        assert abs(_norm_quadrature(p, kind) - norm) <= 1e-12 * max(1.0, norm)
+    form = gaussian_form(p, "superposed")
+    _, amp, sq, photon = direct_sums(form, 601, form.half_width(10))
+    # the moments cancel terms of size sum Q (x^2 + y^2)
+    tol = 1e-12 * max(1.0, photon)
+    try:
+        got = moments_via_qfunction(p)
+    except DomainError:
+        # near b = 1 the default box under-resolves the narrow axis and both
+        # sums give a negative photon number, which MomentSet refuses
+        assert photon - 1.0 < -1e-9 + tol
+        return
+    assert abs(got.mean_amp - amp) <= tol
+    assert abs(got.mean_sq - sq) <= tol
+    assert abs(got.mean_photon - (photon - 1.0)) <= tol
+
+
+def mutate_forms(monkeypatch, **change):
+    """Serve verify's quadratures a closed form with ``change`` applied."""
+
+    def mutated(params, kind):
+        form = gaussian_form(params, kind)
+        return dataclasses.replace(
+            form, **{k: f(getattr(form, k)) for k, f in change.items()}
+        )
+
+    for module in (verification, superposed):
+        monkeypatch.setattr(module, "gaussian_form", mutated)
+
+
+def test_normalization_check_catches_a_wrong_prefactor(monkeypatch, params_ref):
+    assert check_q_normalization(params_ref).passed
+    mutate_forms(monkeypatch, prefactor=lambda c: c * (1 + 1e-5))
+    res = check_q_normalization(params_ref)
+    assert not res.passed
+    assert res.max_deviation == pytest.approx(1e-5, rel=1e-3)
+
+
+def test_pair_variance_check_catches_a_flipped_squeeze(monkeypatch, params_ref):
+    assert check_pair_variance_quadrature(params_ref).passed
+    mutate_forms(monkeypatch, squeeze=lambda c: -c)
+    assert not check_pair_variance_quadrature(params_ref).passed
