@@ -11,13 +11,15 @@ Conventions: Fock levels 0..N-1, annihilation matrix entries
 a[n-1, n] = sqrt(n), density matrices vectorized row-major so that
 vec(A rho B) = kron(A, B.T) vec(rho).
 
-Solver strategy: one real sparse LU factorization (every drive is real, so
-is the generator) with the redundant (0,0) equation replaced by the trace
-constraint.  That matrix is nonsingular exactly when the steady state is
-unique, so the factors certify uniqueness: an exactly singular
-factorization, or a reciprocal condition estimate below RCOND_FLOOR, raises
-SolveError.  If the solution misses the residual bound, the solver falls
-back to long-time propagation of the master equation.
+Solver strategy: every drive is real, so the generator L is real and
+commutes with transposition, L(rho^T) = (L rho)^T, and the unique steady
+state is real symmetric.  One sparse LU factorization solves for its
+N(N+1)/2 unknowns rho_mn, m <= n, with the redundant (0,0) equation replaced
+by the trace constraint.  That matrix is nonsingular exactly when the steady
+state is unique: an exactly singular factorization, a reciprocal condition
+estimate below RCOND_FLOOR, or a probe solve that misses its own residual
+raises SolveError.  So does a solution that misses |L x| <= 1e-9 max|x|
+against the full generator after one step of iterative refinement.
 """
 
 import math
@@ -39,8 +41,8 @@ TAIL_TOL = 1e-8
 #: tolerated missing norm of a truncated coherent vector
 COHERENT_TAIL_TOL = 1e-10
 #: smallest accepted reciprocal condition estimate of the trace-constrained
-#: generator; unique steady states give 7.2e-5..0.097 (N = 16..200, kappa =
-#: 0.5..2, a <= 2.2, b <= 0.89), the kappa = 0 generator 5e-21..8e-13
+#: generator on the symmetric subspace: 1.2e-4..0.051 for unique steady states
+#: (N = 16..200, kappa = 0.5..2, a <= 2.2, b <= 0.89), up to 1.5e-10 for kappa = 0
 RCOND_FLOOR = 1e-10
 
 _EXPECT_KINDS = (
@@ -143,15 +145,31 @@ def _finalize(x: np.ndarray, dim: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def _restrict(lind: sp.csr_matrix, dim: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The generator on the symmetric subspace: its rows (m,n), m <= n, in
+    row-major order ((0,0) first), with each column (n,m) folded onto (m,n)
+    by the 0/1 expansion E, vec(rho) = E x.  Also returns E."""
+    m, n = np.triu_indices(dim)
+    k = np.arange(m.size)
+    lower = m < n
+    rows = np.concatenate([m * dim + n, (n * dim + m)[lower]])
+    cols = np.concatenate([k, k[lower]])
+    expand = sp.csr_matrix((np.ones(rows.size), (rows, cols)), (dim * dim, m.size))
+    return lind[m * dim + n] @ expand, expand
+
+
 def _solve_lu(lind: sp.csr_matrix, dim: int) -> np.ndarray:
-    """Sparse LU solve in the generator's dtype, with the trace row replacing
-    the (0,0) equation, which is redundant with the rest of the generator.
+    """Sparse LU solve on the symmetric subspace in the generator's dtype.
     SuperLU's symmetric mode pivots on the diagonal at any size, which suits
-    a diagonal with no zero: 1 in the trace row, -kappa (m+n)/2 in each (m,n)
-    equation.  A second solve with a fixed random probe r estimates the
-    reciprocal condition max|r| / (max|A| max|A^-1 r|) of that system A."""
-    trace_row = sp.csr_matrix(np.eye(dim, dtype=lind.dtype).reshape(1, -1))
-    system = sp.vstack([trace_row, lind[1:]], format="csc")
+    a diagonal with no zero: 1 in the trace row, -kappa (m+n)/2 in each
+    (m,n) equation (no term maps (n,m) to (m,n), so folding adds nothing).
+    A fixed random probe r certifies uniqueness: max|r| / (max|A| max|y|)
+    estimates the reciprocal condition of the system A, and the probe's
+    solution y must meet |A y - r| <= 1e-8 max|r| (unique steady states give
+    <= 1e-12, kappa = 0 generators >= 239)."""
+    reduced, expand = _restrict(lind, dim)
+    trace_row = sp.csr_matrix(np.eye(dim, dtype=lind.dtype).reshape(1, -1)) @ expand
+    system = sp.vstack([trace_row, reduced[1:]], format="csc")
     try:
         lu = splu(
             system,
@@ -161,41 +179,27 @@ def _solve_lu(lind: sp.csr_matrix, dim: int) -> np.ndarray:
         )
     except RuntimeError as exc:  # exactly singular
         raise SolveError(f"steady state not unique: {exc}") from None
-    probe = np.random.default_rng(0).standard_normal(dim * dim)
+    probe = np.random.default_rng(0).standard_normal(system.shape[0])
     rhs = np.column_stack([np.zeros_like(probe), probe]).astype(lind.dtype)
     rhs[0, 0] = 1.0
     x, y = lu.solve(rhs).T
     rcond = np.abs(probe).max() / (np.abs(system.data).max() * np.abs(y).max())
-    if not rcond > RCOND_FLOOR:
-        raise SolveError(f"steady state not unique: reciprocal condition {rcond:.2e}")
-    if not np.all(np.isfinite(x)) or np.abs(lind @ x).max() > 1e-9 * np.abs(x).max():
-        raise _IllConditioned
-    return _finalize(x, dim)
-
-
-class _IllConditioned(Exception):
-    """Internal signal: factorization untrustworthy, try propagation."""
-
-
-def _steady_by_propagation(
-    config: CavityConfig, dim: int, lind: sp.csr_matrix
-) -> np.ndarray:
-    """Fallback: integrate the master equation from vacuum until stationary."""
-    p = scale(config)
-    dt = 0.5 / (config.kappa * dim)
-    t_max = 60.0 / (config.kappa * (1.0 - p.b))
-    x = np.zeros(dim * dim, dtype=lind.dtype)
-    x[0] = 1.0
-    steps = int(t_max / dt)
-    for i in range(steps):
-        x = _rk4_step(lind, x, dt)
-        if i % 50 == 0 and np.abs(lind @ x).max() < 1e-11:
-            return _finalize(x, dim)
-    if np.abs(lind @ x).max() < 1e-11:
-        return _finalize(x, dim)
+    probe_residual = np.abs(system @ y - probe).max() / np.abs(probe).max()
+    if not (rcond > RCOND_FLOOR and probe_residual <= 1e-8):
+        raise SolveError(
+            f"steady state not unique: reciprocal condition {rcond:.2e}, "
+            f"probe residual {probe_residual:.2e}"
+        )
+    for refined in (False, True):
+        full = expand @ x
+        residual = np.abs(lind @ full).max()
+        if np.all(np.isfinite(full)) and residual <= 1e-9 * np.abs(full).max():
+            return _finalize(full, dim)
+        if not refined:
+            x = x + lu.solve(rhs[:, 0] - system @ x)  # one refinement step
     raise SolveError(
-        f"master-equation propagation did not reach a steady state "
-        f"within t = {t_max:.3g}"
+        "LU solution misses the residual bound |L x| <= 1e-9 max|x| "
+        "after one step of iterative refinement"
     )
 
 
@@ -209,24 +213,18 @@ def _rk4_step(lind: sp.csr_matrix, x: np.ndarray, h: float) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _solve_cached(kappa: float, eps1: float, eps2: float, dim: int) -> np.ndarray:
-    config = CavityConfig(kappa, eps1, eps2)
-    lind = liouvillian(config, dim)
-    try:
-        return _solve_lu(lind, dim)
-    except _IllConditioned:
-        return _steady_by_propagation(config, dim, lind)
+    return _solve_lu(liouvillian(CavityConfig(kappa, eps1, eps2), dim), dim)
 
 
 def steady_state(config: CavityConfig, trunc: int | None = None) -> DensityMatrix:
     """Steady state of the driven damped cavity.
 
-    trunc=None uses :func:`default_truncation`.  Solves by sparse LU and
-    falls back to propagation from vacuum when the solution misses the
-    residual bound |L x| <= 1e-9 max|x|.  Raises :class:`SolveError` when
-    the steady state is not unique (never propagating, which would pick one
-    of many) or no trustworthy solution exists, and
-    :class:`TruncationError` when the state still has significant
-    population near the cutoff.
+    trunc=None uses :func:`default_truncation`.  Solves by sparse LU on the
+    symmetric subspace.  Raises :class:`SolveError` when the steady state is
+    not unique or the solution misses the residual bound |L x| <= 1e-9
+    max|x| against the full generator after one refinement step, and
+    :class:`TruncationError` when the state still has significant population
+    near the cutoff.
     """
     dim = default_truncation(config) if trunc is None else int(trunc)
     if dim < 8:
@@ -240,11 +238,12 @@ def propagate(
 ) -> DensityMatrix:
     """Master-equation state at time t, starting from vacuum.
 
-    Fixed-step RK4 on the vectorized generator with step dt =
-    0.2/(kappa*N), well inside the stability region of the fastest decaying
-    coherence and small enough that the integration error cannot push the
-    state's zero eigenvalues below the positivity tolerance.  t is in the
-    same time units as 1/kappa.
+    Fixed-step RK4 with step dt = 0.2/(kappa*N), well inside the stability
+    region of the fastest decaying coherence and small enough that the
+    integration error cannot push the state's zero eigenvalues below the
+    positivity tolerance.  The vacuum start is symmetric and the generator
+    keeps it so: RK4 runs on the symmetric subspace.  t is in the same time
+    units as 1/kappa.
     """
     if not np.isfinite(t) or t < 0:
         raise StepError(f"time must be non-negative, got {t}")
@@ -252,17 +251,17 @@ def propagate(
     if dim < 8:
         raise DomainError(f"truncation must be at least 8, got {dim}")
     dt = 0.2 / (config.kappa * dim)
-    lind = liouvillian(config, dim)
-    x = np.zeros(dim * dim, dtype=lind.dtype)
+    gen, expand = _restrict(liouvillian(config, dim), dim)
+    x = np.zeros(gen.shape[0], dtype=gen.dtype)
     x[0] = 1.0
     n_full, rem = divmod(t, dt)
     for _ in range(int(n_full)):
-        x = _rk4_step(lind, x, dt)
+        x = _rk4_step(gen, x, dt)
     if rem > 1e-15 * max(t, 1.0):
-        x = _rk4_step(lind, x, rem)
+        x = _rk4_step(gen, x, rem)
     if not np.all(np.isfinite(x)):
         raise StepError(f"master-equation integration diverged (dt={dt})")
-    return DensityMatrix(dim=dim, elements=_finalize(x, dim))
+    return DensityMatrix(dim=dim, elements=_finalize(expand @ x, dim))
 
 
 def coherent_vector(alpha: complex, dim: int) -> np.ndarray:

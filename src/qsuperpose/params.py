@@ -186,13 +186,25 @@ class GaussianQ:
             np.sqrt(det) / np.pi * np.exp(-self.linear**2 / (self.quad - self.squeeze))
         )
 
+    def axis_half_widths(self, sigmas: float) -> tuple[float, float]:
+        """Half-widths of origin-centred x and y grids: the rule of
+        :meth:`half_width` with each axis's own standard deviation, so both
+        equal the square box's while neither axis is wider than the vacuum.
+        For the squeezed and superposed Q, as b -> 1 the y width grows like
+        (1 - b)^(-1/2) while x stays narrower than the vacuum."""
+        mean = self.linear / (self.quad - self.squeeze)
+        sigma_x = math.sqrt(1 / (2 * (self.quad - self.squeeze)))
+        sigma_y = math.sqrt(1 / (2 * (self.quad + self.squeeze)))
+        return (
+            abs(mean) + sigmas * max(1.0, sigma_x),
+            abs(mean) + sigmas * max(1.0, sigma_y),
+        )
+
     def half_width(self, sigmas: float) -> float:
         """Half-width of an origin-centred square box covering the displaced
         peak plus ``sigmas`` standard deviations of the widest Gaussian axis
-        (at least the vacuum width)."""
-        mean = self.linear / (self.quad - self.squeeze)
-        sigma = math.sqrt(1 / (2 * (self.quad - abs(self.squeeze))))
-        return abs(mean) + sigmas * max(1.0, sigma)
+        (at least the vacuum width): the larger of :meth:`axis_half_widths`."""
+        return max(self.axis_half_widths(sigmas))
 
 
 def gaussian_form(params: ScaledParams, kind: str) -> GaussianQ:

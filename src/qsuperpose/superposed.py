@@ -55,20 +55,22 @@ def moments_via_qfunction(
     :func:`superposed_moments`; defaults resolve the integrals to ~1e-9.
 
     With alpha = x + iy, the sums of Q x, Q (x^2 - y^2) and Q (x^2 + y^2) over
-    the n x n grid of half-width ``extent`` (default ``half_width(10)``) are
-    taken exactly as products of 1-d sums (:meth:`GaussianQ.axis_factors`).
-    A non-finite or non-integral n, n < 16, or a non-finite or non-positive
-    extent raises :class:`DomainError` before anything is evaluated.
+    an n x n grid are taken exactly as products of 1-d sums
+    (:meth:`GaussianQ.axis_factors`).  By default the x and y axes span
+    their own :meth:`GaussianQ.axis_half_widths` at 10 sigma, so the narrow
+    x axis stays resolved as b -> 1; an explicit ``extent`` is the
+    half-width of both.  A non-finite or non-integral n, n < 16, or a
+    non-finite or non-positive extent raises :class:`DomainError` before
+    anything is evaluated.
     """
     n = check_grid(n, extent)
     form = gaussian_form(params, "superposed")
-    if extent is None:
-        extent = form.half_width(10)
-    ax = np.linspace(-extent, extent, n)
-    dx = ax[1] - ax[0]
-    fx, fy = form.axis_factors(ax)
-    sx, sx1, sx2 = fx.sum() * dx, (fx * ax).sum() * dx, (fx * ax**2).sum() * dx
-    sy, sy2 = fy.sum() * dx, (fy * ax**2).sum() * dx
+    hx, hy = form.axis_half_widths(10) if extent is None else (extent, extent)
+    x, y = np.linspace(-hx, hx, n), np.linspace(-hy, hy, n)
+    dx, dy = x[1] - x[0], y[1] - y[0]
+    fx, fy = form.axis_factors(x)[0], form.axis_factors(y)[1]
+    sx, sx1, sx2 = fx.sum() * dx, (fx * x).sum() * dx, (fx * x**2).sum() * dx
+    sy, sy2 = fy.sum() * dy, (fy * y**2).sum() * dy
     return MomentSet(
         mean_amp=float(sx1 * sy),
         mean_sq=float(sx2 * sy - sx * sy2),

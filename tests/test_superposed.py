@@ -122,6 +122,29 @@ def test_moments_accept_an_integral_float_n(params_ref):
     )
 
 
+
+@pytest.mark.parametrize("a,b", ((0.0, 0.9999), (5.0, 0.999999)))
+def test_default_moment_grid_resolves_b_near_one(a, b):
+    # the y axis widens like (1 - b)^(-1/2) while x stays ~0.6 wide: one
+    # shared axis gave <a^dag a> off by +348 at (0, 0.9999) and a negative
+    # photon number at (5, 0.999999)
+    p = ScaledParams(a, b)
+    closed, quad = superposed_moments(p), moments_via_qfunction(p)
+    assert quad.mean_amp == pytest.approx(closed.mean_amp, rel=1e-9, abs=1e-9)
+    assert quad.mean_sq == pytest.approx(closed.mean_sq, rel=1e-9)
+    assert quad.mean_photon == pytest.approx(closed.mean_photon, rel=1e-9)
+
+
+@pytest.mark.parametrize("a,b", ((0.0, 0.0), (0.6, 0.4), (3.0, 0.6)))
+def test_default_moment_grid_is_square_up_to_b_two_thirds(a, b):
+    # both axes are at most vacuum-wide there, so the per-axis default is
+    # the square box of half_width(10), digit for digit
+    p = ScaledParams(a, b)
+    form = superposed.gaussian_form(p, "superposed")
+    hx, hy = form.axis_half_widths(10)
+    assert hx == hy == form.half_width(10)
+    assert moments_via_qfunction(p) == moments_via_qfunction(p, extent=hx)
+
 class TestPairVariance:
     def test_coherent_pair_baseline(self):
         assert quad_variance_pair(ScaledParams(0.0, 0.0)) == (2.0, 2.0)
