@@ -11,15 +11,26 @@ Conventions: Fock levels 0..N-1, annihilation matrix entries
 a[n-1, n] = sqrt(n), density matrices vectorized row-major so that
 vec(A rho B) = kron(A, B.T) vec(rho).
 
-Solver strategy: every drive is real, so the generator L is real and
+Solver strategy: the steady state is solved in the frame D(delta) S(r),
+delta = a/(1+b), r = atanh(b)/2, where it is thermal with nbar depending on
+b only, so n_f = 16..29 frame levels hold it where the lab basis needs
+N = 40..194.  The frame generator is the lab one with a replaced by
+A = cosh r b - sinh r b^dag + delta; every drive is real, so it is real and
 commutes with transposition, L(rho^T) = (L rho)^T, and the unique steady
 state is real symmetric.  One sparse LU factorization solves for its
-N(N+1)/2 unknowns rho_mn, m <= n, with the redundant (0,0) equation replaced
-by the trace constraint.  That matrix is nonsingular exactly when the steady
-state is unique: an exactly singular factorization, a reciprocal condition
-estimate below RCOND_FLOOR, or a probe solve that misses its own residual
-raises SolveError.  So does a solution that misses |L x| <= 1e-9 max|x|
-against the full generator after one step of iterative refinement.
+n_f(n_f+1)/2 unknowns rho_mn, m <= n, with the redundant (0,0) equation
+replaced by the trace constraint.  That matrix is nonsingular exactly when
+the steady state is unique: an exactly singular factorization, a reciprocal
+condition estimate below RCOND_FLOOR, or a probe solve that misses its own
+residual raises SolveError.  So does a solution that misses |L x| <= 1e-9
+max|x| against the full frame generator after one step of iterative
+refinement.  The frame state is mapped to the lab basis, rho = U rho_f U^T
+with U[n, k] = <n|D S|k>, and must then pass the lab tail check and an
+independent certificate: |(L_lab rho)_mn| <= 1e-9 max|rho| on the interior
+rows m, n <= N-3, which are exact rows of the untruncated master equation.
+Any (delta, r) gives the same state once n_f is adequate, so the frame is
+no input to the answer; a wrong frame or too small an n_f misses that bound
+and raises SolveError.
 """
 
 import math
@@ -40,9 +51,18 @@ TRUNC_CAP = 200
 TAIL_TOL = 1e-8
 #: tolerated missing norm of a truncated coherent vector
 COHERENT_TAIL_TOL = 1e-10
+#: smallest frame truncation
+FRAME_MIN = 16
+#: population ratio q^n_f of the frame's thermal state at its cutoff n_f
+FRAME_TAIL_TOL = 1e-12
+#: bound on |(L rho)_mn| / max|rho| over the interior rows m, n <= N-3 of the
+#: lab generator, for the lab-basis state mapped back from the frame
+INTERIOR_TOL = 1e-9
 #: smallest accepted reciprocal condition estimate of the trace-constrained
-#: generator on the symmetric subspace: 1.2e-4..0.051 for unique steady states
-#: (N = 16..200, kappa = 0.5..2, a <= 2.2, b <= 0.89), up to 1.5e-10 for kappa = 0
+#: generator on the symmetric subspace: 1.2e-4..0.048 for the frame systems the
+#: solver factorizes (n_f and 2 n_f = 16..58, kappa = 0.5..2, a <= 2.2,
+#: b <= 0.89), 1.2e-4..0.051 for lab systems (N = 16..200), up to 1.5e-10 for
+#: the singular kappa = 0 lab generator at N = 16
 RCOND_FLOOR = 1e-10
 
 _EXPECT_KINDS = (
@@ -68,19 +88,91 @@ def hamiltonian(config: CavityConfig, dim: int) -> np.ndarray:
     return 1j * config.eps1 * (ad - am) + 0.5j * config.eps2 * (am @ am - ad @ ad)
 
 
-def liouvillian(config: CavityConfig, dim: int) -> sp.csr_matrix:
-    """Vectorized Lindblad generator (row-major convention), sparse float64:
-    H = iK with K real, so -i[H, rho] = K rho - rho K."""
-    am = sp.csr_matrix(ladder(dim))
+def _drive(config: CavityConfig, am: sp.csr_matrix) -> sp.csr_matrix:
+    """K with H = iK for the real annihilation matrix am, so that
+    -i[H, rho] = K rho - rho K."""
     ad = am.T.tocsr()
-    k = config.eps1 * (ad - am) + 0.5 * config.eps2 * (am @ am - ad @ ad)
+    return config.eps1 * (ad - am) + 0.5 * config.eps2 * (am @ am - ad @ ad)
+
+
+def _generator(config: CavityConfig, am: sp.csr_matrix) -> sp.csr_matrix:
+    """Vectorized Lindblad generator (row-major convention), sparse float64,
+    with the real annihilation matrix am in place of a."""
+    ad = am.T.tocsr()
+    k = _drive(config, am)
     nop = (ad @ am).tocsr()
-    ident = sp.identity(dim, format="csr")
+    ident = sp.identity(am.shape[0], format="csr")
     lind = sp.kron(k, ident) - sp.kron(ident, k.T)
     lind = lind + config.kappa * (
         sp.kron(am, am) - 0.5 * sp.kron(nop, ident) - 0.5 * sp.kron(ident, nop.T)
     )
     return lind.tocsr()
+
+
+def liouvillian(config: CavityConfig, dim: int) -> sp.csr_matrix:
+    """The generator in the lab Fock basis of dim levels."""
+    return _generator(config, sp.csr_matrix(ladder(dim)))
+
+
+def frame(config: CavityConfig) -> tuple[float, float]:
+    """(delta, r) of the frame D(delta) S(r) in which the steady state is
+    thermal: delta = a/(1+b), r = atanh(b)/2 = ln((1+b)/(1-b))/4."""
+    p = scale(config)
+    return p.a / (1.0 + p.b), 0.5 * math.atanh(p.b)
+
+
+def frame_liouvillian(config: CavityConfig, dim: int) -> sp.csr_matrix:
+    """The generator in the frame of :func:`frame` on dim levels: a replaced by
+    A = cosh r b - sinh r b^dag + delta, with b the frame's ladder matrix."""
+    delta, r = frame(config)
+    b = sp.csr_matrix(ladder(dim))
+    am = math.cosh(r) * b - math.sinh(r) * b.T + delta * sp.identity(dim)
+    return _generator(config, am.tocsr())
+
+
+def frame_basis(delta: float, r: float, dim: int, frame_dim: int) -> np.ndarray:
+    """Lab Fock coefficients U[n, k] = <n| D(delta) S(r) |k> for n < dim and
+    k < frame_dim: column k is the frame's level k.
+
+    a U = U (cosh r b - sinh r b^dag + delta) and a^dag U = U (cosh r b^dag -
+    sinh r b + delta) give two recurrences, with t = tanh r and mu =
+    delta (1 + t):
+
+        sqrt(n+1) U[n+1, k] = mu U[n, k] - t sqrt(n) U[n-1, k]
+                              + sqrt(k)/cosh r U[n, k-1]
+        sqrt(k+1) U[n, k+1] = -delta/cosh r U[n, k] + t sqrt(k) U[n, k-1]
+                              + sqrt(n)/cosh r U[n-1, k]
+
+    from U[0, 0] = exp(-delta mu / 2) / sqrt(cosh r).  Without its last term
+    the first is the three-term recurrence of the frame vacuum, column 0.
+    Each runs only where its last term shrinks what it carries: the first
+    fills the rows on and below the diagonal (n >= k), the second the columns
+    above it, shell by shell in s = max(n, k).  Against scipy's expm of the
+    padded generators the columns agree to 2e-14 at b = 0.89, N = 194,
+    n_f = 29.  Run over the whole matrix, the second loses 8e-12 there and
+    2e-8 at n_f = 40; raising column 0 by B^dag = cosh r (a^dag - delta) +
+    sinh r (a - delta), one column at a time, loses 3e-3 there."""
+    ch, t = math.cosh(r), math.tanh(r)
+    mu = delta * (1.0 + t)
+    root = np.sqrt(np.arange(max(dim, frame_dim) + 1.0))
+    out = np.zeros((dim, frame_dim))
+    out[0, 0] = math.exp(-0.5 * delta * mu) / math.sqrt(ch)
+    for s in range(1, max(dim, frame_dim)):
+        if s < frame_dim:  # column s above the diagonal
+            n = min(s, dim)
+            col = -delta / ch * out[:n, s - 1]
+            col[1:] += root[1:n] / ch * out[: n - 1, s - 1]
+            if s > 1:
+                col += t * root[s - 1] * out[:n, s - 2]
+            out[:n, s] = col / root[s]
+        if s < dim:  # row s, on and left of the diagonal
+            k = min(s + 1, frame_dim)
+            row = mu * out[s - 1, :k]
+            row[1:] += root[1:k] / ch * out[s - 1, : k - 1]
+            if s > 1:
+                row -= t * root[s - 1] * out[s - 2, :k]
+            out[s, :k] = row / root[s]
+    return out
 
 
 def default_truncation(config: CavityConfig) -> int:
@@ -102,6 +194,39 @@ def default_truncation(config: CavityConfig) -> int:
             f"for (a={p.a}, b={p.b}); this regime is out of the oracle's reach"
         )
     return n
+
+
+def frame_truncation(config: CavityConfig) -> int:
+    """Fock cutoff n_f in the frame of :func:`frame`, from b alone.
+
+    There the steady state is thermal, nbar = (1/sqrt(1-b^2) - 1)/2, with
+    populations falling by q = nbar/(1+nbar) per level; n_f is the first
+    level with q^n_f <= FRAME_TAIL_TOL, and at least FRAME_MIN (16..29 for
+    b <= 0.89)."""
+    p = scale(config)
+    root = math.sqrt((1.0 - p.b) * (1.0 + p.b))
+    q = (1.0 - root) / (1.0 + root)
+    if q == 0.0:
+        return FRAME_MIN
+    n = max(FRAME_MIN, math.ceil(math.log(FRAME_TAIL_TOL) / math.log(q)))
+    if n > TRUNC_CAP:
+        raise TruncationError(
+            f"frame truncation {n} exceeds the cap {TRUNC_CAP} "
+            f"for b={p.b}; this regime is out of the oracle's reach"
+        )
+    return n
+
+
+def _check_tail(diag: np.ndarray) -> None:
+    """TruncationError when the top 10% of the levels hold TAIL_TOL or more."""
+    dim = diag.size
+    tail_levels = math.ceil(0.1 * dim)
+    tail = float(np.real(diag[dim - tail_levels :].sum()))
+    if tail >= TAIL_TOL:
+        raise TruncationError(
+            f"population {tail:.3e} in the top {tail_levels} Fock levels; "
+            f"raise the truncation above {dim}"
+        )
 
 
 @dataclass(frozen=True)
@@ -128,13 +253,7 @@ class DensityMatrix:
         eigmin = np.linalg.eigvalsh(arr)[0]
         if eigmin < -1e-10:
             raise SolveError(f"negative eigenvalue {eigmin:.3e}")
-        tail_levels = math.ceil(0.1 * self.dim)
-        tail = float(np.real(np.diag(arr)[self.dim - tail_levels :].sum()))
-        if tail >= TAIL_TOL:
-            raise TruncationError(
-                f"population {tail:.3e} in the top {tail_levels} Fock levels; "
-                f"raise the truncation above {self.dim}"
-            )
+        _check_tail(np.diag(arr))
         arr.setflags(write=False)
         object.__setattr__(self, "elements", arr)
 
@@ -158,18 +277,33 @@ def _restrict(lind: sp.csr_matrix, dim: int) -> tuple[sp.csr_matrix, sp.csr_matr
     return lind[m * dim + n] @ expand, expand
 
 
+def _system(lind: sp.csr_matrix, dim: int) -> tuple[sp.csc_matrix, sp.csr_matrix]:
+    """The generator on the symmetric subspace with its redundant (0,0) row
+    replaced by the trace row (also folded by E), and E."""
+    reduced, expand = _restrict(lind, dim)
+    trace_row = sp.csr_matrix(np.eye(dim, dtype=lind.dtype).reshape(1, -1)) @ expand
+    return sp.vstack([trace_row, reduced[1:]], format="csc"), expand
+
+
 def _solve_lu(lind: sp.csr_matrix, dim: int) -> np.ndarray:
     """Sparse LU solve on the symmetric subspace in the generator's dtype.
+
     SuperLU's symmetric mode pivots on the diagonal at any size, which suits
-    a diagonal with no zero: 1 in the trace row, -kappa (m+n)/2 in each
-    (m,n) equation (no term maps (n,m) to (m,n), so folding adds nothing).
+    a diagonal with no zero.  For the generator of A = cosh r b - sinh r
+    b^dag + delta (the frame's; the lab's is r = delta = 0) the diagonal is
+    1 in the trace row and, in each (m,n) equation,
+        -kappa/2 [cosh^2 r (m+n) + sinh^2 r (m+n+2)]
+    (K has no diagonal, and the delta^2 of A rho A^T cancels that of A^T A),
+    where an index at the truncation edge N-1 loses its sinh^2 r N, as the
+    truncated A^T A does, plus -kappa cosh r sinh r (m+1) where the fold of
+    (n,m) onto (m,n) lands, n = m+1, from A[m,m+1] A[m+1,m].  Off the trace
+    row m+n >= 1 and the bracket stays above cosh^2 r (m+n) > 0 even at the
+    edge, so for kappa > 0 no entry is zero, whatever the sign of r.
     A fixed random probe r certifies uniqueness: max|r| / (max|A| max|y|)
     estimates the reciprocal condition of the system A, and the probe's
     solution y must meet |A y - r| <= 1e-8 max|r| (unique steady states give
     <= 1e-12, kappa = 0 generators >= 239)."""
-    reduced, expand = _restrict(lind, dim)
-    trace_row = sp.csr_matrix(np.eye(dim, dtype=lind.dtype).reshape(1, -1)) @ expand
-    system = sp.vstack([trace_row, reduced[1:]], format="csc")
+    system, expand = _system(lind, dim)
     try:
         lu = splu(
             system,
@@ -211,25 +345,72 @@ def _rk4_step(lind: sp.csr_matrix, x: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def _interior_residual(config: CavityConfig, rho: np.ndarray) -> float:
+    """max |(L rho)_mn| / max|rho| over m, n <= N-3 for the lab generator,
+    taken in matrix form, K rho - rho K + kappa (a rho a^dag - {n, rho}/2),
+    with banded sparse K and a.  Those rows reach no level above N-1, so
+    they are exact rows of the untruncated master equation."""
+    dim = rho.shape[0]
+    am = sp.diags(np.sqrt(np.arange(1.0, dim)), 1, format="csr")
+    k = _drive(config, am)
+    num = np.arange(dim, dtype=float)
+    image = k @ rho - (k.T @ rho.T).T + config.kappa * (
+        (am @ (am @ rho).T).T - 0.5 * (num[:, None] + num[None, :]) * rho
+    )
+    return float(np.abs(image[: dim - 2, : dim - 2]).max() / np.abs(rho).max())
+
+
 @lru_cache(maxsize=64)
-def _solve_cached(kappa: float, eps1: float, eps2: float, dim: int) -> np.ndarray:
-    return _solve_lu(liouvillian(CavityConfig(kappa, eps1, eps2), dim), dim)
+def _solve_cached(
+    kappa: float, eps1: float, eps2: float, dim: int, frame_dim: int
+) -> np.ndarray:
+    config = CavityConfig(kappa, eps1, eps2)
+    rho_f = _solve_lu(frame_liouvillian(config, frame_dim), frame_dim)
+    basis = frame_basis(*frame(config), dim, frame_dim)
+    rho = _finalize((basis @ rho_f @ basis.T).ravel(), dim)
+    _check_tail(np.diag(rho))  # a lab cutoff too low is a TruncationError
+    residual = _interior_residual(config, rho)
+    if not residual <= INTERIOR_TOL:
+        raise SolveError(
+            f"lab-basis state misses the interior residual bound: "
+            f"|L rho| = {residual:.2e} max|rho| on rows m, n <= {dim - 3} "
+            f"(lab N = {dim}, frame n_f = {frame_dim}); "
+            f"n_f is too small for this frame"
+        )
+    return rho
 
 
 def steady_state(config: CavityConfig, trunc: int | None = None) -> DensityMatrix:
-    """Steady state of the driven damped cavity.
+    """Steady state of the driven damped cavity on trunc lab Fock levels.
 
-    trunc=None uses :func:`default_truncation`.  Solves by sparse LU on the
-    symmetric subspace.  Raises :class:`SolveError` when the steady state is
-    not unique or the solution misses the residual bound |L x| <= 1e-9
-    max|x| against the full generator after one refinement step, and
+    trunc=None uses :func:`default_truncation`; the solve itself runs on
+    :func:`frame_truncation` levels of the frame (see
+    :func:`steady_state_in_frame`).  Raises :class:`SolveError` when the
+    steady state is not unique, when the frame solution misses the residual
+    bound |L x| <= 1e-9 max|x| after one refinement step, or when the
+    lab-basis state misses the interior residual bound, and
     :class:`TruncationError` when the state still has significant population
     near the cutoff.
     """
     dim = default_truncation(config) if trunc is None else int(trunc)
-    if dim < 8:
-        raise DomainError(f"truncation must be at least 8, got {dim}")
-    elements = _solve_cached(config.kappa, config.eps1, config.eps2, dim)
+    return steady_state_in_frame(config, dim, frame_truncation(config))
+
+
+def steady_state_in_frame(
+    config: CavityConfig, dim: int, frame_dim: int
+) -> DensityMatrix:
+    """Steady state on dim lab Fock levels, solved on frame_dim levels of the
+    frame D(delta) S(r) of :func:`frame` and mapped back as
+    rho = U rho_f U^T with U = :func:`frame_basis`.
+
+    The frame generator is solved by sparse LU on its symmetric subspace
+    (:func:`_solve_lu` and its certificates); the mapped state must pass the
+    lab tail check, then the interior residual bound of the lab generator
+    (INTERIOR_TOL), then the :class:`DensityMatrix` checks."""
+    smallest = min(dim, frame_dim)
+    if smallest < 8:
+        raise DomainError(f"truncation must be at least 8, got {smallest}")
+    elements = _solve_cached(config.kappa, config.eps1, config.eps2, dim, frame_dim)
     return DensityMatrix(dim=dim, elements=elements)
 
 

@@ -208,15 +208,20 @@ def check_coherent_term_contrast() -> CheckResult:
 
 
 def check_truncation_doubling(config: CavityConfig, trunc, tol=1e-8) -> CheckResult:
-    dim = trunc if trunc is not None else fock.default_truncation(config)
-    lo = fock.steady_state(config, dim)
-    hi = fock.steady_state(config, 2 * dim)
+    """Moments at the lab and frame truncations against both doubled: the
+    solve truncates in the frame, so doubling the lab N alone would compare
+    a state with itself."""
+    dim = int(trunc) if trunc is not None else fock.default_truncation(config)
+    frame_dim = fock.frame_truncation(config)
+    lo = fock.steady_state_in_frame(config, dim, frame_dim)
+    hi = fock.steady_state_in_frame(config, 2 * dim, 2 * frame_dim)
     dev = max(
         abs(fock.expect(lo, "a") - fock.expect(hi, "a")),
         abs(fock.expect(lo, "a2") - fock.expect(hi, "a2")),
         abs(fock.expect(lo, "adag_a") - fock.expect(hi, "adag_a")),
     )
-    return _within("oracle_truncation_doubling", dev, tol)
+    note = f"N {dim}/{2 * dim}, frame {frame_dim}/{2 * frame_dim}"
+    return _within("oracle_truncation_doubling", dev, tol, note)
 
 
 def run_verification(

@@ -26,7 +26,7 @@ from qsuperpose import (
     superposition_oracle,
 )
 from qsuperpose import fock
-from qsuperpose.fock import hamiltonian, ladder, liouvillian
+from qsuperpose.fock import frame_truncation, hamiltonian, ladder, liouvillian
 from conftest import GRID_AB
 
 REF_CONFIG = CavityConfig(1.0, 0.3, 0.2)
@@ -139,6 +139,124 @@ class TestSymmetricSubspace:
         assert np.abs(got - want).max() <= 1e-12
 
 
+def frame_reference(delta, r, dim, frame_dim, pad=100):
+    """<n| D(delta) S(r) |k>, n < dim, k < frame_dim, from scipy's expm of
+    the displacement and squeeze generators truncated pad levels further."""
+    am = ladder(dim + frame_dim + pad)
+    disp = sla.expm(delta * (am.T - am))
+    sqz = sla.expm(0.5 * r * (am @ am - am.T @ am.T))
+    return (disp @ sqz)[:dim, :frame_dim]
+
+
+class TestFrame:
+    """steady_state solves in the frame D(delta) S(r), where the state is
+    thermal, and maps the frame state back to the lab basis; an interior
+    residual of the lab generator certifies the mapped state."""
+
+    # a = 1, b = 0.884: default N = 184, frame n_f = 28
+    EDGE = CavityConfig(1.0, 0.5, 0.442)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        ((0.0, 0.0), (2.2, 0.0), (0.0, 0.89), (2.2, 0.89), (0.6, 0.4), (1.0, 0.85)),
+    )
+    def test_basis_matches_matrix_exponentials(self, a, b):
+        config = CavityConfig(1.0, a / 2, b / 2)
+        dim, frame_dim = default_truncation(config), frame_truncation(config)
+        delta, r = fock.frame(config)
+        # the flipped frame of the mutation guard too, and a lab basis
+        # smaller than the frame's
+        for sign, n in ((1, dim), (-1, dim), (1, 12)):
+            got = fock.frame_basis(delta, sign * r, n, frame_dim)
+            want = frame_reference(delta, sign * r, n, frame_dim)
+            assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "kappa,a,b", ((0.5, 0.0, 0.3), (1.0, 2.2, 0.89), (2.0, 1.0, 0.0))
+    )
+    def test_frame_state_is_thermal(self, kappa, a, b):
+        config = CavityConfig(kappa, a * kappa / 2, b * kappa / 2)
+        dim = frame_truncation(config)
+        rho = fock._solve_lu(fock.frame_liouvillian(config, dim), dim)
+        nbar = (1 / np.sqrt(1 - b * b) - 1) / 2
+        levels = np.arange(dim)
+        want = np.diag(nbar**levels / (1 + nbar) ** (levels + 1))
+        assert np.abs(rho - want).max() <= 1e-11
+
+    @pytest.mark.parametrize(
+        "kappa,a,b",
+        ((0.5, 0.0, 0.3), (1.0, 2.2, 0.89), (2.0, 1.0, 0.5), (1.3, 0.4, 0.884)),
+    )
+    def test_system_diagonal_never_vanishes(self, kappa, a, b):
+        # 1 in the trace row, then -kappa/2 [cosh^2 r (m+n) + sinh^2 r
+        # (m+n+2)], an index at the edge N-1 losing its sinh^2 r N, and
+        # -kappa cosh r sinh r (m+1) where the fold lands, n = m+1
+        config = CavityConfig(kappa, a * kappa / 2, b * kappa / 2)
+        dim = frame_truncation(config)
+        delta, r = fock.frame(config)
+        m, n = np.triu_indices(dim)
+        for sign in (1, -1):
+            c, s = np.cosh(sign * r), np.sinh(sign * r)
+            am = c * ladder(dim) - s * ladder(dim).T + delta * np.eye(dim)
+            am = sp.csr_matrix(am)
+            got = fock._system(fock._generator(config, am), dim)[0].diagonal()
+            edge = (m == dim - 1).astype(float) + (n == dim - 1)
+            want = -kappa / 2 * (c * c * (m + n) + s * s * (m + n + 2 - dim * edge))
+            want -= kappa * c * s * (m + 1) * (n == m + 1)
+            want[0] = 1.0
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            assert got[1:].max() < 0
+
+    @pytest.mark.parametrize("mutation", ("flipped_r", "scaled_by_0.8", "half_frame"))
+    def test_wrong_frame_is_refused(self, mutation, monkeypatch):
+        # any frame gives the same state once n_f is adequate; these leave
+        # 28 levels (14 for half_frame) too few for the frame state
+        assert steady_state(self.EDGE).dim == 184
+        true_frame, true_trunc = fock.frame, fock.frame_truncation
+
+        def wrong_frame(config):
+            delta, r = true_frame(config)
+            return (delta, -r) if mutation == "flipped_r" else (0.8 * delta, 0.8 * r)
+
+        if mutation == "half_frame":
+            monkeypatch.setattr(fock, "frame_truncation", lambda c: true_trunc(c) // 2)
+        else:
+            monkeypatch.setattr(fock, "frame", wrong_frame)
+        fock._solve_cached.cache_clear()
+        try:
+            with pytest.raises(SolveError, match="interior residual") as err:
+                steady_state(self.EDGE)
+        finally:
+            fock._solve_cached.cache_clear()
+        n_f = 14 if mutation == "half_frame" else 28
+        assert f"lab N = 184, frame n_f = {n_f}" in str(err.value)
+
+    def test_low_lab_truncation_is_a_truncation_error(self, monkeypatch):
+        # a = 2.2, b = 0: <n> = 4.84 leaves 3e-4 in the top levels of 16
+        with pytest.raises(TruncationError):
+            steady_state(CavityConfig(1.0, 1.1, 0.0), trunc=16)
+        # the tail check runs before the interior certificate, which a frame
+        # too small would fail as well
+        true_trunc = fock.frame_truncation
+        monkeypatch.setattr(fock, "frame_truncation", lambda c: true_trunc(c) // 2)
+        fock._solve_cached.cache_clear()
+        try:
+            with pytest.raises(TruncationError):
+                steady_state(self.EDGE, trunc=40)
+        finally:
+            fock._solve_cached.cache_clear()
+
+    @settings(max_examples=15, deadline=None)
+    @given(kappa=st.floats(0.5, 2.0), a=st.floats(0.0, 2.2), b=st.floats(0.0, 0.89))
+    def test_moments_match_the_lab_solve(self, kappa, a, b):
+        config = CavityConfig(kappa, a * kappa / 2, b * kappa / 2)
+        dim = default_truncation(config)
+        lab = DensityMatrix(dim, fock._solve_lu(liouvillian(config, dim), dim))
+        rho = steady_state(config)
+        for which in ("a", "a2", "adag_a"):
+            assert abs(expect(rho, which) - expect(lab, which)) <= 1e-8
+
+
 class TestSteadyState:
     def test_undriven_cavity_is_vacuum(self):
         rho = steady_state(CavityConfig(1.0, 0.0, 0.0), trunc=12)
@@ -186,26 +304,26 @@ class TestSteadyState:
         assert expect(rho, "adag_a") == pytest.approx(closed.mean_photon, abs=1e-6)
 
     def test_solver_paths_agree(self, monkeypatch):
-        # independent reference: the null space of the dense generator
+        # independent reference: the null space of the dense generator, which
+        # the LU solve of the same truncated generator must reproduce
+        # (steady_state solves in the frame: its state is the untruncated
+        # one, 8.6e-10 from this truncated generator's)
         config = CavityConfig(1.0, 0.3, 0.1)
-        null = sla.null_space(liouvillian(config, 16).toarray())
+        lind = liouvillian(config, 16)
+        null = sla.null_space(lind.toarray())
         assert null.shape[1] == 1
         ref = null[:, 0].reshape(16, 16)
         ref = ref / np.trace(ref)
-        direct = steady_state(config, trunc=16)
+        direct = fock._solve_lu(lind, 16)
 
         # a first LU solution that misses the residual bound goes through
         # one step of iterative refinement on the same factors
         solves = []
         monkeypatch.setattr(fock, "splu", recording_splu(solves, spoil=1e-6))
-        fock._solve_cached.cache_clear()
-        try:
-            via_refinement = steady_state(config, trunc=16)
-        finally:
-            fock._solve_cached.cache_clear()
+        via_refinement = fock._solve_lu(lind, 16)
         assert solves == [2, 1]
         for rho in (direct, via_refinement):
-            np.testing.assert_allclose(rho.elements, ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(rho, ref, rtol=0, atol=1e-12)
 
     def test_residual_miss_raises(self, monkeypatch):
         # a complex drive phase breaks L(rho^T) = (L rho)^T, so no symmetric
@@ -225,7 +343,9 @@ class TestSteadyState:
             - 0.5 * sp.kron(nop, ident)
             - 0.5 * sp.kron(ident, nop.T)
         ).tocsr()
-        monkeypatch.setattr(fock, "liouvillian", lambda config, n: lind)
+        # steady_state factorizes the frame generator, here on 16 levels
+        assert fock.frame_truncation(REF_CONFIG) == dim
+        monkeypatch.setattr(fock, "frame_liouvillian", lambda config, n: lind)
         fock._solve_cached.cache_clear()
         try:
             with pytest.raises(SolveError, match="residual bound"):
@@ -271,7 +391,9 @@ class TestSteadyState:
             k = sp.csr_matrix((-1j * hamiltonian(drive, dim)).real)
             ident = sp.identity(dim, format="csr")
             lind = (sp.kron(k, ident) - sp.kron(ident, k.T)).tocsr()
-        monkeypatch.setattr(fock, "liouvillian", lambda config, n: lind)
+        # steady_state factorizes the frame generator, here on 16 levels
+        assert fock.frame_truncation(REF_CONFIG) == dim
+        monkeypatch.setattr(fock, "frame_liouvillian", lambda config, n: lind)
         fock._solve_cached.cache_clear()
         try:
             with pytest.raises(SolveError, match="not unique"):
@@ -283,9 +405,10 @@ class TestSteadyState:
         "a,b", ((0.0, 0.89), (2.2, 0.0), (2.2, 0.89), (1.0, 0.85))
     )
     def test_lu_at_the_corners_of_reach(self, a, b, monkeypatch):
-        # default truncations up to N = 194, where the factorization takes
-        # diagonal pivots without a threshold: the LU solution itself must
-        # meet the residual bound, with no refinement step behind it
+        # default truncations up to N = 194 (frame sizes up to 29), where the
+        # factorization takes diagonal pivots without a threshold: the LU
+        # solution itself must meet the residual bound, with no refinement
+        # step behind it
         solves = []
         monkeypatch.setattr(fock, "splu", recording_splu(solves))
         fock._solve_cached.cache_clear()

@@ -1,5 +1,6 @@
 """The phase-space quadratures behind ``verify``: equal to the unfactorized
-2-d sums over the whole stable domain, and still able to fail."""
+2-d sums over the whole stable domain, and still able to fail; and what the
+Fock oracle's doubling row reports."""
 
 import dataclasses
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsuperpose import ScaledParams, gaussian_form, moments_via_qfunction
+from qsuperpose import CavityConfig, ScaledParams, gaussian_form, moments_via_qfunction
 from qsuperpose import superposed, verification
 from qsuperpose.params import Q_KINDS
 from qsuperpose.verification import (
@@ -82,3 +83,11 @@ def test_pair_variance_check_catches_a_flipped_squeeze(monkeypatch, params_ref):
     assert check_pair_variance_quadrature(params_ref).passed
     mutate_forms(monkeypatch, squeeze=lambda c: -c)
     assert not check_pair_variance_quadrature(params_ref).passed
+
+
+def test_doubling_row_names_what_it_doubled():
+    # a = 2.2, b = 0.89: the corner of the oracle's reach; the solve
+    # truncates in the frame, so both the lab N and n_f are doubled
+    res = verification.check_truncation_doubling(CavityConfig(1.0, 1.1, 0.445), None)
+    assert res.passed
+    assert res.note == "N 194/388, frame 29/58"
