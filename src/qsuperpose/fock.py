@@ -33,9 +33,9 @@ no input to the answer; a wrong frame or too small an n_f misses that bound
 and raises SolveError.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,7 +43,7 @@ from scipy.sparse.linalg import splu
 
 from .combined import MomentSet
 from .errors import DomainError, SolveError, StepError, TruncationError
-from .params import CavityConfig, scale
+from .params import CavityConfig, as_count, scale
 
 #: hard cap on the automatic truncation
 TRUNC_CAP = 200
@@ -179,10 +179,12 @@ def default_truncation(config: CavityConfig) -> int:
     """Automatic Fock cutoff: 40 for moderate drives (b < 0.7, a <= 1),
     growing as 40/(1-b^2) (or 40*a^2) beyond, capped at 200.
 
-    The squeezed-state Fock tail is heavy: at b = 0.8 a cutoff of 40 leaves
-    ~3e-8 in the top levels, violating the tail-mass requirement, and
-    already above b ~ 0.72 the moments at N = 40 and N = 80 differ by more
-    than 1e-8 (3.7e-8 at b = 0.74).  So the scaling branch starts at 0.7.
+    The squeezed-state Fock tail is heavy.  Measured with the frame solver
+    (lab N and frame n_f doubled together): at b = 0.8 a cutoff of 40 leaves
+    5.6e-8 in the top 4 levels, violating the tail-mass requirement, and the
+    moments at N = 40 and N = 80 differ by 5.0e-9 at b = 0.74 and 2.7e-8 at
+    b = 0.76, against the 1e-8 of the doubling check.  So the scaling branch
+    starts at 0.7.
     """
     p = scale(config)
     if p.b < 0.7 and p.a <= 1.0:
@@ -360,39 +362,31 @@ def _interior_residual(config: CavityConfig, rho: np.ndarray) -> float:
     return float(np.abs(image[: dim - 2, : dim - 2]).max() / np.abs(rho).max())
 
 
-@lru_cache(maxsize=64)
-def _solve_cached(
-    kappa: float, eps1: float, eps2: float, dim: int, frame_dim: int
-) -> np.ndarray:
-    config = CavityConfig(kappa, eps1, eps2)
-    rho_f = _solve_lu(frame_liouvillian(config, frame_dim), frame_dim)
-    basis = frame_basis(*frame(config), dim, frame_dim)
-    rho = _finalize((basis @ rho_f @ basis.T).ravel(), dim)
-    _check_tail(np.diag(rho))  # a lab cutoff too low is a TruncationError
-    residual = _interior_residual(config, rho)
-    if not residual <= INTERIOR_TOL:
-        raise SolveError(
-            f"lab-basis state misses the interior residual bound: "
-            f"|L rho| = {residual:.2e} max|rho| on rows m, n <= {dim - 3} "
-            f"(lab N = {dim}, frame n_f = {frame_dim}); "
-            f"n_f is too small for this frame"
-        )
-    return rho
+def _lab_truncation(config: CavityConfig, trunc) -> int:
+    """The lab Fock cutoff N for ``trunc``: :func:`default_truncation` for
+    None, else ``trunc`` as a count of at least 8; DomainError otherwise."""
+    if trunc is None:
+        return default_truncation(config)
+    dim = as_count("truncation", trunc)
+    if dim < 8:
+        raise DomainError(f"truncation must be at least 8, got {dim}")
+    return dim
 
 
 def steady_state(config: CavityConfig, trunc: int | None = None) -> DensityMatrix:
     """Steady state of the driven damped cavity on trunc lab Fock levels.
 
-    trunc=None uses :func:`default_truncation`; the solve itself runs on
-    :func:`frame_truncation` levels of the frame (see
-    :func:`steady_state_in_frame`).  Raises :class:`SolveError` when the
-    steady state is not unique, when the frame solution misses the residual
-    bound |L x| <= 1e-9 max|x| after one refinement step, or when the
-    lab-basis state misses the interior residual bound, and
-    :class:`TruncationError` when the state still has significant population
-    near the cutoff.
+    trunc=None uses :func:`default_truncation`; any other trunc must be an
+    integer of at least 8, else :class:`DomainError`.  The solve itself runs
+    on :func:`frame_truncation` levels of the frame (see
+    :func:`steady_state_in_frame`).  Every call solves: the oracle keeps no
+    state between calls.  Raises :class:`SolveError` when the steady state is
+    not unique, when the frame solution misses the residual bound
+    |L x| <= 1e-9 max|x| after one refinement step, or when the lab-basis
+    state misses the interior residual bound, and :class:`TruncationError`
+    when the state still has significant population near the cutoff.
     """
-    dim = default_truncation(config) if trunc is None else int(trunc)
+    dim = _lab_truncation(config, trunc)
     return steady_state_in_frame(config, dim, frame_truncation(config))
 
 
@@ -407,11 +401,22 @@ def steady_state_in_frame(
     (:func:`_solve_lu` and its certificates); the mapped state must pass the
     lab tail check, then the interior residual bound of the lab generator
     (INTERIOR_TOL), then the :class:`DensityMatrix` checks."""
-    smallest = min(dim, frame_dim)
-    if smallest < 8:
-        raise DomainError(f"truncation must be at least 8, got {smallest}")
-    elements = _solve_cached(config.kappa, config.eps1, config.eps2, dim, frame_dim)
-    return DensityMatrix(dim=dim, elements=elements)
+    dim = _lab_truncation(config, dim)
+    if frame_dim < 8:
+        raise DomainError(f"frame truncation must be at least 8, got {frame_dim}")
+    rho_f = _solve_lu(frame_liouvillian(config, frame_dim), frame_dim)
+    basis = frame_basis(*frame(config), dim, frame_dim)
+    rho = _finalize((basis @ rho_f @ basis.T).ravel(), dim)
+    _check_tail(np.diag(rho))  # a lab cutoff too low is a TruncationError
+    residual = _interior_residual(config, rho)
+    if not residual <= INTERIOR_TOL:
+        raise SolveError(
+            f"lab-basis state misses the interior residual bound: "
+            f"|L rho| = {residual:.2e} max|rho| on rows m, n <= {dim - 3} "
+            f"(lab N = {dim}, frame n_f = {frame_dim}); "
+            f"n_f is too small for this frame"
+        )
+    return DensityMatrix(dim=dim, elements=rho)
 
 
 def propagate(
@@ -428,9 +433,7 @@ def propagate(
     """
     if not np.isfinite(t) or t < 0:
         raise StepError(f"time must be non-negative, got {t}")
-    dim = default_truncation(config) if trunc is None else int(trunc)
-    if dim < 8:
-        raise DomainError(f"truncation must be at least 8, got {dim}")
+    dim = _lab_truncation(config, trunc)
     dt = 0.2 / (config.kappa * dim)
     gen, expand = _restrict(liouvillian(config, dim), dim)
     x = np.zeros(gen.shape[0], dtype=gen.dtype)
@@ -446,14 +449,17 @@ def propagate(
 
 
 def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
-    """Truncated coherent-state vector; raises :class:`TruncationError` when
-    the missing tail norm exceeds 1e-10."""
+    """Truncated coherent-state vector; raises :class:`DomainError` for a
+    non-finite alpha and :class:`TruncationError` when the missing tail norm
+    exceeds 1e-10."""
+    if not cmath.isfinite(alpha):
+        raise DomainError(f"coherent amplitude must be finite, got {alpha}")
     c = np.zeros(dim, dtype=complex)
     c[0] = math.exp(-abs(alpha) ** 2 / 2)
     for n in range(1, dim):
         c[n] = c[n - 1] * alpha / math.sqrt(n)
     tail = 1.0 - float(np.vdot(c, c).real)
-    if tail > COHERENT_TAIL_TOL:
+    if not tail <= COHERENT_TAIL_TOL:
         raise TruncationError(
             f"coherent amplitude |alpha|={abs(alpha):.3g} too large for "
             f"truncation {dim} (missing norm {tail:.2e})"

@@ -211,9 +211,8 @@ def check_truncation_doubling(config: CavityConfig, trunc, tol=1e-8) -> CheckRes
     """Moments at the lab and frame truncations against both doubled: the
     solve truncates in the frame, so doubling the lab N alone would compare
     a state with itself."""
-    dim = int(trunc) if trunc is not None else fock.default_truncation(config)
-    frame_dim = fock.frame_truncation(config)
-    lo = fock.steady_state_in_frame(config, dim, frame_dim)
+    lo = fock.steady_state(config, trunc)
+    dim, frame_dim = lo.dim, fock.frame_truncation(config)
     hi = fock.steady_state_in_frame(config, 2 * dim, 2 * frame_dim)
     dev = max(
         abs(fock.expect(lo, "a") - fock.expect(hi, "a")),

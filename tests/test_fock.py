@@ -27,6 +27,7 @@ from qsuperpose import (
 )
 from qsuperpose import fock
 from qsuperpose.fock import frame_truncation, hamiltonian, ladder, liouvillian
+from qsuperpose.verification import run_verification
 from conftest import GRID_AB
 
 REF_CONFIG = CavityConfig(1.0, 0.3, 0.2)
@@ -60,6 +61,14 @@ def recording_splu(solves, spoil=0.0):
         return Recording()
 
     return factorize
+
+
+def hamiltonian_only_real(drive, dim):
+    """The kappa = 0 generator of ``drive`` over the reals,
+    -i[H, rho] = K rho - rho K: every function of H is stationary."""
+    k = sp.csr_matrix((-1j * hamiltonian(drive, dim)).real)
+    ident = sp.identity(dim, format="csr")
+    return (sp.kron(k, ident) - sp.kron(ident, k.T)).tocsr()
 
 
 class TestOperators:
@@ -222,12 +231,8 @@ class TestFrame:
             monkeypatch.setattr(fock, "frame_truncation", lambda c: true_trunc(c) // 2)
         else:
             monkeypatch.setattr(fock, "frame", wrong_frame)
-        fock._solve_cached.cache_clear()
-        try:
-            with pytest.raises(SolveError, match="interior residual") as err:
-                steady_state(self.EDGE)
-        finally:
-            fock._solve_cached.cache_clear()
+        with pytest.raises(SolveError, match="interior residual") as err:
+            steady_state(self.EDGE)
         n_f = 14 if mutation == "half_frame" else 28
         assert f"lab N = 184, frame n_f = {n_f}" in str(err.value)
 
@@ -239,12 +244,8 @@ class TestFrame:
         # too small would fail as well
         true_trunc = fock.frame_truncation
         monkeypatch.setattr(fock, "frame_truncation", lambda c: true_trunc(c) // 2)
-        fock._solve_cached.cache_clear()
-        try:
-            with pytest.raises(TruncationError):
-                steady_state(self.EDGE, trunc=40)
-        finally:
-            fock._solve_cached.cache_clear()
+        with pytest.raises(TruncationError):
+            steady_state(self.EDGE, trunc=40)
 
     @settings(max_examples=15, deadline=None)
     @given(kappa=st.floats(0.5, 2.0), a=st.floats(0.0, 2.2), b=st.floats(0.0, 0.89))
@@ -346,12 +347,8 @@ class TestSteadyState:
         # steady_state factorizes the frame generator, here on 16 levels
         assert fock.frame_truncation(REF_CONFIG) == dim
         monkeypatch.setattr(fock, "frame_liouvillian", lambda config, n: lind)
-        fock._solve_cached.cache_clear()
-        try:
-            with pytest.raises(SolveError, match="residual bound"):
-                steady_state(REF_CONFIG, trunc=dim)
-        finally:
-            fock._solve_cached.cache_clear()
+        with pytest.raises(SolveError, match="residual bound"):
+            steady_state(REF_CONFIG, trunc=dim)
 
     def test_tiny_truncation_rejected(self):
         with pytest.raises(DomainError):
@@ -382,24 +379,31 @@ class TestSteadyState:
             h = sp.csr_matrix(hamiltonian(REF_CONFIG, dim))
             ident = sp.identity(dim, format="csr", dtype=complex)
             lind = (-1j * (sp.kron(h, ident) - sp.kron(ident, h.T))).tocsr()
-        else:  # the same generator over the reals, -i[H, rho] = K rho - rho K
+        else:  # the same generator over the reals
             drive = (
                 CavityConfig(1.0, 0.1, 0.4)
                 if generator.endswith("rcond_above_floor")
                 else REF_CONFIG
             )
-            k = sp.csr_matrix((-1j * hamiltonian(drive, dim)).real)
-            ident = sp.identity(dim, format="csr")
-            lind = (sp.kron(k, ident) - sp.kron(ident, k.T)).tocsr()
+            lind = hamiltonian_only_real(drive, dim)
         # steady_state factorizes the frame generator, here on 16 levels
         assert fock.frame_truncation(REF_CONFIG) == dim
         monkeypatch.setattr(fock, "frame_liouvillian", lambda config, n: lind)
-        fock._solve_cached.cache_clear()
-        try:
-            with pytest.raises(SolveError, match="not unique"):
-                steady_state(REF_CONFIG, trunc=dim)
-        finally:
-            fock._solve_cached.cache_clear()
+        with pytest.raises(SolveError, match="not unique"):
+            steady_state(REF_CONFIG, trunc=dim)
+
+    def test_every_call_solves(self, monkeypatch):
+        # the oracle keeps no state: two calls give equal, separate states,
+        # and a call after the generator changes solves the new one
+        first = steady_state(REF_CONFIG, trunc=16)
+        second = steady_state(REF_CONFIG, trunc=16)
+        assert np.array_equal(first.elements, second.elements)
+        assert first.elements is not second.elements
+        assert fock.frame_truncation(REF_CONFIG) == 16
+        lind = hamiltonian_only_real(REF_CONFIG, 16)
+        monkeypatch.setattr(fock, "frame_liouvillian", lambda config, n: lind)
+        with pytest.raises(SolveError, match="not unique"):
+            steady_state(REF_CONFIG, trunc=16)
 
     @pytest.mark.parametrize(
         "a,b", ((0.0, 0.89), (2.2, 0.0), (2.2, 0.89), (1.0, 0.85))
@@ -411,11 +415,7 @@ class TestSteadyState:
         # step behind it
         solves = []
         monkeypatch.setattr(fock, "splu", recording_splu(solves))
-        fock._solve_cached.cache_clear()
-        try:
-            rho = steady_state(CavityConfig(1.0, a / 2, b / 2))
-        finally:
-            fock._solve_cached.cache_clear()
+        rho = steady_state(CavityConfig(1.0, a / 2, b / 2))
         assert solves == [2]
         closed = steady_moments_combined(ScaledParams(a, b))
         assert abs(expect(rho, "a") - closed.mean_amp) < 1e-8
@@ -426,6 +426,30 @@ class TestSteadyState:
         rho = steady_state(REF_CONFIG, trunc=40)
         with pytest.raises(ValueError):
             rho.elements[0, 0] = 0.5
+
+
+class TestTruncationRule:
+    """Every entry point reads trunc by one rule: None is the default
+    truncation, anything else must be an integer of at least 8."""
+
+    CALLS = {
+        "steady_state": lambda trunc: steady_state(REF_CONFIG, trunc),
+        "propagate": lambda trunc: propagate(REF_CONFIG, 1.0, trunc),
+        "superposition_oracle": lambda trunc: superposition_oracle(REF_CONFIG, trunc),
+        "run_verification": lambda trunc: run_verification(REF_CONFIG, trunc),
+    }
+
+    @pytest.mark.parametrize("trunc", (np.nan, np.inf, 40.7, 7))
+    @pytest.mark.parametrize("entry", sorted(CALLS))
+    def test_bad_truncation_is_a_domain_error(self, entry, trunc):
+        with pytest.raises(DomainError, match="truncation"):
+            self.CALLS[entry](trunc)
+
+    def test_numpy_integer_accepted(self):
+        rho = steady_state(REF_CONFIG, np.int64(40))
+        assert type(rho.dim) is int and rho.dim == 40
+        assert np.array_equal(rho.elements, steady_state(REF_CONFIG, 40).elements)
+        assert propagate(REF_CONFIG, 0.0, np.int64(12)).dim == 12
 
 
 class TestDefaultTruncation:
@@ -540,6 +564,23 @@ class TestExpectations:
         rho = steady_state(CavityConfig(1.0, 0.0, 0.0), trunc=12)
         with pytest.raises(TruncationError):
             expect(rho, "husimi", 8.0 + 0j)
+
+    @pytest.mark.parametrize("which", ("husimi", "char_fn"))
+    @pytest.mark.parametrize(
+        "arg",
+        (
+            complex(np.nan, 0.0),
+            complex(0.0, np.nan),
+            complex(np.inf, 0.0),
+            complex(0.0, -np.inf),
+        ),
+    )
+    def test_non_finite_argument_rejected(self, which, arg):
+        rho = steady_state(CavityConfig(1.0, 0.0, 0.0), trunc=12)
+        with pytest.raises(DomainError, match="finite"):
+            expect(rho, which, arg)
+        with pytest.raises(DomainError, match="finite"):
+            fock.coherent_vector(arg, 12)
 
     def test_argument_required(self):
         rho = steady_state(CavityConfig(1.0, 0.0, 0.0), trunc=12)
