@@ -3,34 +3,29 @@
 Ground truth for every closed form in the package: the driven damped cavity
 is realized as a Lindblad master equation (vacuum-reservoir dissipator at
 rate kappa plus the combined drive Hamiltonian), its steady state is found by
-a direct sparse solve of the vectorized generator, and expectation values
-are taken with explicit truncated ladder operators.  Nothing here reuses the
-closed-form results it is meant to check.
+a direct sparse solve, and expectation values are taken with explicit
+truncated ladder operators.  Nothing here reuses the closed-form results it
+is meant to check.
 
 Conventions: Fock levels 0..N-1, annihilation matrix entries
-a[n-1, n] = sqrt(n), density matrices vectorized row-major so that
-vec(A rho B) = kron(A, B.T) vec(rho).
+a[n-1, n] = sqrt(n).  The master equation is written once, as a
+:class:`Generator` of the drive K (H = iK), a jump matrix A in place of a,
+and kappa: L rho = K rho - rho K + kappa (A rho A^T - {A^T A, rho}/2).
 
-Solver strategy: the steady state is solved in the frame D(delta) S(r),
-delta = a/(1+b), r = atanh(b)/2, where it is thermal with nbar depending on
-b only, so n_f = 16..29 frame levels hold it where the lab basis needs
-N = 40..194.  The frame generator is the lab one with a replaced by
-A = cosh r b - sinh r b^dag + delta; every drive is real, so it is real and
-commutes with transposition, L(rho^T) = (L rho)^T, and the unique steady
-state is real symmetric.  One sparse LU factorization solves for its
-n_f(n_f+1)/2 unknowns rho_mn, m <= n, with the redundant (0,0) equation
-replaced by the trace constraint.  That matrix is nonsingular exactly when
-the steady state is unique: an exactly singular factorization, a reciprocal
-condition estimate below RCOND_FLOOR, or a probe solve that misses its own
-residual raises SolveError.  So does a solution that misses |L x| <= 1e-9
-max|x| against the full frame generator after one step of iterative
-refinement.  The frame state is mapped to the lab basis, rho = U rho_f U^T
-with U[n, k] = <n|D S|k>, and must then pass the lab tail check and an
-independent certificate: |(L_lab rho)_mn| <= 1e-9 max|rho| on the interior
-rows m, n <= N-3, which are exact rows of the untruncated master equation.
-Any (delta, r) gives the same state once n_f is adequate, so the frame is
-no input to the answer; a wrong frame or too small an n_f misses that bound
-and raises SolveError.
+Solver strategy: the steady state is solved in the frame D(delta) S(r) of
+:func:`frame`, where it is thermal with nbar depending on b only, so
+n_f = 16..29 frame levels hold it where the lab basis needs N = 40..194.
+There A = cosh r b - sinh r b^dag + delta; every drive is real, so L is real
+and commutes with transposition, L(rho^T) = (L rho)^T, and the unique steady
+state is real symmetric: one certified sparse LU solve on its n_f(n_f+1)/2
+unknowns rho_mn, m <= n, finds it (:func:`_solve_lu`).  Mapped to the lab
+basis, rho = U rho_f U^T with U[n, k] = <n|D S|k>, it must pass the lab tail
+check and an independent certificate: |(L_lab rho)_mn| <= 1e-9 max|rho| on
+the interior rows m, n <= N-3, exact rows of the untruncated master
+equation.  Any (delta, r) gives the same state once n_f is adequate, so the
+frame is no input to the answer; a wrong frame or too small an n_f misses
+that bound and raises SolveError.  An explicit lab truncation above
+TRUNC_CAP is a DomainError, raised before anything is allocated.
 """
 
 import cmath
@@ -45,7 +40,7 @@ from .combined import MomentSet
 from .errors import DomainError, SolveError, StepError, TruncationError
 from .params import CavityConfig, as_count, scale
 
-#: hard cap on the automatic truncation
+#: cap on the lab truncation, automatic or explicit
 TRUNC_CAP = 200
 #: acceptable population in the top 10% of Fock levels
 TAIL_TOL = 1e-8
@@ -81,37 +76,62 @@ def ladder(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
 
 
-def hamiltonian(config: CavityConfig, dim: int) -> np.ndarray:
-    """Combined drive Hamiltonian i*eps1*(ad - a) + i*(eps2/2)*(a^2 - ad^2)."""
-    am = ladder(dim)
-    ad = am.T
-    return 1j * config.eps1 * (ad - am) + 0.5j * config.eps2 * (am @ am - ad @ ad)
+def _fold_index(dim: int) -> np.ndarray:
+    """index[m, n] = index[n, m]: where (min, max) stands among the row-major
+    upper-triangle unknowns x of the symmetric subspace; x[index] is rho."""
+    m, n = np.triu_indices(dim)
+    index = np.empty((dim, dim), dtype=int)
+    index[n, m] = index[m, n] = np.arange(m.size)
+    return index
 
 
-def _drive(config: CavityConfig, am: sp.csr_matrix) -> sp.csr_matrix:
-    """K with H = iK for the real annihilation matrix am, so that
-    -i[H, rho] = K rho - rho K."""
-    ad = am.T.tocsr()
-    return config.eps1 * (ad - am) + 0.5 * config.eps2 * (am @ am - ad @ ad)
+def _folded_kron(x: sp.coo_matrix, y: sp.coo_matrix, index: np.ndarray):
+    """Entries (row, col, value) of kron(x, y), the vectorized rho -> x rho y^T,
+    in rows (i,j), i <= j, column (k,l) folded onto index[k, l], unsummed."""
+    i, k, u = x.row[:, None], x.col[:, None], x.data[:, None]
+    keep = np.broadcast_to(i <= y.row, (x.nnz, y.nnz))
+    return index[i, y.row][keep], index[k, y.col][keep], (u * y.data)[keep]
 
 
-def _generator(config: CavityConfig, am: sp.csr_matrix) -> sp.csr_matrix:
-    """Vectorized Lindblad generator (row-major convention), sparse float64,
-    with the real annihilation matrix am in place of a."""
-    ad = am.T.tocsr()
-    k = _drive(config, am)
-    nop = (ad @ am).tocsr()
-    ident = sp.identity(am.shape[0], format="csr")
-    lind = sp.kron(k, ident) - sp.kron(ident, k.T)
-    lind = lind + config.kappa * (
-        sp.kron(am, am) - 0.5 * sp.kron(nop, ident) - 0.5 * sp.kron(ident, nop.T)
-    )
-    return lind.tocsr()
+@dataclass(frozen=True)
+class Generator:
+    """L rho = K rho - rho K + kappa (A rho A^T - {A^T A, rho}/2) for the
+    sparse drive K (H = iK) and real jump matrix A."""
+
+    drive: sp.csr_matrix
+    jump: sp.csr_matrix
+    kappa: float
+
+    def __call__(self, rho: np.ndarray) -> np.ndarray:
+        k, a = self.drive, self.jump
+        return k @ rho - rho @ k + self.kappa * (
+            a @ rho @ a.T - 0.5 * (a.T @ (a @ rho) + (rho @ a.T) @ a)
+        )
+
+    def symmetric(self) -> sp.coo_matrix:
+        """L on the symmetric subspace as one COO matrix, rows (m,n), m <= n,
+        and columns folded by :func:`_fold_index`, from its terms (K - kappa
+        A^T A/2) rho, rho (-K - kappa A^T A/2) and kappa A rho A^T."""
+        a, index = self.jump, _fold_index(self.jump.shape[0])
+        half = 0.5 * self.kappa * (a.T @ a)
+        ident = sp.identity(len(index), format="coo")
+        terms = (
+            _folded_kron((self.drive - half).tocoo(), ident, index),
+            _folded_kron(ident, (-self.drive - half).T.tocoo(), index),
+            _folded_kron(self.kappa * a.tocoo(), a.tocoo(), index),
+        )
+        rows, cols, vals = (np.concatenate(parts) for parts in zip(*terms))
+        size = index[-1, -1] + 1
+        return sp.coo_matrix((vals, (rows, cols)), shape=(size, size))
 
 
-def liouvillian(config: CavityConfig, dim: int) -> sp.csr_matrix:
-    """The generator in the lab Fock basis of dim levels."""
-    return _generator(config, sp.csr_matrix(ladder(dim)))
+def generator(config: CavityConfig, jump) -> Generator:
+    """The generator of config with the real matrix jump A in place of a:
+    K = eps1 (A^T - A) + (eps2/2) (A^2 - A^T^2)."""
+    a = sp.csr_matrix(jump)
+    ad = a.T.tocsr()
+    drive = config.eps1 * (ad - a) + 0.5 * config.eps2 * (a @ a - ad @ ad)
+    return Generator(drive, a, config.kappa)
 
 
 def frame(config: CavityConfig) -> tuple[float, float]:
@@ -121,13 +141,12 @@ def frame(config: CavityConfig) -> tuple[float, float]:
     return p.a / (1.0 + p.b), 0.5 * math.atanh(p.b)
 
 
-def frame_liouvillian(config: CavityConfig, dim: int) -> sp.csr_matrix:
+def frame_generator(config: CavityConfig, dim: int) -> Generator:
     """The generator in the frame of :func:`frame` on dim levels: a replaced by
     A = cosh r b - sinh r b^dag + delta, with b the frame's ladder matrix."""
     delta, r = frame(config)
-    b = sp.csr_matrix(ladder(dim))
-    am = math.cosh(r) * b - math.sinh(r) * b.T + delta * sp.identity(dim)
-    return _generator(config, am.tocsr())
+    jump = math.cosh(r) * ladder(dim) - math.sinh(r) * ladder(dim).T
+    return generator(config, jump + delta * np.eye(dim))
 
 
 def frame_basis(delta: float, r: float, dim: int, frame_dim: int) -> np.ndarray:
@@ -260,52 +279,42 @@ class DensityMatrix:
         object.__setattr__(self, "elements", arr)
 
 
-def _finalize(x: np.ndarray, dim: int) -> np.ndarray:
-    rho = x.reshape(dim, dim)
+def _finalize(rho: np.ndarray) -> np.ndarray:
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
 
 
-def _restrict(lind: sp.csr_matrix, dim: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """The generator on the symmetric subspace: its rows (m,n), m <= n, in
-    row-major order ((0,0) first), with each column (n,m) folded onto (m,n)
-    by the 0/1 expansion E, vec(rho) = E x.  Also returns E."""
-    m, n = np.triu_indices(dim)
-    k = np.arange(m.size)
-    lower = m < n
-    rows = np.concatenate([m * dim + n, (n * dim + m)[lower]])
-    cols = np.concatenate([k, k[lower]])
-    expand = sp.csr_matrix((np.ones(rows.size), (rows, cols)), (dim * dim, m.size))
-    return lind[m * dim + n] @ expand, expand
+def _system(gen: Generator) -> sp.csc_matrix:
+    """:meth:`Generator.symmetric` with its (0,0) row replaced by the trace row."""
+    sym, dim = gen.symmetric(), gen.jump.shape[0]
+    keep = sym.row > 0
+    rows = np.concatenate([np.zeros(dim, dtype=int), sym.row[keep]])
+    cols = np.concatenate([np.diag(_fold_index(dim)), sym.col[keep]])
+    vals = np.concatenate([np.ones(dim), sym.data[keep]])
+    return sp.csc_matrix((vals, (rows, cols)), shape=sym.shape)
 
 
-def _system(lind: sp.csr_matrix, dim: int) -> tuple[sp.csc_matrix, sp.csr_matrix]:
-    """The generator on the symmetric subspace with its redundant (0,0) row
-    replaced by the trace row (also folded by E), and E."""
-    reduced, expand = _restrict(lind, dim)
-    trace_row = sp.csr_matrix(np.eye(dim, dtype=lind.dtype).reshape(1, -1)) @ expand
-    return sp.vstack([trace_row, reduced[1:]], format="csc"), expand
-
-
-def _solve_lu(lind: sp.csr_matrix, dim: int) -> np.ndarray:
-    """Sparse LU solve on the symmetric subspace in the generator's dtype.
+def _solve_lu(gen: Generator) -> np.ndarray:
+    """Steady state of gen, in its dtype, by sparse LU on the symmetric subspace.
 
     SuperLU's symmetric mode pivots on the diagonal at any size, which suits
-    a diagonal with no zero.  For the generator of A = cosh r b - sinh r
-    b^dag + delta (the frame's; the lab's is r = delta = 0) the diagonal is
-    1 in the trace row and, in each (m,n) equation,
-        -kappa/2 [cosh^2 r (m+n) + sinh^2 r (m+n+2)]
-    (K has no diagonal, and the delta^2 of A rho A^T cancels that of A^T A),
-    where an index at the truncation edge N-1 loses its sinh^2 r N, as the
-    truncated A^T A does, plus -kappa cosh r sinh r (m+1) where the fold of
-    (n,m) onto (m,n) lands, n = m+1, from A[m,m+1] A[m+1,m].  Off the trace
-    row m+n >= 1 and the bracket stays above cosh^2 r (m+n) > 0 even at the
-    edge, so for kappa > 0 no entry is zero, whatever the sign of r.
+    a diagonal with no zero.  For A = cosh r b - sinh r b^dag + delta (the
+    frame's; the lab's is r = delta = 0) the diagonal of :func:`_system` is 1
+    in the trace row and, in row (m,n), what the assembled terms put on
+    column (m,n): -kappa/2 [cosh^2 r (m+n) + sinh^2 r (m+n+2)] (K has no
+    diagonal; the delta^2 of A rho A^T cancels that of A^T A), an index at
+    the truncation edge N-1 losing its sinh^2 r N as the truncated A^T A
+    does, plus -kappa cosh r sinh r (m+1) from A[m,m+1] A[m+1,m] where the
+    fold of column (m+1,m) lands, n = m+1.  Off the trace row m+n >= 1 and
+    the bracket stays above cosh^2 r (m+n) > 0, so for kappa > 0 no entry is
+    zero, whatever the sign of r.
     A fixed random probe r certifies uniqueness: max|r| / (max|A| max|y|)
     estimates the reciprocal condition of the system A, and the probe's
     solution y must meet |A y - r| <= 1e-8 max|r| (unique steady states give
-    <= 1e-12, kappa = 0 generators >= 239)."""
-    system, expand = _system(lind, dim)
+    <= 1e-12, kappa = 0 generators >= 239).  Then gen applied to the
+    solution x[index] must meet |L x| <= 1e-9 max|x|, at once or after one
+    step of iterative refinement."""
+    system, index = _system(gen), _fold_index(gen.jump.shape[0])
     try:
         lu = splu(
             system,
@@ -316,7 +325,7 @@ def _solve_lu(lind: sp.csr_matrix, dim: int) -> np.ndarray:
     except RuntimeError as exc:  # exactly singular
         raise SolveError(f"steady state not unique: {exc}") from None
     probe = np.random.default_rng(0).standard_normal(system.shape[0])
-    rhs = np.column_stack([np.zeros_like(probe), probe]).astype(lind.dtype)
+    rhs = np.column_stack([np.zeros_like(probe), probe]).astype(system.dtype)
     rhs[0, 0] = 1.0
     x, y = lu.solve(rhs).T
     rcond = np.abs(probe).max() / (np.abs(system.data).max() * np.abs(y).max())
@@ -327,10 +336,10 @@ def _solve_lu(lind: sp.csr_matrix, dim: int) -> np.ndarray:
             f"probe residual {probe_residual:.2e}"
         )
     for refined in (False, True):
-        full = expand @ x
-        residual = np.abs(lind @ full).max()
-        if np.all(np.isfinite(full)) and residual <= 1e-9 * np.abs(full).max():
-            return _finalize(full, dim)
+        rho = x[index]
+        residual = np.abs(gen(rho)).max()
+        if np.all(np.isfinite(rho)) and residual <= 1e-9 * np.abs(rho).max():
+            return _finalize(rho)
         if not refined:
             x = x + lu.solve(rhs[:, 0] - system @ x)  # one refinement step
     raise SolveError(
@@ -339,82 +348,72 @@ def _solve_lu(lind: sp.csr_matrix, dim: int) -> np.ndarray:
     )
 
 
-def _rk4_step(lind: sp.csr_matrix, x: np.ndarray, h: float) -> np.ndarray:
-    k1 = lind @ x
-    k2 = lind @ (x + 0.5 * h * k1)
-    k3 = lind @ (x + 0.5 * h * k2)
-    k4 = lind @ (x + h * k3)
+def _rk4_step(system: sp.csr_matrix, x: np.ndarray, h: float) -> np.ndarray:
+    k1 = system @ x
+    k2 = system @ (x + 0.5 * h * k1)
+    k3 = system @ (x + 0.5 * h * k2)
+    k4 = system @ (x + h * k3)
     return x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _interior_residual(config: CavityConfig, rho: np.ndarray) -> float:
-    """max |(L rho)_mn| / max|rho| over m, n <= N-3 for the lab generator,
-    taken in matrix form, K rho - rho K + kappa (a rho a^dag - {n, rho}/2),
-    with banded sparse K and a.  Those rows reach no level above N-1, so
-    they are exact rows of the untruncated master equation."""
-    dim = rho.shape[0]
-    am = sp.diags(np.sqrt(np.arange(1.0, dim)), 1, format="csr")
-    k = _drive(config, am)
-    num = np.arange(dim, dtype=float)
-    image = k @ rho - (k.T @ rho.T).T + config.kappa * (
-        (am @ (am @ rho).T).T - 0.5 * (num[:, None] + num[None, :]) * rho
-    )
-    return float(np.abs(image[: dim - 2, : dim - 2]).max() / np.abs(rho).max())
+def _count(name: str, value, cap: int) -> int:
+    """``value`` as a count from 8 to cap; DomainError otherwise."""
+    dim = as_count(name, value)
+    if not 8 <= dim <= cap:
+        raise DomainError(f"{name} must be from 8 to {cap}, got {dim}")
+    return dim
 
 
 def _lab_truncation(config: CavityConfig, trunc) -> int:
     """The lab Fock cutoff N for ``trunc``: :func:`default_truncation` for
-    None, else ``trunc`` as a count of at least 8; DomainError otherwise."""
+    None, else ``trunc`` as a count from 8 to TRUNC_CAP."""
     if trunc is None:
         return default_truncation(config)
-    dim = as_count("truncation", trunc)
-    if dim < 8:
-        raise DomainError(f"truncation must be at least 8, got {dim}")
-    return dim
+    return _count("truncation", trunc, TRUNC_CAP)
 
 
 def steady_state(config: CavityConfig, trunc: int | None = None) -> DensityMatrix:
     """Steady state of the driven damped cavity on trunc lab Fock levels.
 
     trunc=None uses :func:`default_truncation`; any other trunc must be an
-    integer of at least 8, else :class:`DomainError`.  The solve itself runs
-    on :func:`frame_truncation` levels of the frame (see
+    integer from 8 to TRUNC_CAP, else :class:`DomainError`.  The solve runs on
+    :func:`frame_truncation` levels of the frame (see
     :func:`steady_state_in_frame`).  Every call solves: the oracle keeps no
     state between calls.  Raises :class:`SolveError` when the steady state is
-    not unique, when the frame solution misses the residual bound
-    |L x| <= 1e-9 max|x| after one refinement step, or when the lab-basis
-    state misses the interior residual bound, and :class:`TruncationError`
-    when the state still has significant population near the cutoff.
+    not unique or misses a residual bound, and :class:`TruncationError` when
+    it still has significant population near the cutoff.
     """
     dim = _lab_truncation(config, trunc)
-    return steady_state_in_frame(config, dim, frame_truncation(config))
+    return _frame_solve(config, dim, frame_truncation(config))
 
 
 def steady_state_in_frame(
     config: CavityConfig, dim: int, frame_dim: int
 ) -> DensityMatrix:
-    """Steady state on dim lab Fock levels, solved on frame_dim levels of the
-    frame D(delta) S(r) of :func:`frame` and mapped back as
-    rho = U rho_f U^T with U = :func:`frame_basis`.
+    """Steady state on dim lab Fock levels, solved by :func:`_solve_lu` on
+    frame_dim levels of the frame of :func:`frame` and mapped back as
+    rho = U rho_f U^T with U = :func:`frame_basis`; it must pass the lab tail
+    check, the interior residual bound INTERIOR_TOL of the lab generator and
+    the :class:`DensityMatrix` checks.  Both truncations are counts from 8 to
+    2 TRUNC_CAP, room for the doubling check, else :class:`DomainError`."""
+    dim = _count("truncation", dim, 2 * TRUNC_CAP)
+    frame_dim = _count("frame truncation", frame_dim, 2 * TRUNC_CAP)
+    return _frame_solve(config, dim, frame_dim)
 
-    The frame generator is solved by sparse LU on its symmetric subspace
-    (:func:`_solve_lu` and its certificates); the mapped state must pass the
-    lab tail check, then the interior residual bound of the lab generator
-    (INTERIOR_TOL), then the :class:`DensityMatrix` checks."""
-    dim = _lab_truncation(config, dim)
-    if frame_dim < 8:
-        raise DomainError(f"frame truncation must be at least 8, got {frame_dim}")
-    rho_f = _solve_lu(frame_liouvillian(config, frame_dim), frame_dim)
+
+def _frame_solve(config: CavityConfig, dim: int, frame_dim: int) -> DensityMatrix:
+    rho_f = _solve_lu(frame_generator(config, frame_dim))
     basis = frame_basis(*frame(config), dim, frame_dim)
-    rho = _finalize((basis @ rho_f @ basis.T).ravel(), dim)
+    rho = _finalize(basis @ rho_f @ basis.T)
     _check_tail(np.diag(rho))  # a lab cutoff too low is a TruncationError
-    residual = _interior_residual(config, rho)
+    # rows m, n <= N-3 are exact rows of the untruncated master equation
+    image = generator(config, ladder(dim))(rho)[: dim - 2, : dim - 2]
+    residual = np.abs(image).max() / np.abs(rho).max()
     if not residual <= INTERIOR_TOL:
         raise SolveError(
             f"lab-basis state misses the interior residual bound: "
             f"|L rho| = {residual:.2e} max|rho| on rows m, n <= {dim - 3} "
-            f"(lab N = {dim}, frame n_f = {frame_dim}); "
-            f"n_f is too small for this frame"
+            f"(lab N = {dim}, frame n_f = {frame_dim}); n_f is too small for this frame"
         )
     return DensityMatrix(dim=dim, elements=rho)
 
@@ -435,17 +434,17 @@ def propagate(
         raise StepError(f"time must be non-negative, got {t}")
     dim = _lab_truncation(config, trunc)
     dt = 0.2 / (config.kappa * dim)
-    gen, expand = _restrict(liouvillian(config, dim), dim)
-    x = np.zeros(gen.shape[0], dtype=gen.dtype)
+    system = generator(config, ladder(dim)).symmetric().tocsr()
+    x = np.zeros(system.shape[0], dtype=system.dtype)
     x[0] = 1.0
     n_full, rem = divmod(t, dt)
     for _ in range(int(n_full)):
-        x = _rk4_step(gen, x, dt)
+        x = _rk4_step(system, x, dt)
     if rem > 1e-15 * max(t, 1.0):
-        x = _rk4_step(gen, x, rem)
+        x = _rk4_step(system, x, rem)
     if not np.all(np.isfinite(x)):
         raise StepError(f"master-equation integration diverged (dt={dt})")
-    return DensityMatrix(dim=dim, elements=_finalize(expand @ x, dim))
+    return DensityMatrix(dim=dim, elements=_finalize(x[_fold_index(dim)]))
 
 
 def coherent_vector(alpha: complex, dim: int) -> np.ndarray:

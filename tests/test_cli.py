@@ -231,7 +231,7 @@ class TestVerify:
             assert list(r) == ["name", "max_deviation", "tolerance", "passed", "note"]
             assert r["max_deviation"] == float(f"{r['max_deviation']:.9g}")
 
-    @pytest.mark.parametrize("trunc", ("abc", "8.5"))
+    @pytest.mark.parametrize("trunc", ("abc", "8.5", "100000"))
     def test_non_integer_truncation_rejected(self, trunc, capsys):
         assert main(["verify", "--trunc", trunc]) == 2
         captured = capsys.readouterr()

@@ -26,7 +26,7 @@ from qsuperpose import (
     superposition_oracle,
 )
 from qsuperpose import fock
-from qsuperpose.fock import frame_truncation, hamiltonian, ladder, liouvillian
+from qsuperpose.fock import Generator, frame_truncation, ladder
 from qsuperpose.verification import run_verification
 from conftest import GRID_AB
 
@@ -63,12 +63,33 @@ def recording_splu(solves, spoil=0.0):
     return factorize
 
 
-def hamiltonian_only_real(drive, dim):
-    """The kappa = 0 generator of ``drive`` over the reals,
-    -i[H, rho] = K rho - rho K: every function of H is stationary."""
-    k = sp.csr_matrix((-1j * hamiltonian(drive, dim)).real)
-    ident = sp.identity(dim, format="csr")
-    return (sp.kron(k, ident) - sp.kron(ident, k.T)).tocsr()
+def hamiltonian(config, am):
+    """The combined drive Hamiltonian i eps1 (a^dag - a) + i (eps2/2)
+    (a^2 - a^dag^2), with the real matrix am in place of a."""
+    return 1j * config.eps1 * (am.T - am) + 0.5j * config.eps2 * (am @ am - am.T @ am.T)
+
+
+def kron_generator(h, am, kappa):
+    """The dense vectorized Lindblad generator of h and the real jump am,
+    row-major, vec(X rho Y) = kron(X, Y^T) vec(rho): -i[h, rho] + kappa
+    (am rho am^T - {am^T am, rho}/2)."""
+    ident = np.eye(len(am))
+    nop = am.T @ am
+    return -1j * (np.kron(h, ident) - np.kron(ident, h.T)) + kappa * (
+        np.kron(am, am) - 0.5 * np.kron(nop, ident) - 0.5 * np.kron(ident, nop.T)
+    )
+
+
+def lab_kron(config, dim):
+    return kron_generator(hamiltonian(config, ladder(dim)), ladder(dim), config.kappa)
+
+
+def hamiltonian_only(drive, dim, dtype=float):
+    """The kappa = 0 generator of ``drive``, -i[H, rho] = K rho - rho K, over
+    the reals or the complex numbers: every function of H is stationary."""
+    k = -1j * hamiltonian(drive, ladder(dim))
+    k = k.real if dtype is float else k
+    return Generator(sp.csr_matrix(k), sp.csr_matrix((dim, dim)), 0.0)
 
 
 class TestOperators:
@@ -88,18 +109,14 @@ class TestOperators:
 
     def test_liouvillian_is_real(self):
         # real drives: H = iK with K real, so the generator is float64 and
-        # equals, entry for entry, the complex one written out from H
+        # its drive equals, entry for entry, -iH written out from H
         config, dim = CavityConfig(0.7, 0.3, 0.2), 12
-        lind = liouvillian(config, dim)
-        assert lind.dtype == np.float64
-        h = hamiltonian(config, dim)
-        am = ladder(dim)
-        nop = am.T @ am
-        ident = np.eye(dim)
-        want = -1j * (np.kron(h, ident) - np.kron(ident, h.T)) + config.kappa * (
-            np.kron(am, am) - 0.5 * np.kron(nop, ident) - 0.5 * np.kron(ident, nop.T)
-        )
-        assert np.abs(lind.toarray() - want).max() == 0.0
+        gen = fock.generator(config, ladder(dim))
+        assert gen.drive.dtype == gen.jump.dtype == np.float64
+        assert gen.kappa == config.kappa
+        want = -1j * hamiltonian(config, ladder(dim))
+        assert np.abs(gen.drive.toarray() - want).max() == 0.0
+        assert np.array_equal(gen.jump.toarray(), ladder(dim))
 
 
 class TestSymmetricSubspace:
@@ -116,23 +133,57 @@ class TestSymmetricSubspace:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_reduced_solve_rests_on_transpose_symmetry(self, kappa, a, b, dim, seed):
-        lind = liouvillian(CavityConfig(kappa, a * kappa / 2, b * kappa / 2), dim)
+        config = CavityConfig(kappa, a * kappa / 2, b * kappa / 2)
+        gen = fock.generator(config, ladder(dim))
         rho = np.random.default_rng(seed).standard_normal((dim, dim))
-        image = (lind @ rho.ravel()).reshape(dim, dim)
-        transposed = lind @ rho.T.ravel()
-        assert np.abs(transposed - image.T.ravel()).max() <= 1e-12 * np.abs(image).max()
+        image = gen(rho)
+        assert np.abs(gen(rho.T) - image.T).max() <= 1e-12 * np.abs(image).max()
         # the reduced solve against the dense generator's null space
-        null = sla.null_space(lind.toarray())
+        null = sla.null_space(lab_kron(config, dim))
         assert null.shape[1] == 1
         ref = null[:, 0].reshape(dim, dim)
         ref = ref / np.trace(ref)
-        assert np.abs(fock._solve_lu(lind, dim) - ref).max() <= 1e-12
+        assert np.abs(fock._solve_lu(gen) - ref).max() <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kappa=st.floats(0.5, 2.0),
+        a=st.floats(0.0, 2.2),
+        b=st.floats(0.0, 0.89),
+        dim=st.integers(8, 16),
+        sign=st.sampled_from((1, -1)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_generator_matches_the_dense_kron_generator(
+        self, kappa, a, b, dim, sign, seed
+    ):
+        # the frame's jump A = cosh r b - sinh r b^dag + delta, either sign of r
+        config = CavityConfig(kappa, a * kappa / 2, b * kappa / 2)
+        delta, r = fock.frame(config)
+        am = np.cosh(sign * r) * ladder(dim) - np.sinh(sign * r) * ladder(dim).T
+        am += delta * np.eye(dim)
+        gen = fock.generator(config, am)
+        lind = kron_generator(hamiltonian(config, am), am, kappa)
+        # the matrix action on a complex, non-symmetric rho
+        rng = np.random.default_rng(seed)
+        rho = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        want = (lind @ rho.ravel()).reshape(dim, dim)
+        assert np.abs(gen(rho) - want).max() <= 1e-13 * np.abs(want).max()
+        # the assembly: rows (m,n), m <= n, of the dense generator with each
+        # column (n,m) folded onto (m,n) by the 0/1 expansion E
+        m, n = np.triu_indices(dim)
+        expand = np.zeros((dim * dim, m.size))
+        expand[m * dim + n, np.arange(m.size)] = 1.0
+        expand[n * dim + m, np.arange(m.size)] = 1.0
+        want = lind[m * dim + n] @ expand
+        got = gen.symmetric().toarray()
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_propagate_matches_full_vector_rk4(self):
         config, dim, t = REF_CONFIG, 16, 1.3
-        lind = liouvillian(config, dim)
+        lind = lab_kron(config, dim)
         dt = 0.2 / (config.kappa * dim)
-        x = np.zeros(dim * dim)
+        x = np.zeros(dim * dim, dtype=complex)
         x[0] = 1.0
         n_full, rem = divmod(t, dt)
         assert rem > 0
@@ -186,7 +237,7 @@ class TestFrame:
     def test_frame_state_is_thermal(self, kappa, a, b):
         config = CavityConfig(kappa, a * kappa / 2, b * kappa / 2)
         dim = frame_truncation(config)
-        rho = fock._solve_lu(fock.frame_liouvillian(config, dim), dim)
+        rho = fock._solve_lu(fock.frame_generator(config, dim))
         nbar = (1 / np.sqrt(1 - b * b) - 1) / 2
         levels = np.arange(dim)
         want = np.diag(nbar**levels / (1 + nbar) ** (levels + 1))
@@ -207,8 +258,7 @@ class TestFrame:
         for sign in (1, -1):
             c, s = np.cosh(sign * r), np.sinh(sign * r)
             am = c * ladder(dim) - s * ladder(dim).T + delta * np.eye(dim)
-            am = sp.csr_matrix(am)
-            got = fock._system(fock._generator(config, am), dim)[0].diagonal()
+            got = fock._system(fock.generator(config, am)).diagonal()
             edge = (m == dim - 1).astype(float) + (n == dim - 1)
             want = -kappa / 2 * (c * c * (m + n) + s * s * (m + n + 2 - dim * edge))
             want -= kappa * c * s * (m + 1) * (n == m + 1)
@@ -252,7 +302,8 @@ class TestFrame:
     def test_moments_match_the_lab_solve(self, kappa, a, b):
         config = CavityConfig(kappa, a * kappa / 2, b * kappa / 2)
         dim = default_truncation(config)
-        lab = DensityMatrix(dim, fock._solve_lu(liouvillian(config, dim), dim))
+        gen = fock.generator(config, ladder(dim))
+        lab = DensityMatrix(dim, fock._solve_lu(gen))
         rho = steady_state(config)
         for which in ("a", "a2", "adag_a"):
             assert abs(expect(rho, which) - expect(lab, which)) <= 1e-8
@@ -310,18 +361,18 @@ class TestSteadyState:
         # (steady_state solves in the frame: its state is the untruncated
         # one, 8.6e-10 from this truncated generator's)
         config = CavityConfig(1.0, 0.3, 0.1)
-        lind = liouvillian(config, 16)
-        null = sla.null_space(lind.toarray())
+        null = sla.null_space(lab_kron(config, 16))
         assert null.shape[1] == 1
         ref = null[:, 0].reshape(16, 16)
         ref = ref / np.trace(ref)
-        direct = fock._solve_lu(lind, 16)
+        gen = fock.generator(config, ladder(16))
+        direct = fock._solve_lu(gen)
 
         # a first LU solution that misses the residual bound goes through
         # one step of iterative refinement on the same factors
         solves = []
         monkeypatch.setattr(fock, "splu", recording_splu(solves, spoil=1e-6))
-        via_refinement = fock._solve_lu(lind, 16)
+        via_refinement = fock._solve_lu(gen)
         assert solves == [2, 1]
         for rho in (direct, via_refinement):
             np.testing.assert_allclose(rho, ref, rtol=0, atol=1e-12)
@@ -333,20 +384,11 @@ class TestSteadyState:
         # and the solve is refused instead of returning a wrong state
         dim = 16
         am = sp.csr_matrix(ladder(dim))
-        ad = am.T.tocsr()
-        k = 0.3 * (np.exp(0.5j) * ad - np.exp(-0.5j) * am)
-        nop = ad @ am
-        ident = sp.identity(dim, format="csr")
-        lind = (
-            sp.kron(k, ident)
-            - sp.kron(ident, k.T)
-            + sp.kron(am, am)
-            - 0.5 * sp.kron(nop, ident)
-            - 0.5 * sp.kron(ident, nop.T)
-        ).tocsr()
+        k = 0.3 * (np.exp(0.5j) * am.T - np.exp(-0.5j) * am)
+        gen = Generator(k.tocsr(), am, 1.0)
         # steady_state factorizes the frame generator, here on 16 levels
         assert fock.frame_truncation(REF_CONFIG) == dim
-        monkeypatch.setattr(fock, "frame_liouvillian", lambda config, n: lind)
+        monkeypatch.setattr(fock, "frame_generator", lambda config, n: gen)
         with pytest.raises(SolveError, match="residual bound"):
             steady_state(REF_CONFIG, trunc=dim)
 
@@ -374,21 +416,20 @@ class TestSteadyState:
         # singular reduced systems has crashed a process in some runs.
         dim = 16
         if generator == "zero":
-            lind = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
+            zero = sp.csr_matrix((dim, dim), dtype=complex)
+            gen = Generator(zero, zero, 0.0)
         elif generator == "hamiltonian_only":
-            h = sp.csr_matrix(hamiltonian(REF_CONFIG, dim))
-            ident = sp.identity(dim, format="csr", dtype=complex)
-            lind = (-1j * (sp.kron(h, ident) - sp.kron(ident, h.T))).tocsr()
+            gen = hamiltonian_only(REF_CONFIG, dim, complex)
         else:  # the same generator over the reals
             drive = (
                 CavityConfig(1.0, 0.1, 0.4)
                 if generator.endswith("rcond_above_floor")
                 else REF_CONFIG
             )
-            lind = hamiltonian_only_real(drive, dim)
+            gen = hamiltonian_only(drive, dim)
         # steady_state factorizes the frame generator, here on 16 levels
         assert fock.frame_truncation(REF_CONFIG) == dim
-        monkeypatch.setattr(fock, "frame_liouvillian", lambda config, n: lind)
+        monkeypatch.setattr(fock, "frame_generator", lambda config, n: gen)
         with pytest.raises(SolveError, match="not unique"):
             steady_state(REF_CONFIG, trunc=dim)
 
@@ -400,8 +441,8 @@ class TestSteadyState:
         assert np.array_equal(first.elements, second.elements)
         assert first.elements is not second.elements
         assert fock.frame_truncation(REF_CONFIG) == 16
-        lind = hamiltonian_only_real(REF_CONFIG, 16)
-        monkeypatch.setattr(fock, "frame_liouvillian", lambda config, n: lind)
+        gen = hamiltonian_only(REF_CONFIG, 16)
+        monkeypatch.setattr(fock, "frame_generator", lambda config, n: gen)
         with pytest.raises(SolveError, match="not unique"):
             steady_state(REF_CONFIG, trunc=16)
 
@@ -430,7 +471,7 @@ class TestSteadyState:
 
 class TestTruncationRule:
     """Every entry point reads trunc by one rule: None is the default
-    truncation, anything else must be an integer of at least 8."""
+    truncation, anything else must be an integer from 8 to TRUNC_CAP."""
 
     CALLS = {
         "steady_state": lambda trunc: steady_state(REF_CONFIG, trunc),
@@ -439,11 +480,23 @@ class TestTruncationRule:
         "run_verification": lambda trunc: run_verification(REF_CONFIG, trunc),
     }
 
-    @pytest.mark.parametrize("trunc", (np.nan, np.inf, 40.7, 7))
+    @pytest.mark.parametrize(
+        "trunc", (np.nan, np.inf, 40.7, 7, fock.TRUNC_CAP + 1, 100000)
+    )
     @pytest.mark.parametrize("entry", sorted(CALLS))
     def test_bad_truncation_is_a_domain_error(self, entry, trunc):
         with pytest.raises(DomainError, match="truncation"):
             self.CALLS[entry](trunc)
+
+    def test_doubled_truncations_reach_twice_the_cap(self):
+        # the doubling check solves at 2N and 2 n_f: steady_state_in_frame
+        # takes them up to 2 TRUNC_CAP (test_verification runs it there) and
+        # refuses more before solving
+        cap = 2 * fock.TRUNC_CAP
+        with pytest.raises(DomainError, match="truncation must be from 8 to 400"):
+            fock.steady_state_in_frame(REF_CONFIG, cap + 1, 32)
+        with pytest.raises(DomainError, match="frame truncation"):
+            fock.steady_state_in_frame(REF_CONFIG, 80, cap + 1)
 
     def test_numpy_integer_accepted(self):
         rho = steady_state(REF_CONFIG, np.int64(40))

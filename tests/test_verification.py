@@ -91,3 +91,10 @@ def test_doubling_row_names_what_it_doubled():
     res = verification.check_truncation_doubling(CavityConfig(1.0, 1.1, 0.445), None)
     assert res.passed
     assert res.note == "N 194/388, frame 29/58"
+
+
+def test_doubling_row_at_the_truncation_cap():
+    # an explicit trunc = TRUNC_CAP is accepted and doubled to 2 TRUNC_CAP
+    res = verification.check_truncation_doubling(CavityConfig(1.0, 0.3, 0.2), 200)
+    assert res.passed
+    assert res.note == "N 200/400, frame 16/32"
