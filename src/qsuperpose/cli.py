@@ -154,7 +154,8 @@ def _run_qgrid(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    # the Fock oracle (and scipy) loads only here: no other command uses it
+    # the Fock oracle loads only here: no other command uses it, and its
+    # import costs about 12 ms of a cold process
     from .verification import run_verification
 
     config = _config(args)

@@ -3,9 +3,9 @@
 Ground truth for every closed form in the package: the driven damped cavity
 is realized as a Lindblad master equation (vacuum-reservoir dissipator at
 rate kappa plus the combined drive Hamiltonian), its steady state is found by
-a direct sparse solve, and expectation values are taken with explicit
-truncated ladder operators.  Nothing here reuses the closed-form results it
-is meant to check.
+a direct LU solve, and expectation values are taken with explicit truncated
+ladder operators.  Nothing here reuses the closed-form results it is meant
+to check, and nothing here needs more than numpy.
 
 Conventions: Fock levels 0..N-1, annihilation matrix entries
 a[n-1, n] = sqrt(n).  The master equation is written once, as a
@@ -17,15 +17,17 @@ Solver strategy: the steady state is solved in the frame D(delta) S(r) of
 n_f = 16..29 frame levels hold it where the lab basis needs N = 40..194.
 There A = cosh r b - sinh r b^dag + delta; every drive is real, so L is real
 and commutes with transposition, L(rho^T) = (L rho)^T, and the unique steady
-state is real symmetric: one certified sparse LU solve on its n_f(n_f+1)/2
-unknowns rho_mn, m <= n, finds it (:func:`_solve_lu`).  Mapped to the lab
-basis, rho = U rho_f U^T with U[n, k] = <n|D S|k>, it must pass the lab tail
-check and an independent certificate: |(L_lab rho)_mn| <= 1e-9 max|rho| on
-the interior rows m, n <= N-3, exact rows of the untruncated master
-equation.  Any (delta, r) gives the same state once n_f is adequate, so the
-frame is no input to the answer; a wrong frame or too small an n_f misses
-that bound and raises SolveError.  An explicit lab truncation above
-TRUNC_CAP is a DomainError, raised before anything is allocated.
+state is real symmetric: one certified dense LU solve (LAPACK, partial
+pivoting) on its n_f(n_f+1)/2 unknowns rho_mn, m <= n, finds it
+(:func:`_solve_lu`).  Mapped to the lab basis, rho = U rho_f U^T with
+U[n, k] = <n|D S|k>, it must pass the lab tail check and an independent
+certificate: |(L_lab rho)_mn| <= 1e-9 max|rho| on the interior rows
+m, n <= N-3, exact rows of the untruncated master equation.  Any
+(delta, r) gives the same state once n_f is adequate, so the frame is no
+input to the answer; a wrong frame or too small an n_f misses that bound and
+raises SolveError.  An explicit lab truncation above TRUNC_CAP, or a frame
+whose dense system exceeds ARRAY_BYTES_CAP, is refused before anything is
+allocated.
 """
 
 import cmath
@@ -33,12 +35,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from numpy.linalg import LinAlgError, solve
 
 from .combined import MomentSet
 from .errors import DomainError, SolveError, StepError, TruncationError
 from .params import CavityConfig, as_count, scale
+from .qfunctions import ARRAY_BYTES_CAP
 
 #: cap on the lab truncation, automatic or explicit
 TRUNC_CAP = 200
@@ -54,10 +56,11 @@ FRAME_TAIL_TOL = 1e-12
 #: lab generator, for the lab-basis state mapped back from the frame
 INTERIOR_TOL = 1e-9
 #: smallest accepted reciprocal condition estimate of the trace-constrained
-#: generator on the symmetric subspace: 1.2e-4..0.048 for the frame systems the
-#: solver factorizes (n_f and 2 n_f = 16..58, kappa = 0.5..2, a <= 2.2,
-#: b <= 0.89), 1.2e-4..0.051 for lab systems (N = 16..200), up to 1.5e-10 for
-#: the singular kappa = 0 lab generator at N = 16
+#: generator on the symmetric subspace, with LAPACK's partial pivoting:
+#: 1.4e-4..0.043 for the frame systems the solver factorizes (n_f and 2 n_f =
+#: 16..58, kappa = 0.5..2, a <= 2.2, b <= 0.89), 2.9e-18..3.9e-17 for the
+#: singular kappa = 0 generators on 8..58 levels, where the zero matrix is
+#: exactly singular to LAPACK
 RCOND_FLOOR = 1e-10
 
 _EXPECT_KINDS = (
@@ -85,52 +88,95 @@ def _fold_index(dim: int) -> np.ndarray:
     return index
 
 
-def _folded_kron(x: sp.coo_matrix, y: sp.coo_matrix, index: np.ndarray):
+def _entries(x: np.ndarray):
+    """(row, col, value) of the nonzero entries of x."""
+    row, col = np.nonzero(x)
+    return row, col, x[row, col]
+
+
+def _folded_kron(x, y, index: np.ndarray):
     """Entries (row, col, value) of kron(x, y), the vectorized rho -> x rho y^T,
-    in rows (i,j), i <= j, column (k,l) folded onto index[k, l], unsummed."""
-    i, k, u = x.row[:, None], x.col[:, None], x.data[:, None]
-    keep = np.broadcast_to(i <= y.row, (x.nnz, y.nnz))
-    return index[i, y.row][keep], index[k, y.col][keep], (u * y.data)[keep]
+    for x and y given by their entries, in rows (i,j), i <= j, column (k,l)
+    folded onto index[k, l], unsummed."""
+    (i, k, u), (j, l, v) = x, y
+    i, k, u = i[:, None], k[:, None], u[:, None]
+    keep = np.broadcast_to(i <= j, (i.size, j.size))
+    return index[i, j][keep], index[k, l][keep], (u * v)[keep]
+
+
+def _product(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """x @ rho for x banded within two diagonals of the main one: one shifted
+    slice of rho per nonzero diagonal of x, O(N^2)."""
+    out = np.zeros(rho.shape, dtype=np.result_type(x, rho))
+    dim = len(x)
+    for d in range(-2, 3):  # x[i, i+d] multiplies row i+d of rho
+        diag = np.diagonal(x, d)
+        if not diag.any():
+            continue
+        if d >= 0:
+            out[: dim - d] += diag[:, None] * rho[d:]
+        else:
+            out[-d:] += diag[:, None] * rho[: dim + d]
+    return out
+
+
+def _within_band(x: np.ndarray, reach: int) -> bool:
+    """Whether every nonzero entry of x lies within reach of the diagonal."""
+    band = range(-reach, reach + 1)
+    return np.count_nonzero(x) == sum(np.count_nonzero(np.diagonal(x, d)) for d in band)
 
 
 @dataclass(frozen=True)
 class Generator:
     """L rho = K rho - rho K + kappa (A rho A^T - {A^T A, rho}/2) for the
-    sparse drive K (H = iK) and real jump matrix A."""
+    pentadiagonal drive K (H = iK) and the real tridiagonal jump matrix A,
+    both numpy arrays."""
 
-    drive: sp.csr_matrix
-    jump: sp.csr_matrix
+    drive: np.ndarray
+    jump: np.ndarray
     kappa: float
 
+    def __post_init__(self):
+        # every term of L, A^T A and K - kappa A^T A/2 included, then stays
+        # within the two diagonals of _product on either side of the main one
+        if not (_within_band(self.drive, 2) and _within_band(self.jump, 1)):
+            raise DomainError("the drive must be pentadiagonal, the jump tridiagonal")
+
+    def _half(self) -> np.ndarray:
+        """kappa A^T A / 2, the operator of the anticommutator term."""
+        return 0.5 * self.kappa * _product(self.jump.T, self.jump)
+
     def __call__(self, rho: np.ndarray) -> np.ndarray:
-        k, a = self.drive, self.jump
-        return k @ rho - rho @ k + self.kappa * (
-            a @ rho @ a.T - 0.5 * (a.T @ (a @ rho) + (rho @ a.T) @ a)
+        k, a, half = self.drive, self.jump, self._half()
+        # rho X = (X^T rho^T)^T
+        return (
+            _product(k - half, rho)
+            - _product((k + half).T, rho.T).T
+            + self.kappa * _product(a, _product(a, rho.T).T)
         )
 
-    def symmetric(self) -> sp.coo_matrix:
-        """L on the symmetric subspace as one COO matrix, rows (m,n), m <= n,
-        and columns folded by :func:`_fold_index`, from its terms (K - kappa
-        A^T A/2) rho, rho (-K - kappa A^T A/2) and kappa A rho A^T."""
-        a, index = self.jump, _fold_index(self.jump.shape[0])
-        half = 0.5 * self.kappa * (a.T @ a)
-        ident = sp.identity(len(index), format="coo")
+    def symmetric(self):
+        """L on the symmetric subspace as COO triples (rows, cols, vals),
+        unsummed: rows (m,n), m <= n, and columns folded by
+        :func:`_fold_index`, from its terms (K - kappa A^T A/2) rho,
+        rho (-K - kappa A^T A/2) and kappa A rho A^T."""
+        k, a, half = self.drive, self.jump, self._half()
+        index = _fold_index(len(a))
+        ident = _entries(np.identity(len(a)))
         terms = (
-            _folded_kron((self.drive - half).tocoo(), ident, index),
-            _folded_kron(ident, (-self.drive - half).T.tocoo(), index),
-            _folded_kron(self.kappa * a.tocoo(), a.tocoo(), index),
+            _folded_kron(_entries(k - half), ident, index),
+            _folded_kron(ident, _entries(-(k + half).T), index),
+            _folded_kron(_entries(self.kappa * a), _entries(a), index),
         )
-        rows, cols, vals = (np.concatenate(parts) for parts in zip(*terms))
-        size = index[-1, -1] + 1
-        return sp.coo_matrix((vals, (rows, cols)), shape=(size, size))
+        return tuple(np.concatenate(parts) for parts in zip(*terms))
 
 
 def generator(config: CavityConfig, jump) -> Generator:
     """The generator of config with the real matrix jump A in place of a:
     K = eps1 (A^T - A) + (eps2/2) (A^2 - A^T^2)."""
-    a = sp.csr_matrix(jump)
-    ad = a.T.tocsr()
-    drive = config.eps1 * (ad - a) + 0.5 * config.eps2 * (a @ a - ad @ ad)
+    a = np.asarray(jump, dtype=float)
+    square = _product(a, a)
+    drive = config.eps1 * (a.T - a) + 0.5 * config.eps2 * (square - square.T)
     return Generator(drive, a, config.kappa)
 
 
@@ -223,19 +269,27 @@ def frame_truncation(config: CavityConfig) -> int:
     There the steady state is thermal, nbar = (1/sqrt(1-b^2) - 1)/2, with
     populations falling by q = nbar/(1+nbar) per level; n_f is the first
     level with q^n_f <= FRAME_TAIL_TOL, and at least FRAME_MIN (16..29 for
-    b <= 0.89)."""
+    b <= 0.89), else :class:`TruncationError` above :func:`frame_cap`."""
     p = scale(config)
     root = math.sqrt((1.0 - p.b) * (1.0 + p.b))
     q = (1.0 - root) / (1.0 + root)
     if q == 0.0:
         return FRAME_MIN
     n = max(FRAME_MIN, math.ceil(math.log(FRAME_TAIL_TOL) / math.log(q)))
-    if n > TRUNC_CAP:
+    if n > frame_cap():
         raise TruncationError(
-            f"frame truncation {n} exceeds the cap {TRUNC_CAP} "
-            f"for b={p.b}; this regime is out of the oracle's reach"
+            f"frame truncation {n} exceeds the cap {frame_cap()} of the dense "
+            f"solve for b={p.b}; this regime is out of the oracle's reach"
         )
     return n
+
+
+def frame_cap() -> int:
+    """The largest frame truncation n whose dense system, with numpy's
+    working copy, fits ARRAY_BYTES_CAP: 16 s^2 bytes for s = n(n+1)/2
+    float64 unknowns, so n <= 90."""
+    unknowns = math.isqrt(ARRAY_BYTES_CAP // 16)
+    return (math.isqrt(8 * unknowns + 1) - 1) // 2
 
 
 def _check_tail(diag: np.ndarray) -> None:
@@ -284,52 +338,41 @@ def _finalize(rho: np.ndarray) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def _system(gen: Generator) -> sp.csc_matrix:
-    """:meth:`Generator.symmetric` with its (0,0) row replaced by the trace row."""
-    sym, dim = gen.symmetric(), gen.jump.shape[0]
-    keep = sym.row > 0
-    rows = np.concatenate([np.zeros(dim, dtype=int), sym.row[keep]])
-    cols = np.concatenate([np.diag(_fold_index(dim)), sym.col[keep]])
-    vals = np.concatenate([np.ones(dim), sym.data[keep]])
-    return sp.csc_matrix((vals, (rows, cols)), shape=sym.shape)
+def _system(gen: Generator) -> np.ndarray:
+    """:meth:`Generator.symmetric` as a dense array, with its (0,0) row
+    replaced by the trace row."""
+    rows, cols, vals = gen.symmetric()
+    index = _fold_index(len(gen.jump))
+    keep = rows > 0
+    system = np.zeros((index[-1, -1] + 1,) * 2, dtype=vals.dtype)
+    np.add.at(system, (rows[keep], cols[keep]), vals[keep])
+    system[0, np.diag(index)] = 1.0
+    return system
 
 
 def _solve_lu(gen: Generator) -> np.ndarray:
-    """Steady state of gen, in its dtype, by sparse LU on the symmetric subspace.
+    """Steady state of gen, in its dtype, by dense LU on the symmetric subspace.
 
-    SuperLU's symmetric mode pivots on the diagonal at any size, which suits
-    a diagonal with no zero.  For A = cosh r b - sinh r b^dag + delta (the
-    frame's; the lab's is r = delta = 0) the diagonal of :func:`_system` is 1
-    in the trace row and, in row (m,n), what the assembled terms put on
-    column (m,n): -kappa/2 [cosh^2 r (m+n) + sinh^2 r (m+n+2)] (K has no
-    diagonal; the delta^2 of A rho A^T cancels that of A^T A), an index at
-    the truncation edge N-1 losing its sinh^2 r N as the truncated A^T A
-    does, plus -kappa cosh r sinh r (m+1) from A[m,m+1] A[m+1,m] where the
-    fold of column (m+1,m) lands, n = m+1.  Off the trace row m+n >= 1 and
-    the bracket stays above cosh^2 r (m+n) > 0, so for kappa > 0 no entry is
-    zero, whatever the sign of r.
-    A fixed random probe r certifies uniqueness: max|r| / (max|A| max|y|)
-    estimates the reciprocal condition of the system A, and the probe's
-    solution y must meet |A y - r| <= 1e-8 max|r| (unique steady states give
-    <= 1e-12, kappa = 0 generators >= 239).  Then gen applied to the
-    solution x[index] must meet |L x| <= 1e-9 max|x|, at once or after one
-    step of iterative refinement."""
-    system, index = _system(gen), _fold_index(gen.jump.shape[0])
-    try:
-        lu = splu(
-            system,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:  # exactly singular
-        raise SolveError(f"steady state not unique: {exc}") from None
-    probe = np.random.default_rng(0).standard_normal(system.shape[0])
+    LAPACK factorizes the system of :func:`_system` with partial pivoting and
+    solves for the state and a fixed random probe r in one call; an exactly
+    singular factor is refused.  max|r| / (max|A| max|y|) estimates the
+    reciprocal condition of the system A, and the probe's solution y must
+    meet |A y - r| <= 1e-8 max|r| (unique steady states give <= 1e-12).
+    Then gen applied to the solution x[index] must meet |L x| <= 1e-9 max|x|,
+    at once or after one step of iterative refinement."""
+    system, index = _system(gen), _fold_index(len(gen.jump))
+    probe = np.random.default_rng(0).standard_normal(len(system))
     rhs = np.column_stack([np.zeros_like(probe), probe]).astype(system.dtype)
     rhs[0, 0] = 1.0
-    x, y = lu.solve(rhs).T
-    rcond = np.abs(probe).max() / (np.abs(system.data).max() * np.abs(y).max())
-    probe_residual = np.abs(system @ y - probe).max() / np.abs(probe).max()
+    try:
+        x, y = solve(system, rhs).T
+    except LinAlgError as exc:  # exactly singular
+        raise SolveError(f"steady state not unique: {exc}") from None
+    # the probe's solution overflows on a singular system that LAPACK still
+    # factorized; the certificate then refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        rcond = np.abs(probe).max() / (np.abs(system).max() * np.abs(y).max())
+        probe_residual = np.abs(system @ y - probe).max() / np.abs(probe).max()
     if not (rcond > RCOND_FLOOR and probe_residual <= 1e-8):
         raise SolveError(
             f"steady state not unique: reciprocal condition {rcond:.2e}, "
@@ -341,18 +384,34 @@ def _solve_lu(gen: Generator) -> np.ndarray:
         if np.all(np.isfinite(rho)) and residual <= 1e-9 * np.abs(rho).max():
             return _finalize(rho)
         if not refined:
-            x = x + lu.solve(rhs[:, 0] - system @ x)  # one refinement step
+            x = x + solve(system, rhs[:, 0] - system @ x)  # one refinement step
     raise SolveError(
         "LU solution misses the residual bound |L x| <= 1e-9 max|x| "
         "after one step of iterative refinement"
     )
 
 
-def _rk4_step(system: sp.csr_matrix, x: np.ndarray, h: float) -> np.ndarray:
-    k1 = system @ x
-    k2 = system @ (x + 0.5 * h * k1)
-    k3 = system @ (x + 0.5 * h * k2)
-    k4 = system @ (x + h * k3)
+def _matvec(rows, cols, vals, size: int):
+    """x -> S x for the size x size matrix S of the COO triples, duplicates
+    summed: one gather of x and one einsum over rows padded with zeros to a
+    common length."""
+    key, inverse = np.unique(rows * size + cols, return_inverse=True)
+    summed = np.zeros(key.size, dtype=vals.dtype)
+    np.add.at(summed, inverse, vals)
+    rows, cols = np.divmod(key, size)  # sorted by row
+    count = np.bincount(rows, minlength=size)
+    slot = np.arange(key.size) - np.repeat(np.cumsum(count) - count, count)
+    gather = np.zeros((size, count.max()), dtype=np.intp)
+    weight = np.zeros(gather.shape, dtype=vals.dtype)
+    gather[rows, slot], weight[rows, slot] = cols, summed
+    return lambda x: np.einsum("ij,ij->i", weight, x[gather])
+
+
+def _rk4_step(apply, x: np.ndarray, h: float) -> np.ndarray:
+    k1 = apply(x)
+    k2 = apply(x + 0.5 * h * k1)
+    k3 = apply(x + 0.5 * h * k2)
+    k4 = apply(x + h * k3)
     return x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -394,10 +453,11 @@ def steady_state_in_frame(
     frame_dim levels of the frame of :func:`frame` and mapped back as
     rho = U rho_f U^T with U = :func:`frame_basis`; it must pass the lab tail
     check, the interior residual bound INTERIOR_TOL of the lab generator and
-    the :class:`DensityMatrix` checks.  Both truncations are counts from 8 to
-    2 TRUNC_CAP, room for the doubling check, else :class:`DomainError`."""
+    the :class:`DensityMatrix` checks.  dim is a count from 8 to 2 TRUNC_CAP,
+    room for the doubling check, and frame_dim a count from 8 to the
+    :func:`frame_cap` of the dense solve, else :class:`DomainError`."""
     dim = _count("truncation", dim, 2 * TRUNC_CAP)
-    frame_dim = _count("frame truncation", frame_dim, 2 * TRUNC_CAP)
+    frame_dim = _count("frame truncation", frame_dim, frame_cap())
     return _frame_solve(config, dim, frame_dim)
 
 
@@ -434,14 +494,15 @@ def propagate(
         raise StepError(f"time must be non-negative, got {t}")
     dim = _lab_truncation(config, trunc)
     dt = 0.2 / (config.kappa * dim)
-    system = generator(config, ladder(dim)).symmetric().tocsr()
-    x = np.zeros(system.shape[0], dtype=system.dtype)
+    size = dim * (dim + 1) // 2
+    apply = _matvec(*generator(config, ladder(dim)).symmetric(), size)
+    x = np.zeros(size)
     x[0] = 1.0
     n_full, rem = divmod(t, dt)
     for _ in range(int(n_full)):
-        x = _rk4_step(system, x, dt)
+        x = _rk4_step(apply, x, dt)
     if rem > 1e-15 * max(t, 1.0):
-        x = _rk4_step(system, x, rem)
+        x = _rk4_step(apply, x, rem)
     if not np.all(np.isfinite(x)):
         raise StepError(f"master-equation integration diverged (dt={dt})")
     return DensityMatrix(dim=dim, elements=_finalize(x[_fold_index(dim)]))

@@ -35,7 +35,8 @@ from .params import (
 BOUNDARY_RATIO = 1e-12
 #: bytes allowed for the largest complex array a grid evaluation builds: the
 #: n x n grid of q_grid, the n^3 intermediate of the superposition kernel;
-#: peak use is about three times it
+#: peak use is about three times it.  It also bounds the Fock oracle's dense
+#: frame system with its working copy (fock.frame_cap)
 ARRAY_BYTES_CAP = 2**28
 
 CHAR_KINDS = ("coherent", "squeezed")

@@ -17,6 +17,7 @@ from .combined import (
     quad_variance_single,
     steady_moments_combined,
 )
+from .errors import TruncationError
 from .params import CavityConfig, ScaledParams, gaussian_form, scale
 from .qfunctions import Q_KINDS, QuadratureSpec, q_from_char_fn, superpose_q_numeric
 from .superposed import (
@@ -213,6 +214,12 @@ def check_truncation_doubling(config: CavityConfig, trunc, tol=1e-8) -> CheckRes
     a state with itself."""
     lo = fock.steady_state(config, trunc)
     dim, frame_dim = lo.dim, fock.frame_truncation(config)
+    if 2 * frame_dim > fock.frame_cap():
+        raise TruncationError(
+            f"the doubling check needs {2 * frame_dim} frame levels, beyond the "
+            f"cap {fock.frame_cap()} of the dense solve; this regime is out of "
+            "the oracle's reach"
+        )
     hi = fock.steady_state_in_frame(config, 2 * dim, 2 * frame_dim)
     dev = max(
         abs(fock.expect(lo, "a") - fock.expect(hi, "a")),

@@ -251,6 +251,20 @@ class TestVerify:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "TruncationError"
 
+    def test_frame_beyond_the_dense_solve_exit_code(self, capsys, monkeypatch):
+        # b = 0.99 at an explicit lab cutoff asks for n_f = 98 frame levels,
+        # beyond the 90 whose dense system fits ARRAY_BYTES_CAP: refused
+        # before any frame system is built, with the oracle's exit code
+        def refuse(config, dim):
+            pytest.fail("the frame system was built")
+
+        monkeypatch.setattr(qsuperpose.fock, "frame_generator", refuse)
+        args = ["--trunc", "200", "--kappa", "1", "--eps1", "0.1", "--eps2", "0.495"]
+        assert main(["verify", *args]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "TruncationError"
+        assert "exceeds the cap 90" in err["message"]
+
     def test_csv_artifact(self, tmp_path, capsys):
         out = tmp_path / "verify.csv"
         assert main(["verify", "--format", "csv", "--out", str(out)]) == 0
@@ -278,20 +292,57 @@ print(json.dumps({"codes": codes, "before_verify": before_verify,
 """
 
 
+#: the Fock oracle's library calls and every CLI command with scipy made
+#: unimportable, verify at each smoke configuration of the CI workflow
+NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now fails
+import qsuperpose, qsuperpose.cli
+
+config = qsuperpose.CavityConfig(1.0, 0.3, 0.2)
+qsuperpose.steady_state(config)
+qsuperpose.propagate(config, 1.0)
+qsuperpose.superposition_oracle(config)
+runs = [["report"], ["qgrid", "--grid-n", "16"]] + [["verify", *args] for args in %r]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [qsuperpose.cli.main(run) for run in runs]
+print(json.dumps(codes))
+"""
+
+#: the drives of the CI workflow's verify smoke steps
+VERIFY_SMOKE = (
+    ["--kappa", "1", "--eps1", "0.3", "--eps2", "0.2"],
+    ["--kappa", "1", "--eps1", "0.1", "--eps2", "0.4"],
+    ["--kappa", "1", "--eps1", "0.1", "--eps2", "0.405"],
+    ["--kappa", "1", "--eps1", "0.1", "--eps2", "0.44"],
+    ["--kappa", "1", "--eps1", "1.1", "--eps2", "0.445"],
+    ["--trunc", "64"],
+)
+
+
+def run_fresh(script: str) -> subprocess.CompletedProcess:
+    src = str(Path(qsuperpose.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 class TestColdPath:
-    def test_only_verify_loads_scipy(self):
-        src = str(Path(qsuperpose.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", COLD_PATH_SCRIPT],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+    def test_no_command_loads_scipy(self):
+        proc = run_fresh(COLD_PATH_SCRIPT)
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
         assert result["codes"] == [0, 0, 0]
         assert result["before_verify"] is False  # report and qgrid: no scipy
-        assert result["after_verify"] is True
+        assert result["after_verify"] is False  # nor verify's Fock oracle
+
+    def test_everything_runs_without_scipy(self):
+        proc = run_fresh(NO_SCIPY_SCRIPT % (VERIFY_SMOKE,))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0] * (2 + len(VERIFY_SMOKE))
 
     def test_lazy_oracle_names(self):
         assert qsuperpose.steady_state is qsuperpose.fock.steady_state

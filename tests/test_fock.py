@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
@@ -27,6 +27,7 @@ from qsuperpose import (
 )
 from qsuperpose import fock
 from qsuperpose.fock import Generator, frame_truncation, ladder
+from qsuperpose.qfunctions import ARRAY_BYTES_CAP
 from qsuperpose.verification import run_verification
 from conftest import GRID_AB
 
@@ -40,27 +41,41 @@ HUSIMI_POINTS = [
 ]
 
 
-def recording_splu(solves, spoil=0.0):
-    """A stand-in for ``splu`` whose factors append the number of dimensions
-    of each right-hand side they solve to ``solves``: 2 for the steady state
-    solved beside the uniqueness probe, 1 for a refinement step.  With
-    ``spoil``, that steady state comes back off by noise of that size."""
+def recording_solve(solves, spoil=0.0):
+    """A stand-in for the dense solve ``fock.solve`` that appends the number
+    of dimensions of each right-hand side it solves to ``solves``: 2 for the
+    steady state solved beside the uniqueness probe, 1 for a refinement
+    step.  With ``spoil``, that steady state comes back off by noise of that
+    size."""
 
-    def factorize(system, **options):
-        lu = splu(system, **options)
-        noise = spoil * np.random.default_rng(1).standard_normal(system.shape[0])
+    def solve(system, rhs):
+        solves.append(rhs.ndim)
+        out = np.linalg.solve(system, rhs)
+        if rhs.ndim == 2:
+            out[:, 0] += spoil * np.random.default_rng(1).standard_normal(len(system))
+        return out
 
-        class Recording:
-            def solve(self, rhs):
-                solves.append(rhs.ndim)
-                out = lu.solve(rhs)
-                if rhs.ndim == 2:
-                    out[:, 0] += noise
-                return out
+    return solve
 
-        return Recording()
 
-    return factorize
+def sparse_steady_state(gen):
+    """The steady state of gen by scipy's sparse LU of its symmetric-subspace
+    triples, the (0,0) row replaced by the trace row: a reference for lab
+    systems far beyond the dense solve (18915 unknowns at N = 194)."""
+    dim = len(gen.jump)
+    index = fock._fold_index(dim)
+    rows, cols, vals = gen.symmetric()
+    keep = rows > 0
+    rows = np.concatenate([np.zeros(dim, dtype=int), rows[keep]])
+    cols = np.concatenate([np.diag(index), cols[keep]])
+    vals = np.concatenate([np.ones(dim), vals[keep]])
+    size = index[-1, -1] + 1
+    rhs = np.zeros(size)
+    rhs[0] = 1.0
+    x = splu(sp.csc_matrix((vals, (rows, cols)), shape=(size, size))).solve(rhs)
+    rho = x[index]
+    assert np.abs(gen(rho)).max() <= 1e-9 * np.abs(rho).max()
+    return rho / np.trace(rho)
 
 
 def hamiltonian(config, am):
@@ -89,7 +104,7 @@ def hamiltonian_only(drive, dim, dtype=float):
     the reals or the complex numbers: every function of H is stationary."""
     k = -1j * hamiltonian(drive, ladder(dim))
     k = k.real if dtype is float else k
-    return Generator(sp.csr_matrix(k), sp.csr_matrix((dim, dim)), 0.0)
+    return Generator(k, np.zeros((dim, dim)), 0.0)
 
 
 class TestOperators:
@@ -115,8 +130,8 @@ class TestOperators:
         assert gen.drive.dtype == gen.jump.dtype == np.float64
         assert gen.kappa == config.kappa
         want = -1j * hamiltonian(config, ladder(dim))
-        assert np.abs(gen.drive.toarray() - want).max() == 0.0
-        assert np.array_equal(gen.jump.toarray(), ladder(dim))
+        assert np.abs(gen.drive - want).max() == 0.0
+        assert np.array_equal(gen.jump, ladder(dim))
 
 
 class TestSymmetricSubspace:
@@ -145,26 +160,30 @@ class TestSymmetricSubspace:
         ref = ref / np.trace(ref)
         assert np.abs(fock._solve_lu(gen) - ref).max() <= 1e-12
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         kappa=st.floats(0.5, 2.0),
-        a=st.floats(0.0, 2.2),
+        a=st.floats(0.05, 2.2),
         b=st.floats(0.0, 0.89),
-        dim=st.integers(8, 16),
-        sign=st.sampled_from((1, -1)),
+        dim=st.integers(8, 24),
+        jump=st.sampled_from(("lab", "frame", "flipped_frame")),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_generator_matches_the_dense_kron_generator(
-        self, kappa, a, b, dim, sign, seed
+        self, kappa, a, b, dim, jump, seed
     ):
-        # the frame's jump A = cosh r b - sinh r b^dag + delta, either sign of r
+        # the lab ladder, and the frame's jump A = cosh r b - sinh r b^dag +
+        # delta with delta != 0 and either sign of r
         config = CavityConfig(kappa, a * kappa / 2, b * kappa / 2)
-        delta, r = fock.frame(config)
-        am = np.cosh(sign * r) * ladder(dim) - np.sinh(sign * r) * ladder(dim).T
-        am += delta * np.eye(dim)
+        am = ladder(dim)
+        if jump != "lab":
+            delta, r = fock.frame(config)
+            r = -r if jump == "flipped_frame" else r
+            am = np.cosh(r) * am - np.sinh(r) * am.T + delta * np.eye(dim)
         gen = fock.generator(config, am)
         lind = kron_generator(hamiltonian(config, am), am, kappa)
-        # the matrix action on a complex, non-symmetric rho
+        # the matrix action, shifted slices along every diagonal of K, A^T A
+        # and A, on a complex, non-symmetric rho
         rng = np.random.default_rng(seed)
         rho = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         want = (lind @ rho.ravel()).reshape(dim, dim)
@@ -176,8 +195,19 @@ class TestSymmetricSubspace:
         expand[m * dim + n, np.arange(m.size)] = 1.0
         expand[n * dim + m, np.arange(m.size)] = 1.0
         want = lind[m * dim + n] @ expand
-        got = gen.symmetric().toarray()
+        rows, cols, vals = gen.symmetric()
+        got = sp.coo_matrix((vals, (rows, cols)), shape=want.shape).toarray()
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_generator_refuses_operators_beyond_its_band(self):
+        # the products act on two diagonals either side of the main one, so
+        # a wider drive or a jump wider than tridiagonal is refused
+        am = ladder(8)
+        Generator(am @ am, am, 1.0)
+        with pytest.raises(DomainError, match="pentadiagonal"):
+            Generator(am @ am @ am, am, 1.0)
+        with pytest.raises(DomainError, match="tridiagonal"):
+            Generator(am, am @ am, 1.0)
 
     def test_propagate_matches_full_vector_rk4(self):
         config, dim, t = REF_CONFIG, 16, 1.3
@@ -302,8 +332,7 @@ class TestFrame:
     def test_moments_match_the_lab_solve(self, kappa, a, b):
         config = CavityConfig(kappa, a * kappa / 2, b * kappa / 2)
         dim = default_truncation(config)
-        gen = fock.generator(config, ladder(dim))
-        lab = DensityMatrix(dim, fock._solve_lu(gen))
+        lab = DensityMatrix(dim, sparse_steady_state(fock.generator(config, ladder(dim))))
         rho = steady_state(config)
         for which in ("a", "a2", "adag_a"):
             assert abs(expect(rho, which) - expect(lab, which)) <= 1e-8
@@ -369,9 +398,9 @@ class TestSteadyState:
         direct = fock._solve_lu(gen)
 
         # a first LU solution that misses the residual bound goes through
-        # one step of iterative refinement on the same factors
+        # one step of iterative refinement on the same system
         solves = []
-        monkeypatch.setattr(fock, "splu", recording_splu(solves, spoil=1e-6))
+        monkeypatch.setattr(fock, "solve", recording_solve(solves, spoil=1e-6))
         via_refinement = fock._solve_lu(gen)
         assert solves == [2, 1]
         for rho in (direct, via_refinement):
@@ -383,9 +412,9 @@ class TestSteadyState:
         # residual bound, refinement on the reduced system cannot mend it,
         # and the solve is refused instead of returning a wrong state
         dim = 16
-        am = sp.csr_matrix(ladder(dim))
+        am = ladder(dim)
         k = 0.3 * (np.exp(0.5j) * am.T - np.exp(-0.5j) * am)
-        gen = Generator(k.tocsr(), am, 1.0)
+        gen = Generator(k, am, 1.0)
         # steady_state factorizes the frame generator, here on 16 levels
         assert fock.frame_truncation(REF_CONFIG) == dim
         monkeypatch.setattr(fock, "frame_generator", lambda config, n: gen)
@@ -407,16 +436,17 @@ class TestSteadyState:
     )
     def test_non_unique_steady_state_raises(self, generator, monkeypatch):
         # kappa = 0 leaves every function of H stationary; the zero matrix
-        # makes every state stationary.  The factors must refuse each one
+        # makes every state stationary.  The solve must refuse each one
         # rather than return one of many steady states.  At (0.1, 0.4) the
-        # reduced system's reciprocal condition estimate (1.5e-10) clears
-        # RCOND_FLOOR although the generator is singular (smallest singular
-        # value 4e-18), so only the probe residual refuses it.  Kept to a few
-        # cases at dim 16: SuperLU's diagonal-pivot factorization of exactly
-        # singular reduced systems has crashed a process in some runs.
+        # generator is singular (smallest singular value 4e-18); with
+        # LAPACK's partial pivoting the reduced system's reciprocal condition
+        # estimate reads 1.0e-17, far below RCOND_FLOOR, and its probe
+        # residual 6.7, so both refuse it.  The zero matrix is exactly
+        # singular to LAPACK.  test_non_unique_at_every_frame_size widens
+        # these cases.
         dim = 16
         if generator == "zero":
-            zero = sp.csr_matrix((dim, dim), dtype=complex)
+            zero = np.zeros((dim, dim), dtype=complex)
             gen = Generator(zero, zero, 0.0)
         elif generator == "hamiltonian_only":
             gen = hamiltonian_only(REF_CONFIG, dim, complex)
@@ -432,6 +462,30 @@ class TestSteadyState:
         monkeypatch.setattr(fock, "frame_generator", lambda config, n: gen)
         with pytest.raises(SolveError, match="not unique"):
             steady_state(REF_CONFIG, trunc=dim)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(("zero", "complex", "real")),
+        eps1=st.floats(0.0, 1.5),
+        eps2=st.floats(0.0, 1.0),
+        dim=st.integers(8, 58),
+    )
+    # drives of 1e-300 overflow the probe's solution (inf and nan in A y)
+    @example(kind="real", eps1=1e-300, eps2=1e-300, dim=28)
+    @example(kind="complex", eps1=1.5, eps2=1e-300, dim=50)
+    def test_non_unique_at_every_frame_size(self, kind, eps1, eps2, dim):
+        # every frame size the solver meets, n_f and the doubling check's
+        # 2 n_f: on these kappa = 0 generators the rcond estimate reads
+        # 2.9e-18..3.9e-17 and the probe residual 6..60, or the zero matrix
+        # is exactly singular; no case relies on the probe residual alone
+        if kind == "zero":
+            zero = np.zeros((dim, dim), dtype=complex)
+            gen = Generator(zero, zero, 0.0)
+        else:
+            drive = CavityConfig(2.5, eps1, eps2)  # kappa plays no part
+            gen = hamiltonian_only(drive, dim, complex if kind == "complex" else float)
+        with pytest.raises(SolveError, match="not unique"):
+            fock._solve_lu(gen)
 
     def test_every_call_solves(self, monkeypatch):
         # the oracle keeps no state: two calls give equal, separate states,
@@ -455,7 +509,7 @@ class TestSteadyState:
         # solution itself must meet the residual bound, with no refinement
         # step behind it
         solves = []
-        monkeypatch.setattr(fock, "splu", recording_splu(solves))
+        monkeypatch.setattr(fock, "solve", recording_solve(solves))
         rho = steady_state(CavityConfig(1.0, a / 2, b / 2))
         assert solves == [2]
         closed = steady_moments_combined(ScaledParams(a, b))
@@ -496,6 +550,30 @@ class TestTruncationRule:
         with pytest.raises(DomainError, match="truncation must be from 8 to 400"):
             fock.steady_state_in_frame(REF_CONFIG, cap + 1, 32)
         with pytest.raises(DomainError, match="frame truncation"):
+            fock.steady_state_in_frame(REF_CONFIG, 80, cap + 1)
+
+    def test_dense_frame_system_is_bounded_before_it_is_built(self, monkeypatch):
+        # the frame system is dense: s = n(n+1)/2 unknowns take 16 s^2 bytes
+        # with numpy's working copy, so ARRAY_BYTES_CAP bounds n_f by 90,
+        # above the 58 of today's doubling check
+        cap = fock.frame_cap()
+        assert cap == 90
+        assert 16 * (cap * (cap + 1) // 2) ** 2 <= ARRAY_BYTES_CAP
+        assert 16 * ((cap + 1) * (cap + 2) // 2) ** 2 > ARRAY_BYTES_CAP
+        assert 2 * frame_truncation(CavityConfig(1.0, 1.1, 0.445)) == 58
+
+        def refuse(config, dim):
+            pytest.fail("the frame system was built")
+
+        monkeypatch.setattr(fock, "frame_generator", refuse)
+        # b = 0.99 asks for n_f = 98: refused, as the oracle's reach
+        edge = CavityConfig(1.0, 0.1, 0.495)
+        with pytest.raises(TruncationError, match="exceeds the cap 90"):
+            frame_truncation(edge)
+        with pytest.raises(TruncationError, match="exceeds the cap 90"):
+            steady_state(edge, trunc=fock.TRUNC_CAP)
+        # an explicit frame size above the cap is a bad argument
+        with pytest.raises(DomainError, match="frame truncation must be from 8 to 90"):
             fock.steady_state_in_frame(REF_CONFIG, 80, cap + 1)
 
     def test_numpy_integer_accepted(self):

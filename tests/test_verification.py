@@ -9,8 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsuperpose import CavityConfig, ScaledParams, gaussian_form, moments_via_qfunction
-from qsuperpose import superposed, verification
+from qsuperpose import (
+    CavityConfig,
+    ScaledParams,
+    TruncationError,
+    gaussian_form,
+    moments_via_qfunction,
+)
+from qsuperpose import fock, superposed, verification
 from qsuperpose.params import Q_KINDS
 from qsuperpose.verification import (
     _norm_quadrature,
@@ -98,3 +104,13 @@ def test_doubling_row_at_the_truncation_cap():
     res = verification.check_truncation_doubling(CavityConfig(1.0, 0.3, 0.2), 200)
     assert res.passed
     assert res.note == "N 200/400, frame 16/32"
+
+
+def test_doubling_beyond_the_dense_solve_is_out_of_reach():
+    # b = 0.9548 at an explicit lab cutoff of 200: the state passes its lab
+    # tail check on n_f = 46 frame levels, but 92 doubled exceed the 90 of
+    # the dense solve, which is the oracle's reach, not a bad argument
+    config = CavityConfig(1.0, 0.1, 0.4774)
+    assert fock.frame_truncation(config) == 46
+    with pytest.raises(TruncationError, match="needs 92 frame levels"):
+        verification.check_truncation_doubling(config, 200)
