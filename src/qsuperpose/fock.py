@@ -11,6 +11,9 @@ Conventions: Fock levels 0..N-1, annihilation matrix entries
 a[n-1, n] = sqrt(n).  The master equation is written once, as a
 :class:`Generator` of the drive K (H = iK), a jump matrix A in place of a,
 and kappa: L rho = K rho - rho K + kappa (A rho A^T - {A^T A, rho}/2).
+Its matrix action, four dense products, certifies every solution and steps
+:func:`propagate`; the LU factorizes its separate COO assembly on the
+symmetric subspace.
 
 Solver strategy: the steady state is solved in the frame D(delta) S(r) of
 :func:`frame`, where it is thermal with nbar depending on b only, so
@@ -32,7 +35,7 @@ allocated.
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import LinAlgError, solve
@@ -104,68 +107,39 @@ def _folded_kron(x, y, index: np.ndarray):
     return index[i, j][keep], index[k, l][keep], (u * v)[keep]
 
 
-def _product(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """x @ rho for x banded within two diagonals of the main one: one shifted
-    slice of rho per nonzero diagonal of x, O(N^2)."""
-    out = np.zeros(rho.shape, dtype=np.result_type(x, rho))
-    dim = len(x)
-    for d in range(-2, 3):  # x[i, i+d] multiplies row i+d of rho
-        diag = np.diagonal(x, d)
-        if not diag.any():
-            continue
-        if d >= 0:
-            out[: dim - d] += diag[:, None] * rho[d:]
-        else:
-            out[-d:] += diag[:, None] * rho[: dim + d]
-    return out
-
-
-def _within_band(x: np.ndarray, reach: int) -> bool:
-    """Whether every nonzero entry of x lies within reach of the diagonal."""
-    band = range(-reach, reach + 1)
-    return np.count_nonzero(x) == sum(np.count_nonzero(np.diagonal(x, d)) for d in band)
-
-
 @dataclass(frozen=True)
 class Generator:
-    """L rho = K rho - rho K + kappa (A rho A^T - {A^T A, rho}/2) for the
-    pentadiagonal drive K (H = iK) and the real tridiagonal jump matrix A,
-    both numpy arrays."""
+    """L rho = (K - kappa A^T A/2) rho - rho (K + kappa A^T A/2)
+    + kappa A rho A^T for the drive K (H = iK) and the real jump matrix A,
+    both square numpy arrays.  The two side operators, left = K - kappa
+    A^T A/2 and right = K + kappa A^T A/2, are formed once, at construction."""
 
     drive: np.ndarray
     jump: np.ndarray
     kappa: float
+    left: np.ndarray = field(init=False, repr=False)
+    right: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        # every term of L, A^T A and K - kappa A^T A/2 included, then stays
-        # within the two diagonals of _product on either side of the main one
-        if not (_within_band(self.drive, 2) and _within_band(self.jump, 1)):
-            raise DomainError("the drive must be pentadiagonal, the jump tridiagonal")
-
-    def _half(self) -> np.ndarray:
-        """kappa A^T A / 2, the operator of the anticommutator term."""
-        return 0.5 * self.kappa * _product(self.jump.T, self.jump)
+        half = 0.5 * self.kappa * (self.jump.T @ self.jump)
+        object.__setattr__(self, "left", self.drive - half)
+        object.__setattr__(self, "right", self.drive + half)
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
-        k, a, half = self.drive, self.jump, self._half()
-        # rho X = (X^T rho^T)^T
-        return (
-            _product(k - half, rho)
-            - _product((k + half).T, rho.T).T
-            + self.kappa * _product(a, _product(a, rho.T).T)
-        )
+        a = self.jump
+        return self.left @ rho - rho @ self.right + self.kappa * (a @ rho @ a.T)
 
     def symmetric(self):
         """L on the symmetric subspace as COO triples (rows, cols, vals),
         unsummed: rows (m,n), m <= n, and columns folded by
-        :func:`_fold_index`, from its terms (K - kappa A^T A/2) rho,
-        rho (-K - kappa A^T A/2) and kappa A rho A^T."""
-        k, a, half = self.drive, self.jump, self._half()
+        :func:`_fold_index`, from its terms left rho, -rho right and
+        kappa A rho A^T."""
+        a = self.jump
         index = _fold_index(len(a))
         ident = _entries(np.identity(len(a)))
         terms = (
-            _folded_kron(_entries(k - half), ident, index),
-            _folded_kron(ident, _entries(-(k + half).T), index),
+            _folded_kron(_entries(self.left), ident, index),
+            _folded_kron(ident, _entries(-self.right.T), index),
             _folded_kron(_entries(self.kappa * a), _entries(a), index),
         )
         return tuple(np.concatenate(parts) for parts in zip(*terms))
@@ -175,7 +149,7 @@ def generator(config: CavityConfig, jump) -> Generator:
     """The generator of config with the real matrix jump A in place of a:
     K = eps1 (A^T - A) + (eps2/2) (A^2 - A^T^2)."""
     a = np.asarray(jump, dtype=float)
-    square = _product(a, a)
+    square = a @ a
     drive = config.eps1 * (a.T - a) + 0.5 * config.eps2 * (square - square.T)
     return Generator(drive, a, config.kappa)
 
@@ -308,7 +282,8 @@ def _check_tail(diag: np.ndarray) -> None:
 class DensityMatrix:
     """Validated density operator on the truncated Fock space.
 
-    Construction enforces hermiticity (1e-12), unit trace (1e-10), positive
+    Construction reads dim as an integer (else :class:`DomainError`) and
+    enforces hermiticity (1e-12), unit trace (1e-10), positive
     semidefiniteness (eigenvalues above -1e-10), and truncation adequacy
     (population of the top 10% of levels below 1e-8, else
     :class:`TruncationError`).  The stored array is a read-only copy.
@@ -318,6 +293,7 @@ class DensityMatrix:
     elements: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", as_count("dim", self.dim))
         arr = np.array(self.elements, dtype=complex)
         if arr.shape != (self.dim, self.dim):
             raise DomainError(f"elements must be {self.dim}x{self.dim}")
@@ -391,28 +367,12 @@ def _solve_lu(gen: Generator) -> np.ndarray:
     )
 
 
-def _matvec(rows, cols, vals, size: int):
-    """x -> S x for the size x size matrix S of the COO triples, duplicates
-    summed: one gather of x and one einsum over rows padded with zeros to a
-    common length."""
-    key, inverse = np.unique(rows * size + cols, return_inverse=True)
-    summed = np.zeros(key.size, dtype=vals.dtype)
-    np.add.at(summed, inverse, vals)
-    rows, cols = np.divmod(key, size)  # sorted by row
-    count = np.bincount(rows, minlength=size)
-    slot = np.arange(key.size) - np.repeat(np.cumsum(count) - count, count)
-    gather = np.zeros((size, count.max()), dtype=np.intp)
-    weight = np.zeros(gather.shape, dtype=vals.dtype)
-    gather[rows, slot], weight[rows, slot] = cols, summed
-    return lambda x: np.einsum("ij,ij->i", weight, x[gather])
-
-
-def _rk4_step(apply, x: np.ndarray, h: float) -> np.ndarray:
-    k1 = apply(x)
-    k2 = apply(x + 0.5 * h * k1)
-    k3 = apply(x + 0.5 * h * k2)
-    k4 = apply(x + h * k3)
-    return x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+def _rk4_step(gen: Generator, rho: np.ndarray, h: float) -> np.ndarray:
+    k1 = gen(rho)
+    k2 = gen(rho + 0.5 * h * k1)
+    k3 = gen(rho + 0.5 * h * k2)
+    k4 = gen(rho + h * k3)
+    return rho + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def _count(name: str, value, cap: int) -> int:
@@ -486,26 +446,25 @@ def propagate(
     Fixed-step RK4 with step dt = 0.2/(kappa*N), well inside the stability
     region of the fastest decaying coherence and small enough that the
     integration error cannot push the state's zero eigenvalues below the
-    positivity tolerance.  The vacuum start is symmetric and the generator
-    keeps it so: RK4 runs on the symmetric subspace.  t is in the same time
-    units as 1/kappa.
+    positivity tolerance.  Each step applies the lab :class:`Generator` to
+    the dense rho, the action that certifies the steady state.  t is in the
+    same time units as 1/kappa.
     """
     if not np.isfinite(t) or t < 0:
         raise StepError(f"time must be non-negative, got {t}")
     dim = _lab_truncation(config, trunc)
     dt = 0.2 / (config.kappa * dim)
-    size = dim * (dim + 1) // 2
-    apply = _matvec(*generator(config, ladder(dim)).symmetric(), size)
-    x = np.zeros(size)
-    x[0] = 1.0
+    gen = generator(config, ladder(dim))
+    rho = np.zeros((dim, dim))
+    rho[0, 0] = 1.0
     n_full, rem = divmod(t, dt)
     for _ in range(int(n_full)):
-        x = _rk4_step(apply, x, dt)
+        rho = _rk4_step(gen, rho, dt)
     if rem > 1e-15 * max(t, 1.0):
-        x = _rk4_step(apply, x, rem)
-    if not np.all(np.isfinite(x)):
+        rho = _rk4_step(gen, rho, rem)
+    if not np.all(np.isfinite(rho)):
         raise StepError(f"master-equation integration diverged (dt={dt})")
-    return DensityMatrix(dim=dim, elements=_finalize(x[_fold_index(dim)]))
+    return DensityMatrix(dim=dim, elements=_finalize(rho))
 
 
 def coherent_vector(alpha: complex, dim: int) -> np.ndarray:

@@ -6,6 +6,7 @@ integration) and reports its worst deviation.  Everything is deterministic:
 fixed grids, fixed summation orders, no sampling.
 """
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from .combined import (
     quad_variance_single,
     steady_moments_combined,
 )
-from .errors import TruncationError
+from .errors import DomainError, TruncationError
 from .params import CavityConfig, ScaledParams, gaussian_form, scale
 from .qfunctions import Q_KINDS, QuadratureSpec, q_from_char_fn, superpose_q_numeric
 from .superposed import (
@@ -235,7 +236,10 @@ def run_verification(
     trunc: int | None = None,
     tol: float = 1e-6,
 ) -> list[CheckResult]:
-    """Run every check against the given configuration; deterministic."""
+    """Run every check against the given configuration; deterministic.
+    tol must be finite and positive, else :class:`DomainError`."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     p = scale(config)
     return [
         check_combined_vs_lindblad(config, trunc, tol),

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import qsuperpose
-from qsuperpose import CavityConfig, qfunctions
+from qsuperpose import CavityConfig, DomainError, qfunctions
 from qsuperpose.cli import main, report_payload
+from qsuperpose.verification import run_verification
 
 REPORT_KEYS = [
     "kappa",
@@ -234,6 +235,16 @@ class TestVerify:
     @pytest.mark.parametrize("trunc", ("abc", "8.5", "100000"))
     def test_non_integer_truncation_rejected(self, trunc, capsys):
         assert main(["verify", "--trunc", trunc]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("tol", ("nan", "-1", "0", "inf"))
+    def test_bad_tolerance_rejected(self, tol, capsys):
+        # bad input, not an oracle failure: exit 2 before any check runs
+        with pytest.raises(DomainError, match="tol must be finite and positive"):
+            run_verification(CavityConfig(1.0, 0.3, 0.2), tol=float(tol))
+        assert main(["verify", "--tol", tol]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "DomainError"

@@ -166,25 +166,29 @@ class TestSymmetricSubspace:
         a=st.floats(0.05, 2.2),
         b=st.floats(0.0, 0.89),
         dim=st.integers(8, 24),
-        jump=st.sampled_from(("lab", "frame", "flipped_frame")),
+        jump=st.sampled_from(("lab", "frame", "flipped_frame", "dense")),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_generator_matches_the_dense_kron_generator(
         self, kappa, a, b, dim, jump, seed
     ):
-        # the lab ladder, and the frame's jump A = cosh r b - sinh r b^dag +
-        # delta with delta != 0 and either sign of r
+        # the lab ladder, the frame's jump A = cosh r b - sinh r b^dag +
+        # delta with delta != 0 and either sign of r, and a dense real K and
+        # A with no band at all
         config = CavityConfig(kappa, a * kappa / 2, b * kappa / 2)
-        am = ladder(dim)
-        if jump != "lab":
-            delta, r = fock.frame(config)
-            r = -r if jump == "flipped_frame" else r
-            am = np.cosh(r) * am - np.sinh(r) * am.T + delta * np.eye(dim)
-        gen = fock.generator(config, am)
-        lind = kron_generator(hamiltonian(config, am), am, kappa)
-        # the matrix action, shifted slices along every diagonal of K, A^T A
-        # and A, on a complex, non-symmetric rho
         rng = np.random.default_rng(seed)
+        if jump == "dense":
+            drive, am = rng.standard_normal((2, dim, dim))
+            gen, h = Generator(drive, am, kappa), 1j * drive
+        else:
+            am = ladder(dim)
+            if jump != "lab":
+                delta, r = fock.frame(config)
+                r = -r if jump == "flipped_frame" else r
+                am = np.cosh(r) * am - np.sinh(r) * am.T + delta * np.eye(dim)
+            gen, h = fock.generator(config, am), hamiltonian(config, am)
+        lind = kron_generator(h, am, kappa)
+        # the matrix action on a complex, non-symmetric rho
         rho = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         want = (lind @ rho.ravel()).reshape(dim, dim)
         assert np.abs(gen(rho) - want).max() <= 1e-13 * np.abs(want).max()
@@ -198,16 +202,6 @@ class TestSymmetricSubspace:
         rows, cols, vals = gen.symmetric()
         got = sp.coo_matrix((vals, (rows, cols)), shape=want.shape).toarray()
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-
-    def test_generator_refuses_operators_beyond_its_band(self):
-        # the products act on two diagonals either side of the main one, so
-        # a wider drive or a jump wider than tridiagonal is refused
-        am = ladder(8)
-        Generator(am @ am, am, 1.0)
-        with pytest.raises(DomainError, match="pentadiagonal"):
-            Generator(am @ am @ am, am, 1.0)
-        with pytest.raises(DomainError, match="tridiagonal"):
-            Generator(am, am @ am, 1.0)
 
     def test_propagate_matches_full_vector_rk4(self):
         config, dim, t = REF_CONFIG, 16, 1.3
@@ -631,6 +625,19 @@ class TestDensityMatrixValidation:
     def test_wrong_shape_rejected(self):
         with pytest.raises(DomainError):
             DensityMatrix(8, np.eye(4, dtype=complex))
+
+    @pytest.mark.parametrize("dim", (12.5, np.nan, np.inf))
+    def test_non_integer_dim_rejected(self, dim):
+        with pytest.raises(DomainError, match="dim must be a finite integer"):
+            DensityMatrix(dim, np.eye(12, dtype=complex) / 12)
+
+    def test_integral_float_dim_is_read_as_an_int(self):
+        c = fock.coherent_vector(0.3 - 0.2j, 12)
+        rho = DensityMatrix(dim=12.0, elements=np.outer(c, c.conj()))
+        assert type(rho.dim) is int and rho.dim == 12
+        want = DensityMatrix(dim=12, elements=rho.elements)
+        for which in ("husimi", "char_fn"):
+            assert expect(rho, which, 0.4 + 0.1j) == expect(want, which, 0.4 + 0.1j)
 
 
 class TestExpectations:
