@@ -8,6 +8,8 @@ Fock-space steady-state oracle, phase-space quadrature, and moment-ODE
 integration.
 """
 
+import importlib
+
 from .combined import (
     MomentSet,
     coherent_term,
@@ -36,17 +38,6 @@ from .params import (
     squeeze_coeffs,
     superposed_norm,
 )
-from .qfunctions import (
-    QGrid,
-    QuadratureSpec,
-    char_fn_antinormal,
-    q_coherent,
-    q_from_char_fn,
-    q_grid,
-    q_squeezed,
-    q_superposed,
-    superpose_q_numeric,
-)
 from .superposed import (
     PAIR_BASELINE,
     SINGLE_BEAM_BASELINE,
@@ -61,32 +52,40 @@ from .superposed import (
 
 __version__ = "0.1.0"
 
-#: names served lazily from :mod:`qsuperpose.fock`, so that a process which
-#: never touches the Fock oracle never pays its import (about 12 ms cold)
-_FOCK_NAMES = frozenset(
-    {
-        "DensityMatrix",
-        "default_truncation",
-        "expect",
-        "propagate",
-        "steady_state",
-        "superposition_oracle",
-    }
-)
+#: names served lazily, with the module that defines them, so that a process
+#: which never evaluates a Q function on a grid or touches the Fock oracle
+#: never imports them, nor numpy: the closed forms are plain float arithmetic
+_LAZY_NAMES = {
+    "DensityMatrix": "fock",
+    "default_truncation": "fock",
+    "expect": "fock",
+    "propagate": "fock",
+    "steady_state": "fock",
+    "superposition_oracle": "fock",
+    "QGrid": "qfunctions",
+    "QuadratureSpec": "qfunctions",
+    "char_fn_antinormal": "qfunctions",
+    "q_coherent": "qfunctions",
+    "q_from_char_fn": "qfunctions",
+    "q_grid": "qfunctions",
+    "q_squeezed": "qfunctions",
+    "q_superposed": "qfunctions",
+    "superpose_q_numeric": "qfunctions",
+}
 
 
 def __getattr__(name: str):
-    if name in _FOCK_NAMES:
-        from . import fock
-
-        value = getattr(fock, name)
+    if name in _LAZY_NAMES:
+        module = importlib.import_module(f".{_LAZY_NAMES[name]}", __name__)
+        value = getattr(module, name)
         globals()[name] = value
         return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | _FOCK_NAMES)
+    return sorted(set(globals()) | set(_LAZY_NAMES))
+
 
 __all__ = [
     "CavityConfig",

@@ -23,12 +23,9 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .combined import coherent_term, quad_variance_single, steady_moments_combined
 from .errors import DomainError, NumericsError, ValidationError
 from .params import CavityConfig, Q_KINDS, scale
-from .qfunctions import q_grid
 from .superposed import output_report
 
 SWEEP_PARAMS = ("kappa", "eps1", "eps2")
@@ -124,6 +121,20 @@ def _parse_sweep(text: str) -> tuple[str, float, float, int]:
     return param, start, stop, steps
 
 
+def _linspace(start: float, stop: float, steps: int) -> list[float]:
+    """``np.linspace(start, stop, steps).tolist()`` for steps >= 2, by numpy's
+    own arithmetic: point i is i*step + start with step = (stop - start)/div
+    and div = steps - 1, or (i/div)*(stop - start) + start where that step
+    underflows to zero, and the last point is stop."""
+    div, delta = steps - 1, stop - start
+    step = delta / div
+    if step == 0:
+        points = [(i / div) * delta + start for i in range(div)]
+    else:
+        points = [i * step + start for i in range(div)]
+    return points + [stop]
+
+
 def _run_sweep(args: argparse.Namespace) -> int:
     config = _config(args)
     param, start, stop, steps = _parse_sweep(args.sweep)
@@ -135,12 +146,15 @@ def _run_sweep(args: argparse.Namespace) -> int:
     # names its endpoint before any row is computed
     for value in (start, stop):
         at(value)
-    rows = [report_payload(at(float(v))) for v in np.linspace(start, stop, steps)]
+    rows = [report_payload(at(v)) for v in _linspace(start, stop, steps)]
     _write_rows(args, rows)
     return 0
 
 
 def _run_qgrid(args: argparse.Namespace) -> int:
+    # the phase-space grids, and numpy with them, load only here
+    from .qfunctions import q_grid
+
     config = _config(args)
     extent = _auto_or(args.grid_extent, float, "grid extent must be a number")
     grid = q_grid(args.kind, scale(config), n=args.grid_n, extent=extent)
@@ -154,8 +168,7 @@ def _run_qgrid(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    # the Fock oracle loads only here: no other command uses it, and its
-    # import costs about 12 ms of a cold process
+    # the oracles load only here: no other command uses them
     from .verification import run_verification
 
     config = _config(args)

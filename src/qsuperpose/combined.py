@@ -13,11 +13,13 @@ Times are measured in units of 1/kappa throughout (tau = kappa * t).
 """
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, NumericsError, StepError
 from .params import ScaledParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: default dimensionless integration step (in units of 1/kappa)
 DEFAULT_DT = 0.01
@@ -73,6 +75,8 @@ def steady_moments_combined(params: ScaledParams) -> MomentSet:
 def _moment_system(params: ScaledParams):
     """Linear system dy/dtau = M y + c for y = (<a>, <a^dag>, <a^2>,
     <a^dag^2>, <a^dag a>), in units of 1/kappa."""
+    import numpy as np
+
     a, b = params.a, params.b
     m = np.array(
         [
@@ -87,11 +91,13 @@ def _moment_system(params: ScaledParams):
     return m, c
 
 
-def _rk4_map(m: np.ndarray, c: np.ndarray, h: float) -> np.ndarray:
+def _rk4_map(m: "np.ndarray", c: "np.ndarray", h: float) -> "np.ndarray":
     """One RK4 step of dy/dtau = M y + c as the affine map y -> P y + q, in
     the augmented form [[P, q], [0, 1]] acting on (y, 1): for a linear
     autonomous system the step is the degree-4 Taylor polynomial of
     exp(h B), B = [[M, c], [0, 0]]."""
+    import numpy as np
+
     aug = np.zeros((6, 6))
     aug[:5, :5], aug[:5, 5] = m, c
     step, term = np.identity(6), np.identity(6)
@@ -112,6 +118,8 @@ def evolve_moments(params: ScaledParams, t: float, dt: float = DEFAULT_DT) -> Mo
     propagated as independent components and checked against <a> and <a^2>
     instead of being assumed equal.
     """
+    import numpy as np
+
     if not np.isfinite(t) or t < 0:
         raise StepError(f"time must be non-negative, got {t}")
     if not np.isfinite(dt) or dt <= 0:

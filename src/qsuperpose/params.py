@@ -10,29 +10,46 @@ physics depends only on the dimensionless drives
 
 and a steady state exists only below threshold, b < 1.  This module owns
 those parameter types, the stability checks, and the coefficients (u, v, A)
-of the Gaussian Husimi Q functions every other module consumes.
+of the Gaussian Husimi Q functions every other module consumes.  Everything
+but the Q forms is plain float arithmetic: numpy is imported only inside the
+functions that build arrays or Q prefactors, so the closed-form commands
+never load it.
 """
 
+import contextlib
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, StabilityError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Q_KINDS = ("coherent", "squeezed", "superposed")
 
 
+def finite(name: str, value) -> bool:
+    """Whether the real number ``value`` is finite.  DomainError unless it is
+    real (an int, float or bool, or a numpy scalar of one), so that a str,
+    None or complex value fails as invalid input, not in a comparison."""
+    if isinstance(value, numbers.Real) or not isinstance(value, numbers.Complex):
+        with contextlib.suppress(TypeError):
+            return math.isfinite(value)
+    raise DomainError(f"{name} must be a real number, got {value!r}")
+
+
 def as_count(name: str, value) -> int:
     """``value`` as an int; DomainError unless it is a finite integer."""
-    if not (math.isfinite(value) and value == int(value)):
+    if not (finite(name, value) and value == int(value)):
         raise DomainError(f"{name} must be a finite integer, got {value}")
     return int(value)
 
 
 def check_extent(extent: float) -> None:
     """DomainError unless a grid half-width is finite and positive."""
-    if not math.isfinite(extent):
+    if not finite("extent", extent):
         raise DomainError(f"extent must be finite, got {extent}")
     if extent <= 0:
         raise DomainError(f"extent must be positive, got {extent}")
@@ -65,11 +82,11 @@ class CavityConfig:
     eps2: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.kappa) or self.kappa <= 0:
+        if not finite("kappa", self.kappa) or self.kappa <= 0:
             raise DomainError(f"kappa must be positive, got {self.kappa}")
-        if not np.isfinite(self.eps1) or self.eps1 < 0:
+        if not finite("eps1", self.eps1) or self.eps1 < 0:
             raise DomainError(f"eps1 must be non-negative, got {self.eps1}")
-        if not np.isfinite(self.eps2) or self.eps2 < 0:
+        if not finite("eps2", self.eps2) or self.eps2 < 0:
             raise DomainError(f"eps2 must be non-negative, got {self.eps2}")
         if self.eps2 >= self.kappa / 2:
             raise StabilityError(
@@ -85,9 +102,9 @@ class ScaledParams:
     b: float
 
     def __post_init__(self):
-        if not np.isfinite(self.a) or self.a < 0:
+        if not finite("a", self.a) or self.a < 0:
             raise DomainError(f"a must be non-negative, got {self.a}")
-        if not np.isfinite(self.b) or self.b < 0:
+        if not finite("b", self.b) or self.b < 0:
             raise DomainError(f"b must be non-negative, got {self.b}")
         if self.b >= 1:
             raise StabilityError(f"no steady state: b={self.b} >= 1")
@@ -124,6 +141,8 @@ def superposed_norm(params: ScaledParams) -> float:
     which makes (A/pi) * exp(-u|alpha|^2 + v*Re(alpha^2) + 2a(u-v)Re alpha)
     integrate to one over the phase plane.
     """
+    import numpy as np
+
     u, v = squeeze_coeffs(params)
     return float(np.sqrt(u * u - v * v) * np.exp(params.a**2 * (v - u)))
 
@@ -159,6 +178,8 @@ class GaussianQ:
 
     def __call__(self, alpha):
         """Evaluate at a complex point or array of points."""
+        import numpy as np
+
         alpha = np.asarray(alpha, dtype=complex)
         expo = (
             -self.quad * (alpha.real**2 + alpha.imag**2)
@@ -168,12 +189,14 @@ class GaussianQ:
         out = self.prefactor * np.exp(expo)
         return float(out) if out.ndim == 0 else out
 
-    def axis_factors(self, ax) -> tuple[np.ndarray, np.ndarray]:
+    def axis_factors(self, ax) -> tuple["np.ndarray", "np.ndarray"]:
         """Factors fx, fy on the real axis ``ax`` with Q(x + iy) = fx(x)*fy(y):
         fx = exp(-(quad - squeeze)*x^2 + 2*linear*x) and
         fy = prefactor*exp(-(quad + squeeze)*y^2).  So Q on the grid ax x ax is
         their outer product, and its sums against x, x^2, y^2 are products
         of 1-d sums."""
+        import numpy as np
+
         ax = np.asarray(ax, dtype=float)
         fx = np.exp(-(self.quad - self.squeeze) * ax**2 + 2 * self.linear * ax)
         return fx, self.prefactor * np.exp(-(self.quad + self.squeeze) * ax**2)
@@ -181,6 +204,8 @@ class GaussianQ:
     @property
     def normalized_prefactor(self) -> float:
         """Prefactor that would make this Gaussian integrate to exactly one."""
+        import numpy as np
+
         det = self.quad**2 - self.squeeze**2
         return float(
             np.sqrt(det) / np.pi * np.exp(-self.linear**2 / (self.quad - self.squeeze))
@@ -215,6 +240,8 @@ def gaussian_form(params: ScaledParams, kind: str) -> GaussianQ:
     """
     if kind not in Q_KINDS:
         raise DomainError(f"kind must be one of {Q_KINDS}, got {kind!r}")
+    import numpy as np
+
     a = params.a
     if kind == "coherent":
         return GaussianQ(

@@ -12,8 +12,6 @@ squeezing unchanged.
 
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .combined import MomentSet
 from .errors import DomainError, NumericsError
 from .params import CavityConfig, ScaledParams, check_grid, gaussian_form, scale
@@ -63,6 +61,8 @@ def moments_via_qfunction(
     non-finite or non-positive extent raises :class:`DomainError` before
     anything is evaluated.
     """
+    import numpy as np
+
     n = check_grid(n, extent)
     form = gaussian_form(params, "superposed")
     hx, hy = form.axis_half_widths(10) if extent is None else (extent, extent)

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import math
@@ -8,10 +9,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qsuperpose
-from qsuperpose import CavityConfig, DomainError, qfunctions
+from qsuperpose import CavityConfig, DomainError, cli, qfunctions
 from qsuperpose.cli import main, report_payload
 from qsuperpose.verification import run_verification
 
@@ -127,6 +131,21 @@ class TestSweep:
         error = json.loads(captured.err)
         assert error["error"] == "StabilityError"
         assert "eps2=1.0" in error["message"]
+
+    #: wide values, and values so small that stop - start is subnormal
+    bounds = st.floats(-1e300, 1e300) | st.floats(-1e-305, 1e-305)
+
+    @settings(max_examples=300, deadline=None)
+    @given(start=bounds, stop=bounds, steps=st.integers(2, 2000))
+    @example(start=0.25, stop=0.25, steps=7)  # start == stop
+    @example(start=-0.0, stop=-0.0, steps=2)
+    @example(start=0.49, stop=0.0, steps=9)  # stop < start
+    @example(start=0.0, stop=5e-324, steps=2000)  # the step underflows to 0
+    @example(start=1e-310, stop=3e-310, steps=1000)  # subnormal stop - start
+    def test_grid_is_numpys_linspace(self, start, stop, steps):
+        want = np.linspace(start, stop, steps).tolist()
+        got = cli._linspace(start, stop, steps)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
     def test_non_numeric_bound_rejected(self, capsys):
         assert main(["sweep", "--sweep", "eps2:a:0.4:3"]) == 2
@@ -289,18 +308,58 @@ COLD_PATH_SCRIPT = """
 import contextlib, io, json, sys
 import qsuperpose.cli
 
-def scipy_loaded():
-    return any(m.split(".")[0] == "scipy" for m in sys.modules)
+def loaded(package):
+    return any(m.split(".")[0] == package for m in sys.modules)
 
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     codes.append(qsuperpose.cli.main(["report"]))
+    codes.append(qsuperpose.cli.main(["sweep", "--sweep", "eps2:0:0.45:5"]))
+    numpy_before_qgrid = loaded("numpy")
     codes.append(qsuperpose.cli.main(["qgrid", "--grid-n", "16"]))
-    before_verify = scipy_loaded()
+    numpy_after_qgrid = loaded("numpy")
+    before_verify = loaded("scipy")
     codes.append(qsuperpose.cli.main(["verify"]))
-print(json.dumps({"codes": codes, "before_verify": before_verify,
-                  "after_verify": scipy_loaded()}))
+print(json.dumps({"codes": codes, "numpy_before_qgrid": numpy_before_qgrid,
+                  "numpy_after_qgrid": numpy_after_qgrid,
+                  "before_verify": before_verify, "after_verify": loaded("scipy")}))
 """
+
+#: the closed-form commands through main, printing each exit code and
+#: stdout; the first %s is True to make numpy unimportable beforehand
+CLOSED_FORM_SCRIPT = """
+import contextlib, io, json, sys
+if %s:
+    sys.modules["numpy"] = None  # any import of numpy now fails
+from qsuperpose.cli import main
+runs = []
+for argv in %r:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    runs.append([code, out.getvalue()])
+print(json.dumps(runs))
+"""
+
+CLOSED_FORM_RUNS = (
+    ["report", "--eps1", "0.3", "--eps2", "0.2"],
+    ["report", "--eps1", "0.3", "--eps2", "0.2", "--format", "csv"],
+    ["sweep", "--sweep", "eps2:0:0.45:5", "--eps1", "0.7"],
+    ["sweep", "--sweep", "kappa:2:0.5:4", "--eps2", "0.2", "--format", "json"],
+)
+
+#: the names the package serves lazily, by the module that defines them
+LAZY_NAMES = {
+    "fock": (
+        "DensityMatrix", "default_truncation", "expect", "propagate",
+        "steady_state", "superposition_oracle",
+    ),
+    "qfunctions": (
+        "QGrid", "QuadratureSpec", "char_fn_antinormal", "q_coherent",
+        "q_from_char_fn", "q_grid", "q_squeezed", "q_superposed",
+        "superpose_q_numeric",
+    ),
+}
 
 
 #: the Fock oracle's library calls and every CLI command with scipy made
@@ -346,9 +405,22 @@ class TestColdPath:
         proc = run_fresh(COLD_PATH_SCRIPT)
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
-        assert result["codes"] == [0, 0, 0]
-        assert result["before_verify"] is False  # report and qgrid: no scipy
+        assert result["codes"] == [0, 0, 0, 0]
+        assert result["numpy_before_qgrid"] is False  # report and sweep: no numpy
+        assert result["numpy_after_qgrid"] is True
+        assert result["before_verify"] is False  # report, sweep, qgrid: no scipy
         assert result["after_verify"] is False  # nor verify's Fock oracle
+
+    def test_report_and_sweep_run_without_numpy(self):
+        procs = [
+            run_fresh(CLOSED_FORM_SCRIPT % (block, CLOSED_FORM_RUNS))
+            for block in (True, False)
+        ]
+        for proc in procs:
+            assert proc.returncode == 0, proc.stderr
+        without_numpy, with_numpy = (json.loads(proc.stdout) for proc in procs)
+        assert [code for code, _ in without_numpy] == [0] * len(CLOSED_FORM_RUNS)
+        assert without_numpy == with_numpy
 
     def test_everything_runs_without_scipy(self):
         proc = run_fresh(NO_SCIPY_SCRIPT % (VERIFY_SMOKE,))
@@ -362,8 +434,11 @@ class TestColdPath:
         namespace = {}
         exec("from qsuperpose import *", namespace)
         assert set(qsuperpose.__all__) <= set(namespace)
-        for name in ("DensityMatrix", "default_truncation", "expect", "propagate",
-                     "steady_state", "superposition_oracle"):
-            assert namespace[name] is getattr(qsuperpose.fock, name)
+        for module_name, names in LAZY_NAMES.items():
+            module = importlib.import_module(f"qsuperpose.{module_name}")
+            for name in names:
+                assert getattr(qsuperpose, name) is getattr(module, name)
+                assert namespace[name] is getattr(module, name)
+                assert name in dir(qsuperpose)
         with pytest.raises(AttributeError):
             qsuperpose.no_such_name

@@ -7,14 +7,17 @@ from qsuperpose import (
     CavityConfig,
     DomainError,
     GaussianQ,
+    QuadratureSpec,
     ScaledParams,
     StabilityError,
     gaussian_form,
+    q_grid,
     scale,
     squeeze_coeffs,
+    steady_state,
     superposed_norm,
 )
-from qsuperpose.params import Q_KINDS
+from qsuperpose.params import Q_KINDS, as_count
 from conftest import GRID_AB, phase_integral
 
 # frozen expectations for (a, b) = (0.6, 0.4); u and v are exact rationals
@@ -57,6 +60,50 @@ class TestScale:
             ScaledParams(0.0, 1.0)
         with pytest.raises(DomainError):
             ScaledParams(-0.5, 0.0)
+
+
+class TestNonRealInputs:
+    """A str, None or complex where a real number belongs is invalid input
+    (DomainError, exit 2), never an untyped TypeError from a comparison."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: as_count("n", "12"), id="as_count-str"),
+            pytest.param(
+                lambda: steady_state(CavityConfig(1.0, 0.3, 0.2), trunc="40"),
+                id="steady_state-trunc-str",
+            ),
+            pytest.param(lambda: QuadratureSpec(nodes="64"), id="QuadratureSpec-str"),
+            pytest.param(
+                lambda: q_grid("coherent", ScaledParams(0.6, 0.4), n="32"),
+                id="q_grid-n-str",
+            ),
+            pytest.param(
+                lambda: q_grid("coherent", ScaledParams(0.6, 0.4), extent="4"),
+                id="q_grid-extent-str",
+            ),
+            pytest.param(lambda: CavityConfig("1"), id="CavityConfig-str"),
+            pytest.param(lambda: ScaledParams(None, 0.1), id="ScaledParams-None"),
+            pytest.param(lambda: CavityConfig(1.0, 0.3 + 0j), id="CavityConfig-complex"),
+            pytest.param(
+                lambda: ScaledParams(0.6, np.complex128(0.4)),
+                id="ScaledParams-numpy-complex",
+            ),
+            pytest.param(lambda: as_count("n", 12 + 0j), id="as_count-complex"),
+        ],
+    )
+    def test_refused_as_invalid_input(self, call):
+        with pytest.raises(DomainError, match="must be a real number"):
+            call()
+
+    @pytest.mark.parametrize(
+        "value", [1, 1.0, True, np.float32(1.0), np.float64(1.0), np.int64(1), np.True_]
+    )
+    def test_real_scalars_still_accepted(self, value):
+        assert CavityConfig(value).kappa == value
+        assert ScaledParams(value, 0.0).a == value
+        assert as_count("n", value) == 1
 
 
 class TestSqueezeCoeffs:
