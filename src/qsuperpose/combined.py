@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, NumericsError, StepError
-from .params import ScaledParams
+from .params import ScaledParams, finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -120,9 +120,9 @@ def evolve_moments(params: ScaledParams, t: float, dt: float = DEFAULT_DT) -> Mo
     """
     import numpy as np
 
-    if not np.isfinite(t) or t < 0:
+    if not finite("t", t) or t < 0:
         raise StepError(f"time must be non-negative, got {t}")
-    if not np.isfinite(dt) or dt <= 0:
+    if not finite("dt", dt) or dt <= 0:
         raise StepError(f"step must be positive, got {dt}")
     m, c = _moment_system(params)
     y = np.zeros(6)

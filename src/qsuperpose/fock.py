@@ -33,7 +33,6 @@ whose dense system exceeds ARRAY_BYTES_CAP, is refused before anything is
 allocated.
 """
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -42,8 +41,7 @@ from numpy.linalg import LinAlgError, solve
 
 from .combined import MomentSet
 from .errors import DomainError, SolveError, StepError, TruncationError
-from .params import CavityConfig, as_count, scale
-from .qfunctions import ARRAY_BYTES_CAP
+from .params import ARRAY_BYTES_CAP, CavityConfig, as_count, finite, phase_point, scale
 
 #: cap on the lab truncation, automatic or explicit
 TRUNC_CAP = 200
@@ -282,11 +280,12 @@ def _check_tail(diag: np.ndarray) -> None:
 class DensityMatrix:
     """Validated density operator on the truncated Fock space.
 
-    Construction reads dim as an integer (else :class:`DomainError`) and
-    enforces hermiticity (1e-12), unit trace (1e-10), positive
-    semidefiniteness (eigenvalues above -1e-10), and truncation adequacy
-    (population of the top 10% of levels below 1e-8, else
-    :class:`TruncationError`).  The stored array is a read-only copy.
+    Construction reads dim as an integer and the elements as numbers (else
+    :class:`DomainError`) and enforces hermiticity (1e-12), unit trace
+    (1e-10), positive semidefiniteness (eigenvalues above -1e-10), and
+    truncation adequacy (population of the top 10% of levels below 1e-8,
+    else :class:`TruncationError`).  The stored array is a read-only copy,
+    of at least float64: the oracle's states stay real, complex input complex.
     """
 
     dim: int
@@ -294,7 +293,10 @@ class DensityMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", as_count("dim", self.dim))
-        arr = np.array(self.elements, dtype=complex)
+        arr = np.array(self.elements)
+        if arr.dtype.kind not in "biufc":
+            raise DomainError(f"elements must be numbers, got dtype {arr.dtype}")
+        arr = arr.astype(np.result_type(arr, float), copy=False)
         if arr.shape != (self.dim, self.dim):
             raise DomainError(f"elements must be {self.dim}x{self.dim}")
         if np.abs(arr - arr.conj().T).max() > 1e-12:
@@ -450,7 +452,7 @@ def propagate(
     the dense rho, the action that certifies the steady state.  t is in the
     same time units as 1/kappa.
     """
-    if not np.isfinite(t) or t < 0:
+    if not finite("t", t) or t < 0:
         raise StepError(f"time must be non-negative, got {t}")
     dim = _lab_truncation(config, trunc)
     dt = 0.2 / (config.kappa * dim)
@@ -468,11 +470,10 @@ def propagate(
 
 
 def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
-    """Truncated coherent-state vector; raises :class:`DomainError` for a
-    non-finite alpha and :class:`TruncationError` when the missing tail norm
-    exceeds 1e-10."""
-    if not cmath.isfinite(alpha):
-        raise DomainError(f"coherent amplitude must be finite, got {alpha}")
+    """Truncated coherent-state vector; raises :class:`DomainError` for an
+    alpha that is no finite number and :class:`TruncationError` when the
+    missing tail norm exceeds 1e-10."""
+    alpha = phase_point("alpha", alpha)
     c = np.zeros(dim, dtype=complex)
     c[0] = math.exp(-abs(alpha) ** 2 / 2)
     for n in range(1, dim):
@@ -505,8 +506,9 @@ def expect(rho: DensityMatrix, which: str, arg: complex | None = None):
     which: "a", "a2", "adag_a", "quad_var_plus", "quad_var_minus",
     "char_fn" (requires arg z; antinormally-ordered <exp(-z* a) exp(z a^dag)>
     with both exponentials summed exactly on the truncated space), or
-    "husimi" (requires arg alpha; <alpha|rho|alpha>/pi).  Moments come back
-    complex, variances and the Husimi value as floats.
+    "husimi" (requires arg alpha; <alpha|rho|alpha>/pi); an arg that is no
+    finite number is a :class:`DomainError`.  Moments come back complex,
+    variances and the Husimi value as floats; :func:`moments` reads all three.
     """
     if which not in _EXPECT_KINDS:
         raise DomainError(f"which must be one of {_EXPECT_KINDS}, got {which!r}")
@@ -525,7 +527,6 @@ def expect(rho: DensityMatrix, which: str, arg: complex | None = None):
         return float((mean_sq - mean**2).real)
     if arg is None:
         raise DomainError(f"{which} requires a complex argument")
-    arg = complex(arg)
     if which == "husimi":
         c = coherent_vector(arg, rho.dim)
         return float(np.real(c.conj() @ mat @ c) / np.pi)
@@ -536,18 +537,24 @@ def expect(rho: DensityMatrix, which: str, arg: complex | None = None):
     return complex(np.einsum("ij,ji->", mat, op))
 
 
-def superposition_oracle(config: CavityConfig, trunc: int | None = None) -> MomentSet:
-    """Component-wise sums of the coherent-only and squeezed-only steady-state
-    moments, the Fock-space realization of what Q-function superposition
-    predicts for the combined light."""
-    coh = steady_state(CavityConfig(config.kappa, config.eps1, 0.0), trunc)
-    sqz = steady_state(CavityConfig(config.kappa, 0.0, config.eps2), trunc)
-    mean_amp = expect(coh, "a") + expect(sqz, "a")
-    mean_sq = expect(coh, "a2") + expect(sqz, "a2")
+def moments(rho: DensityMatrix) -> MomentSet:
+    """<a>, <a^2> and <a^dag a> of rho by :func:`expect`, the one place the
+    oracle reads them.  Real drives give real moments: an imaginary part
+    above 1e-10 in <a> or <a^2> raises :class:`SolveError`."""
+    mean_amp, mean_sq = expect(rho, "a"), expect(rho, "a2")
     if not (abs(mean_amp.imag) < 1e-10 and abs(mean_sq.imag) < 1e-10):
         raise SolveError("moments acquired an imaginary part for real drives")
+    return MomentSet(mean_amp.real, mean_sq.real, expect(rho, "adag_a"))
+
+
+def superposition_oracle(config: CavityConfig, trunc: int | None = None) -> MomentSet:
+    """Component-wise sums of the coherent-only and squeezed-only steady-state
+    :func:`moments`, the Fock-space realization of what Q-function
+    superposition predicts for the combined light."""
+    coh = moments(steady_state(CavityConfig(config.kappa, config.eps1, 0.0), trunc))
+    sqz = moments(steady_state(CavityConfig(config.kappa, 0.0, config.eps2), trunc))
     return MomentSet(
-        mean_amp=mean_amp.real,
-        mean_sq=mean_sq.real,
-        mean_photon=expect(coh, "adag_a") + expect(sqz, "adag_a"),
+        mean_amp=coh.mean_amp + sqz.mean_amp,
+        mean_sq=coh.mean_sq + sqz.mean_sq,
+        mean_photon=coh.mean_photon + sqz.mean_photon,
     )

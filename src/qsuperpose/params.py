@@ -16,7 +16,6 @@ functions that build arrays or Q prefactors, so the closed-form commands
 never load it.
 """
 
-import contextlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -28,16 +27,35 @@ if TYPE_CHECKING:
     import numpy as np
 
 Q_KINDS = ("coherent", "squeezed", "superposed")
+#: bytes allowed for the largest complex array a grid evaluation builds: the
+#: n x n grid of q_grid, the n^3 intermediate of the superposition kernel;
+#: peak use is about three times it.  It also bounds the Fock oracle's dense
+#: frame system with its working copy (fock.frame_cap)
+ARRAY_BYTES_CAP = 2**28
 
 
 def finite(name: str, value) -> bool:
     """Whether the real number ``value`` is finite.  DomainError unless it is
-    real (an int, float or bool, or a numpy scalar of one), so that a str,
-    None or complex value fails as invalid input, not in a comparison."""
+    real (an int, float or bool, or a numpy scalar of one) and within the
+    float range, so that a str, None, complex or 10**400 value fails as
+    invalid input, not in a comparison or a conversion."""
     if isinstance(value, numbers.Real) or not isinstance(value, numbers.Complex):
-        with contextlib.suppress(TypeError):
+        try:
             return math.isfinite(value)
+        except OverflowError:
+            raise DomainError(f"{name} is beyond the float range") from None
+        except TypeError:
+            pass
     raise DomainError(f"{name} must be a real number, got {value!r}")
+
+
+def phase_point(name: str, value) -> complex:
+    """``value`` as a complex number; DomainError unless it is a finite
+    number, so that a str, None or NaN phase point fails as invalid input."""
+    if isinstance(value, numbers.Complex):
+        if finite(name, value.real) and finite(name, value.imag):
+            return complex(value)
+    raise DomainError(f"{name} must be a finite complex number, got {value!r}")
 
 
 def as_count(name: str, value) -> int:
@@ -200,16 +218,6 @@ class GaussianQ:
         ax = np.asarray(ax, dtype=float)
         fx = np.exp(-(self.quad - self.squeeze) * ax**2 + 2 * self.linear * ax)
         return fx, self.prefactor * np.exp(-(self.quad + self.squeeze) * ax**2)
-
-    @property
-    def normalized_prefactor(self) -> float:
-        """Prefactor that would make this Gaussian integrate to exactly one."""
-        import numpy as np
-
-        det = self.quad**2 - self.squeeze**2
-        return float(
-            np.sqrt(det) / np.pi * np.exp(-self.linear**2 / (self.quad - self.squeeze))
-        )
 
     def axis_half_widths(self, sigmas: float) -> tuple[float, float]:
         """Half-widths of origin-centred x and y grids: the rule of

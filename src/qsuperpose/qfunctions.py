@@ -22,22 +22,19 @@ import numpy as np
 
 from .errors import DomainError, NormalizationWarning, QuadratureError
 from .params import (
+    ARRAY_BYTES_CAP,
     Q_KINDS,
     ScaledParams,
     as_count,
     check_extent,
     check_grid,
     gaussian_form,
+    phase_point,
     squeeze_coeffs,
 )
 
 #: integrand-to-peak ratio above which a quadrature box is rejected
 BOUNDARY_RATIO = 1e-12
-#: bytes allowed for the largest complex array a grid evaluation builds: the
-#: n x n grid of q_grid, the n^3 intermediate of the superposition kernel;
-#: peak use is about three times it.  It also bounds the Fock oracle's dense
-#: frame system with its working copy (fock.frame_cap)
-ARRAY_BYTES_CAP = 2**28
 
 CHAR_KINDS = ("coherent", "squeezed")
 
@@ -139,8 +136,10 @@ def q_from_char_fn(
     Evaluates (1/pi^2) * integral d^2z phi(z) exp(conj(z) alpha - z conj(alpha))
     by tensor-product trapezoid quadrature on a square box.  The kernel is
     purely oscillatory, so the box only needs to cover the Gaussian decay of
-    phi; a box that clips it raises :class:`QuadratureError`.
+    phi; a box that clips it raises :class:`QuadratureError`, and a
+    non-finite or non-numeric alpha a :class:`DomainError`.
     """
+    alpha = phase_point("alpha", alpha)
     spec = quad_spec or QuadratureSpec()
     x, w, h = spec.grid()
     z = x[:, None] + 1j * x[None, :]
@@ -220,12 +219,13 @@ def superpose_q_numeric(
     integral directly on a 4-d trapezoid grid (no completion of squares), as
     an independent check on :func:`q_superposed`.  Agreement within
     ``quad_spec.rtol`` is expected once the box extends past the integrand's
-    support (~6 standard deviations).
+    support (~6 standard deviations).  A non-finite or non-numeric alpha
+    raises :class:`DomainError`.
     """
+    alpha = phase_point("alpha", alpha)
     spec = quad_spec or QuadratureSpec()
     u, v = squeeze_coeffs(params)
     a = params.a
-    alpha = complex(alpha)
     x, w, h = spec.grid()
     total, peak, bnd = _superposition_sum(x, w, u, v, a, alpha)
     if bnd - peak > math.log(BOUNDARY_RATIO):

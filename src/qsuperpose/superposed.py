@@ -43,9 +43,7 @@ def superposed_moments(params: ScaledParams) -> MomentSet:
     )
 
 
-def moments_via_qfunction(
-    params: ScaledParams, n: int = 601, extent: float | None = None
-) -> MomentSet:
+def moments_via_qfunction(params: ScaledParams, n: int = 601) -> MomentSet:
     """Moments by direct quadrature against the superposed Q function.
 
     Antinormal ordering: mean_photon = int Q |alpha|^2 d^2alpha - 1, while
@@ -54,18 +52,16 @@ def moments_via_qfunction(
 
     With alpha = x + iy, the sums of Q x, Q (x^2 - y^2) and Q (x^2 + y^2) over
     an n x n grid are taken exactly as products of 1-d sums
-    (:meth:`GaussianQ.axis_factors`).  By default the x and y axes span
-    their own :meth:`GaussianQ.axis_half_widths` at 10 sigma, so the narrow
-    x axis stays resolved as b -> 1; an explicit ``extent`` is the
-    half-width of both.  A non-finite or non-integral n, n < 16, or a
-    non-finite or non-positive extent raises :class:`DomainError` before
-    anything is evaluated.
+    (:meth:`GaussianQ.axis_factors`).  The x and y axes span their own
+    :meth:`GaussianQ.axis_half_widths` at 10 sigma, so the narrow x axis
+    stays resolved as b -> 1.  An n that is no integer >= 16 raises
+    :class:`DomainError` before anything is evaluated.
     """
     import numpy as np
 
-    n = check_grid(n, extent)
+    n = check_grid(n, None)
     form = gaussian_form(params, "superposed")
-    hx, hy = form.axis_half_widths(10) if extent is None else (extent, extent)
+    hx, hy = form.axis_half_widths(10)
     x, y = np.linspace(-hx, hx, n), np.linspace(-hy, hy, n)
     dx, dy = x[1] - x[0], y[1] - y[0]
     fx, fy = form.axis_factors(x)[0], form.axis_factors(y)[1]

@@ -427,6 +427,13 @@ class TestColdPath:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [0] * (2 + len(VERIFY_SMOKE))
 
+    def test_fock_leaves_qfunctions_unloaded(self):
+        proc = run_fresh(
+            "import sys, qsuperpose.fock\n"
+            "sys.exit('qsuperpose.qfunctions' in sys.modules)"
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_lazy_oracle_names(self):
         assert qsuperpose.steady_state is qsuperpose.fock.steady_state
         for name in qsuperpose.__all__:

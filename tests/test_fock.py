@@ -639,6 +639,66 @@ class TestDensityMatrixValidation:
         for which in ("husimi", "char_fn"):
             assert expect(rho, which, 0.4 + 0.1j) == expect(want, which, 0.4 + 0.1j)
 
+    def test_non_numeric_elements_rejected(self):
+        with pytest.raises(DomainError, match="elements must be numbers"):
+            DensityMatrix(2, [["a", "b"], ["c", "d"]])
+        with pytest.raises(DomainError, match="elements must be numbers"):
+            DensityMatrix(2, [[None, 0.0], [0.0, 1.0]])
+
+    def test_oracle_states_are_real(self):
+        # solved, mapped and certified in float64, and stored so
+        states = (
+            steady_state(REF_CONFIG),
+            fock.steady_state_in_frame(REF_CONFIG, 80, 32),
+            propagate(REF_CONFIG, 1.0, trunc=12),
+        )
+        for rho in states:
+            assert rho.elements.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "dtype, stored",
+        (
+            (np.complex128, np.complex128),
+            (np.complex64, np.complex128),
+            (np.float32, np.float64),
+            (np.int64, np.float64),
+            (bool, np.float64),
+        ),
+    )
+    def test_dtype_is_kept_at_least_float64(self, dtype, stored):
+        vacuum = np.zeros((8, 8), dtype=dtype)
+        vacuum[0, 0] = 1
+        rho = DensityMatrix(8, vacuum)
+        assert rho.elements.dtype == stored
+        assert np.array_equal(rho.elements, vacuum)
+
+
+class TestMoments:
+    @pytest.mark.parametrize("trunc", (None, 64))
+    def test_equal_the_three_expectations(self, trunc):
+        rho = steady_state(REF_CONFIG, trunc)
+        mom = fock.moments(rho)
+        assert mom.mean_amp == expect(rho, "a")
+        assert mom.mean_sq == expect(rho, "a2")
+        assert mom.mean_photon == expect(rho, "adag_a")
+
+    def test_complex_moments_refused(self):
+        # a coherent state of imaginary amplitude is no real-drive state
+        c = fock.coherent_vector(0.3j, 12)
+        rho = DensityMatrix(12, np.outer(c, c.conj()))
+        assert rho.elements.dtype == np.complex128
+        assert expect(rho, "a") == pytest.approx(0.3j, abs=1e-12)
+        with pytest.raises(SolveError, match="imaginary part"):
+            fock.moments(rho)
+
+    def test_oracle_adds_two_moment_sets(self):
+        coh = fock.moments(steady_state(CavityConfig(1.0, 0.3, 0.0)))
+        sqz = fock.moments(steady_state(CavityConfig(1.0, 0.0, 0.2)))
+        mom = superposition_oracle(REF_CONFIG)
+        assert mom.mean_amp == coh.mean_amp + sqz.mean_amp
+        assert mom.mean_sq == coh.mean_sq + sqz.mean_sq
+        assert mom.mean_photon == coh.mean_photon + sqz.mean_photon
+
 
 class TestExpectations:
     def test_vacuum_values(self):
@@ -711,6 +771,9 @@ class TestExpectations:
             complex(0.0, np.nan),
             complex(np.inf, 0.0),
             complex(0.0, -np.inf),
+            "x",
+            "0.5",
+            [0.5],
         ),
     )
     def test_non_finite_argument_rejected(self, which, arg):

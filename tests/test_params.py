@@ -10,7 +10,9 @@ from qsuperpose import (
     QuadratureSpec,
     ScaledParams,
     StabilityError,
+    evolve_moments,
     gaussian_form,
+    propagate,
     q_grid,
     scale,
     squeeze_coeffs,
@@ -18,6 +20,7 @@ from qsuperpose import (
     superposed_norm,
 )
 from qsuperpose.params import Q_KINDS, as_count
+from qsuperpose.verification import run_verification
 from conftest import GRID_AB, phase_integral
 
 # frozen expectations for (a, b) = (0.6, 0.4); u and v are exact rationals
@@ -63,8 +66,9 @@ class TestScale:
 
 
 class TestNonRealInputs:
-    """A str, None or complex where a real number belongs is invalid input
-    (DomainError, exit 2), never an untyped TypeError from a comparison."""
+    """A str, None or complex where a real number belongs, or an int beyond
+    the float range, is invalid input (DomainError, exit 2), never an untyped
+    TypeError or OverflowError from a comparison or a conversion."""
 
     @pytest.mark.parametrize(
         "call",
@@ -91,10 +95,48 @@ class TestNonRealInputs:
                 id="ScaledParams-numpy-complex",
             ),
             pytest.param(lambda: as_count("n", 12 + 0j), id="as_count-complex"),
+            pytest.param(
+                lambda: evolve_moments(ScaledParams(0.1, 0.1), "1"),
+                id="evolve_moments-t-str",
+            ),
+            pytest.param(
+                lambda: evolve_moments(ScaledParams(0.1, 0.1), 1.0, "0.1"),
+                id="evolve_moments-dt-str",
+            ),
+            pytest.param(
+                lambda: propagate(CavityConfig(1.0, 0.3, 0.2), "1"),
+                id="propagate-t-str",
+            ),
+            pytest.param(
+                lambda: run_verification(CavityConfig(1.0, 0.3, 0.2), tol="1e-6"),
+                id="run_verification-tol-str",
+            ),
         ],
     )
     def test_refused_as_invalid_input(self, call):
         with pytest.raises(DomainError, match="must be a real number"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: CavityConfig(10**400), id="CavityConfig"),
+            pytest.param(lambda: ScaledParams(10**400, 0), id="ScaledParams"),
+            pytest.param(
+                lambda: QuadratureSpec(extent=10**400), id="QuadratureSpec-extent"
+            ),
+            pytest.param(
+                lambda: steady_state(CavityConfig(1.0, 0.3, 0.2), trunc=10**400),
+                id="steady_state-trunc",
+            ),
+            pytest.param(
+                lambda: q_grid("coherent", ScaledParams(0.6, 0.4), n=10**400),
+                id="q_grid-n",
+            ),
+        ],
+    )
+    def test_int_beyond_the_float_range_refused(self, call):
+        with pytest.raises(DomainError, match="beyond the float range"):
             call()
 
     @pytest.mark.parametrize(
@@ -204,7 +246,11 @@ class TestGaussianQ:
     @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.6, 0.4), (0.3, 0.8)])
     def test_prefactor_is_the_normalizing_one(self, kind, a, b):
         form = gaussian_form(ScaledParams(a, b), kind)
-        assert form.prefactor == pytest.approx(form.normalized_prefactor, rel=1e-12)
+        # the Gaussian integral of the exponent, completed in x
+        det = form.quad**2 - form.squeeze**2
+        shift = form.linear**2 / (form.quad - form.squeeze)
+        normalizing = np.sqrt(det) / np.pi * np.exp(-shift)
+        assert form.prefactor == pytest.approx(normalizing, rel=1e-12)
 
     def test_vectorized_evaluation(self, params_ref):
         form = gaussian_form(params_ref, "superposed")

@@ -182,6 +182,23 @@ class TestSuperpositionIntegral:
             QuadratureSpec(nodes=nodes)
 
 
+@pytest.mark.parametrize(
+    "oracle",
+    (
+        lambda alpha, p: q_from_char_fn(alpha, p, "coherent"),
+        lambda alpha, p: superpose_q_numeric(alpha, p),
+    ),
+    ids=("q_from_char_fn", "superpose_q_numeric"),
+)
+@pytest.mark.parametrize(
+    "alpha", (complex(math.nan, 0.0), math.nan, complex(0.0, math.inf), "x", "0.5", None)
+)
+def test_bad_phase_point_rejected(oracle, alpha, params_ref):
+    # a NaN came back as NaN, a str as an untyped UFuncTypeError
+    with pytest.raises(DomainError, match="alpha must be a finite complex number"):
+        oracle(alpha, params_ref)
+
+
 class TestSuperpositionSum:
     """The factorized kernel against the 4-d sum written out term by term."""
 

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from qsuperpose import (
     CavityConfig,
+    MomentSet,
     ScaledParams,
     TruncationError,
     gaussian_form,
     moments_via_qfunction,
+    superposed_moments,
 )
 from qsuperpose import fock, superposed, verification
 from qsuperpose.params import Q_KINDS
@@ -114,3 +116,26 @@ def test_doubling_beyond_the_dense_solve_is_out_of_reach():
     assert fock.frame_truncation(config) == 46
     with pytest.raises(TruncationError, match="needs 92 frame levels"):
         verification.check_truncation_doubling(config, 200)
+
+
+@pytest.mark.parametrize("field", ("mean_amp", "mean_sq", "mean_photon"))
+def test_gap_reads_every_moment(field):
+    zero = MomentSet(0.0, 0.0, 0.0)
+    assert verification._gap(zero, dataclasses.replace(zero, **{field: 1e-3})) == 1e-3
+    assert verification._gap(dataclasses.replace(zero, **{field: 1e-3}), zero) == 1e-3
+
+
+def test_threeway_check_catches_a_wrong_mean_sq(monkeypatch):
+    # the Fock oracle and the quadrature both disagree with a closed form
+    # whose <a^2> is off by 1e-5; the other two moments stay exact
+    config = CavityConfig(1.0, 0.3, 0.2)
+    assert verification.check_superposed_moments_threeway(config, None, 1e-6).passed
+
+    def wrong(params):
+        closed = superposed_moments(params)
+        return dataclasses.replace(closed, mean_sq=closed.mean_sq + 1e-5)
+
+    monkeypatch.setattr(verification, "superposed_moments", wrong)
+    res = verification.check_superposed_moments_threeway(config, None, 1e-6)
+    assert not res.passed
+    assert res.max_deviation == pytest.approx(1e-5, rel=1e-6)
