@@ -146,26 +146,35 @@ def evolve_moments(params: ScaledParams, t: float, dt: float = DEFAULT_DT) -> Mo
     return MomentSet(mean_amp=float(y[0]), mean_sq=float(y[2]), mean_photon=float(y[4]))
 
 
-def quad_variance_single(params: ScaledParams) -> tuple[float, float]:
-    """Steady-state variances of a_+ = a^dag + a and a_- = i(a^dag - a)
-    relative to the single-beam coherent baseline of one.
-
-    Evaluated through the normally-ordered moment expansion and cross-checked
-    against the closed forms 1 -+ b/(1 +- b); any disagreement is a bug.  The
-    result depends on b only: in this treatment the coherent drive drops out
-    of the variance entirely.
-    """
-    b = params.b
-    mom = steady_moments_combined(params)
+def checked_variances(
+    mom: MomentSet, baseline: float, closed: tuple[float, float], what: str
+) -> tuple[float, float]:
+    """The closed-form variances ``closed`` of a_+ = a^dag + a and
+    a_- = i(a^dag - a), once the moment expansion baseline + 2n + 2s - 4m^2
+    and baseline + 2n - 2s agrees with them; any disagreement is a bug and
+    raises :class:`NumericsError` naming the ``what`` it checked."""
     m, s, n = mom.mean_amp, mom.mean_sq, mom.mean_photon
-    var_plus = 1 + 2 * n + 2 * s - 4 * m * m
-    var_minus = 1 + 2 * n - 2 * s
-    closed_plus = 1 - b / (1 + b)
-    closed_minus = 1 + b / (1 - b)
+    var_plus = baseline + 2 * n + 2 * s - 4 * m * m
+    var_minus = baseline + 2 * n - 2 * s
+    closed_plus, closed_minus = closed
     # the expansion cancels moments that diverge as b -> 1, so allow the
     # corresponding roundoff on top of the 1e-12 agreement
     tol = 1e-12 * max(1.0, abs(n), abs(s))
     ok = abs(var_plus - closed_plus) <= tol and abs(var_minus - closed_minus) <= tol
     if not ok:
-        raise NumericsError("moment expansion disagrees with the closed-form variance")
+        raise NumericsError(f"moment expansion disagrees with the closed-form {what}")
     return closed_plus, closed_minus
+
+
+def quad_variance_single(params: ScaledParams) -> tuple[float, float]:
+    """Steady-state variances of a_+ = a^dag + a and a_- = i(a^dag - a)
+    relative to the single-beam coherent baseline of one.
+
+    Evaluated through the normally-ordered moment expansion and cross-checked
+    against the closed forms 1 -+ b/(1 +- b) (:func:`checked_variances`).
+    The result depends on b only: in this treatment the coherent drive drops
+    out of the variance entirely.
+    """
+    b = params.b
+    closed = (1 - b / (1 + b), 1 + b / (1 - b))
+    return checked_variances(steady_moments_combined(params), 1, closed, "variance")

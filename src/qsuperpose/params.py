@@ -58,6 +58,22 @@ def phase_point(name: str, value) -> complex:
     raise DomainError(f"{name} must be a finite complex number, got {value!r}")
 
 
+def phase_points(name: str, value) -> "np.ndarray":
+    """``value``, a scalar or array, as a complex numpy array; DomainError
+    unless every entry is a finite number, so that a str, None or NaN entry
+    fails as invalid input before any arithmetic."""
+    import numpy as np
+
+    try:
+        arr = np.asarray(value)
+        ok = arr.dtype.kind in "biufc" and np.isfinite(arr).all()
+    except ValueError:  # a ragged nesting
+        ok = False
+    if not ok:
+        raise DomainError(f"{name} must hold finite complex numbers, got {value!r}")
+    return arr.astype(complex, copy=False)
+
+
 def as_count(name: str, value) -> int:
     """``value`` as an int; DomainError unless it is a finite integer."""
     if not (finite(name, value) and value == int(value)):
@@ -195,10 +211,11 @@ class GaussianQ:
             )
 
     def __call__(self, alpha):
-        """Evaluate at a complex point or array of points."""
+        """Evaluate at a complex point or array of points; DomainError for a
+        non-finite or non-numeric point (:func:`phase_points`)."""
         import numpy as np
 
-        alpha = np.asarray(alpha, dtype=complex)
+        alpha = phase_points("alpha", alpha)
         expo = (
             -self.quad * (alpha.real**2 + alpha.imag**2)
             + self.squeeze * (alpha**2).real

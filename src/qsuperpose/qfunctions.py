@@ -4,7 +4,7 @@ Closed Gaussian forms, the antinormally-ordered characteristic functions they
 derive from, and two brute-force cross-checks:
 
 * :func:`q_from_char_fn` rebuilds Q from the characteristic function by a 2-d
-  phase-space transform on a real grid,
+  phase-space transform, summed exactly as a product of two 1-d sums,
 * :func:`superpose_q_numeric` evaluates the raw 4-d superposition integral
   that composes the coherent and squeezed Q functions into the superposed one.
 
@@ -17,6 +17,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .params import (
     check_grid,
     gaussian_form,
     phase_point,
+    phase_points,
     squeeze_coeffs,
 )
 
@@ -50,16 +52,18 @@ class QuadratureSpec:
     """Real-grid quadrature settings: half-width and node count per axis.
 
     The same extent and node count apply to every real dimension of the
-    integral (two for the characteristic-function transform, four for the
-    superposition kernel).  ``rtol`` is the agreement the caller expects
-    against the closed form when the box covers the integrand.  ``nodes`` is
-    capped so that the kernel's complex nodes^3 intermediate fits
-    :data:`ARRAY_BYTES_CAP`.
+    integral: the two axes of the characteristic-function transform, each
+    in its own units of phi's width (:func:`q_from_char_fn`), and the four
+    phase-space axes of the superposition kernel.  ``rtol`` is the agreement
+    the kernel's callers expect against the closed form when the box covers
+    the integrand.  ``nodes`` is capped so that the kernel's complex nodes^3
+    intermediate fits :data:`ARRAY_BYTES_CAP`; the transform builds only
+    1-d arrays.
     """
 
     extent: float = 8.0
     nodes: int = 64
-    rtol: float = 1e-3
+    rtol: ClassVar[float] = 1e-3
 
     def __post_init__(self):
         check_extent(self.extent)
@@ -111,11 +115,12 @@ def char_fn_antinormal(z, params: ScaledParams, kind: str):
     kind "squeezed": exp(-a1 |z|^2 + a2 (z^2 + conj(z)^2)/2).
 
     Accepts a complex scalar or array; always returns complex values (the
-    coherent form is complex off the real z axis).
+    coherent form is complex off the real z axis).  A non-finite or
+    non-numeric z raises :class:`DomainError` (:func:`phase_points`).
     """
     if kind not in CHAR_KINDS:
         raise DomainError(f"kind must be one of {CHAR_KINDS}, got {kind!r}")
-    z = np.asarray(z, dtype=complex)
+    z = phase_points("z", z)
     zz = z.real**2 + z.imag**2
     if kind == "coherent":
         out = np.exp(-zz + params.a * (z - z.conj()))
@@ -134,26 +139,39 @@ def q_from_char_fn(
     """Rebuild Q(alpha) from the characteristic function numerically.
 
     Evaluates (1/pi^2) * integral d^2z phi(z) exp(conj(z) alpha - z conj(alpha))
-    by tensor-product trapezoid quadrature on a square box.  The kernel is
-    purely oscillatory, so the box only needs to cover the Gaussian decay of
-    phi; a box that clips it raises :class:`QuadratureError`, and a
-    non-finite or non-numeric alpha a :class:`DomainError`.
+    by tensor-product trapezoid quadrature.  With z = x + iy both kinds
+    factor as phi(x + iy) = phi(x) phi(iy), and the kernel as
+    exp(2i(x Im alpha - y Re alpha)), so the 2-d sum is exactly the product
+    of one 1-d sum per axis.  Each axis is measured in phi's own width:
+    x = t/sqrt(a1 - a2) and y = t/sqrt(a1 + a2) with t on
+    :meth:`QuadratureSpec.grid` and (a1, a2) of :func:`_char_gauss_coeffs`
+    ((1, 0) for the coherent kind), so ``extent`` counts those units and the
+    narrow axis stays resolved as b -> 1.  The kernel is purely
+    oscillatory, so the box only needs to cover the Gaussian decay of phi;
+    a box that clips it raises :class:`QuadratureError`, and a non-finite or
+    non-numeric alpha a :class:`DomainError`.
     """
     alpha = phase_point("alpha", alpha)
     spec = quad_spec or QuadratureSpec()
-    x, w, h = spec.grid()
-    z = x[:, None] + 1j * x[None, :]
-    phi = char_fn_antinormal(z, params, kind)
-    mag = np.abs(phi)
-    edge_max = max(mag[0].max(), mag[-1].max(), mag[:, 0].max(), mag[:, -1].max())
-    if edge_max > BOUNDARY_RATIO * mag.max():
-        raise QuadratureError(
-            f"characteristic function not negligible at the box edge "
-            f"(ratio {edge_max / mag.max():.2e}); increase extent"
-        )
-    osc = np.exp(z.conj() * alpha - z * np.conj(alpha))
-    total = np.einsum("i,j,ij->", w, w, phi * osc)
-    return float((total * h * h / np.pi**2).real)
+    t, w, h = spec.grid()
+    a1, a2 = _char_gauss_coeffs(params) if kind == "squeezed" else (1.0, 0.0)
+    total = 1 / np.pi**2
+    for unit, width, wave in (
+        (1, math.sqrt(a1 - a2), 2 * alpha.imag),
+        (1j, math.sqrt(a1 + a2), -2 * alpha.real),
+    ):
+        x = t / width
+        phi = char_fn_antinormal(unit * x, params, kind)
+        mag = np.abs(phi)
+        # |phi| is a product, so this is the 2-d box's edge-to-peak ratio
+        ratio = max(mag[0], mag[-1]) / mag.max()
+        if ratio > BOUNDARY_RATIO:
+            raise QuadratureError(
+                f"characteristic function not negligible at the box edge "
+                f"(ratio {ratio:.2e}); increase extent"
+            )
+        total *= (w * phi * np.exp(1j * wave * x)).sum() * h / width
+    return float(total.real)
 
 
 def _max_exponent(re_b, re_g, cross_ik, cross_jl) -> float:

@@ -12,8 +12,8 @@ squeezing unchanged.
 
 from dataclasses import asdict, dataclass
 
-from .combined import MomentSet
-from .errors import DomainError, NumericsError
+from .combined import MomentSet, checked_variances
+from .errors import DomainError
 from .params import CavityConfig, ScaledParams, check_grid, gaussian_form, scale
 
 #: coherent-state quadrature variance of a single beam
@@ -78,24 +78,15 @@ def quad_variance_pair(params: ScaledParams) -> tuple[float, float]:
     """Variances of a_+ and a_- for the superposed pair, baseline two.
 
     Evaluated through the antinormal moment expansion and cross-checked
-    against the closed forms 2 -+ b/(1 +- b); both are independent of a, and
-    the product (4 - b^2)/(1 - b^2) never drops below four.
+    against the closed forms 2 -+ b/(1 +- b) (:func:`checked_variances`);
+    both are independent of a, and the product (4 - b^2)/(1 - b^2) never
+    drops below four.
     """
     b = params.b
-    mom = superposed_moments(params)
-    m, s, n = mom.mean_amp, mom.mean_sq, mom.mean_photon
-    var_plus = PAIR_BASELINE + 2 * n + 2 * s - 4 * m * m
-    var_minus = PAIR_BASELINE + 2 * n - 2 * s
-    closed_plus = 2 - b / (1 + b)
-    closed_minus = 2 + b / (1 - b)
-    # cancellation of near-threshold moments limits the attainable agreement
-    tol = 1e-12 * max(1.0, abs(n), abs(s))
-    ok = abs(var_plus - closed_plus) <= tol and abs(var_minus - closed_minus) <= tol
-    if not ok:
-        raise NumericsError(
-            "moment expansion disagrees with the closed-form pair variance"
-        )
-    return closed_plus, closed_minus
+    closed = (2 - b / (1 + b), 2 + b / (1 - b))
+    return checked_variances(
+        superposed_moments(params), PAIR_BASELINE, closed, "pair variance"
+    )
 
 
 def quadrature_squeezing(params: ScaledParams) -> float:

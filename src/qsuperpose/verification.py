@@ -37,6 +37,9 @@ STANDARD_B = (0.0, 0.2, 0.4, 0.8)
 #: phase points probed by the kernel and transform checks
 KERNEL_POINTS = (0j, 0.5 + 0.2j, -0.3 + 0.4j, 0.25 - 0.35j, 0.1 + 0.6j)
 
+#: agreement of the oracle's moments with those at doubled truncations
+DOUBLING_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -202,7 +205,7 @@ def check_coherent_term_contrast() -> CheckResult:
     )
 
 
-def check_truncation_doubling(config: CavityConfig, trunc, tol=1e-8) -> CheckResult:
+def check_truncation_doubling(config: CavityConfig, trunc) -> CheckResult:
     """Moments at the lab and frame truncations against both doubled: the
     solve truncates in the frame, so doubling the lab N alone would compare
     a state with itself."""
@@ -217,7 +220,7 @@ def check_truncation_doubling(config: CavityConfig, trunc, tol=1e-8) -> CheckRes
     hi = fock.steady_state_in_frame(config, 2 * dim, 2 * frame_dim)
     dev = _gap(fock.moments(lo), fock.moments(hi))
     note = f"N {dim}/{2 * dim}, frame {frame_dim}/{2 * frame_dim}"
-    return _within("oracle_truncation_doubling", dev, tol, note)
+    return _within("oracle_truncation_doubling", dev, DOUBLING_TOL, note)
 
 
 def run_verification(

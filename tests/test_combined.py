@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from qsuperpose import (
     DomainError,
     MomentSet,
+    NumericsError,
     ScaledParams,
     StepError,
     coherent_term,
@@ -14,6 +17,7 @@ from qsuperpose import (
     steady_mean_amp,
     steady_moments_combined,
 )
+from qsuperpose import combined
 from qsuperpose.combined import _moment_system
 from conftest import GRID_AB
 
@@ -166,3 +170,10 @@ class TestQuadVarianceSingle:
             reference = quad_variance_single(ScaledParams(0.0, b))
             for a in (0.3, 0.6, 2.0):
                 assert quad_variance_single(ScaledParams(a, b)) == reference
+
+    def test_disagreeing_moments_raise(self, monkeypatch, params_ref):
+        good = steady_moments_combined(params_ref)
+        bad = dataclasses.replace(good, mean_sq=good.mean_sq + 1e-6)
+        monkeypatch.setattr(combined, "steady_moments_combined", lambda params: bad)
+        with pytest.raises(NumericsError, match="closed-form variance$"):
+            quad_variance_single(params_ref)

@@ -140,8 +140,25 @@ class TestTransform:
             assert got == pytest.approx(closed(alpha, params_ref), abs=1e-4)
 
     def test_clipped_box_rejected(self, params_ref):
-        with pytest.raises(QuadratureError):
-            q_from_char_fn(0j, params_ref, "coherent", QuadratureSpec(extent=1.0))
+        # the squeezed axes are measured in phi's own widths, so a box one
+        # width wide clips phi at every b
+        spec = QuadratureSpec(extent=1.0)
+        for kind, p in (
+            ("coherent", params_ref),
+            ("squeezed", params_ref),
+            ("squeezed", ScaledParams(0.6, 0.9)),
+        ):
+            with pytest.raises(QuadratureError, match="box edge"):
+                q_from_char_fn(0j, p, kind, spec)
+
+    @pytest.mark.parametrize("b", (0.95, 0.99, 0.997))
+    def test_near_threshold(self, b):
+        # phi's narrow axis has width (2(a1 - a2))^-1/2, 0.0995 at b = 0.99:
+        # one square box of spacing 0.254 missed it by up to 2e-2
+        p = ScaledParams(1.0, b)
+        for alpha in SAMPLE_POINTS:
+            got = q_from_char_fn(alpha, p, "squeezed")
+            assert abs(got - q_squeezed(alpha, p)) <= 1e-12
 
 
 class TestSuperpositionIntegral:
@@ -197,6 +214,37 @@ def test_bad_phase_point_rejected(oracle, alpha, params_ref):
     # a NaN came back as NaN, a str as an untyped UFuncTypeError
     with pytest.raises(DomainError, match="alpha must be a finite complex number"):
         oracle(alpha, params_ref)
+
+
+@pytest.mark.parametrize(
+    "closed_form",
+    (
+        q_coherent,
+        q_squeezed,
+        q_superposed,
+        lambda z, p: char_fn_antinormal(z, p, "coherent"),
+        lambda z, p: char_fn_antinormal(z, p, "squeezed"),
+    ),
+    ids=("q_coherent", "q_squeezed", "q_superposed", "phi_coherent", "phi_squeezed"),
+)
+@pytest.mark.parametrize(
+    "point",
+    (
+        math.nan,
+        complex(0.0, math.inf),
+        "x",
+        "0.5",
+        None,
+        np.array([0.1, math.nan, 0.3j]),
+        [0.1, None],
+        [[0.1, 0.2], [0.3]],
+    ),
+    ids=("nan", "infj", "x", "str-number", "None", "array-nan", "list-None", "ragged"),
+)
+def test_closed_form_bad_phase_point_rejected(closed_form, point, params_ref):
+    # a NaN came back as NaN with a RuntimeWarning, a str as a ValueError
+    with pytest.raises(DomainError, match="must hold finite complex numbers"):
+        closed_form(point, params_ref)
 
 
 class TestSuperpositionSum:

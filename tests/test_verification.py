@@ -1,7 +1,9 @@
-"""The phase-space quadratures behind ``verify``: equal to the unfactorized
-2-d sums over the whole stable domain, and still able to fail; and what the
-Fock oracle's doubling row reports."""
+"""The phase-space quadratures behind ``verify``, the characteristic-function
+transform among them: equal to the unfactorized 2-d sums over the whole
+stable domain, and still able to fail; and what the Fock oracle's doubling
+row reports."""
 
+import cmath
 import dataclasses
 
 import numpy as np
@@ -12,16 +14,21 @@ from hypothesis import strategies as st
 from qsuperpose import (
     CavityConfig,
     MomentSet,
+    QuadratureError,
+    QuadratureSpec,
     ScaledParams,
     TruncationError,
+    char_fn_antinormal,
     gaussian_form,
     moments_via_qfunction,
     superposed_moments,
 )
-from qsuperpose import fock, superposed, verification
+from qsuperpose import fock, qfunctions, superposed, verification
 from qsuperpose.params import Q_KINDS
+from qsuperpose.qfunctions import BOUNDARY_RATIO, _char_gauss_coeffs, q_from_char_fn
 from qsuperpose.verification import (
     _norm_quadrature,
+    check_charfn_transform,
     check_pair_variance_quadrature,
     check_q_normalization,
 )
@@ -64,6 +71,74 @@ def test_factorized_sums_equal_the_2d_sums(a, b):
     assert abs(got.mean_amp - amp) <= tol
     assert abs(got.mean_sq - sq) <= tol
     assert abs(got.mean_photon - (photon - 1.0)) <= tol
+
+
+def direct_transform(alpha, params, kind, spec):
+    """The char-fn transform as one 2-d trapezoid sum of phi(z) exp(conj(z)
+    alpha - z conj(alpha)) over z = x + iy, with x = t/sqrt(a1 - a2) and
+    y = t/sqrt(a1 + a2) for t on the spec's grid, term by term; and the
+    edge-to-peak ratio of |phi| on that box.  For the coherent kind
+    (a1, a2) = (1, 0): the unscaled square box."""
+    a1, a2 = _char_gauss_coeffs(params) if kind == "squeezed" else (1.0, 0.0)
+    t = np.linspace(-spec.extent, spec.extent, spec.nodes)
+    w = np.ones(spec.nodes)
+    w[0] = w[-1] = 0.5
+    x, y = t / np.sqrt(a1 - a2), t / np.sqrt(a1 + a2)
+    z = x[:, None] + 1j * y[None, :]
+    phi = char_fn_antinormal(z, params, kind)
+    kernel = np.exp(np.conj(z) * alpha - z * np.conj(alpha))
+    terms = w[:, None] * w[None, :] * phi * kernel
+    total = terms.sum() * (x[1] - x[0]) * (y[1] - y[0]) / np.pi**2
+    mag = np.abs(phi)
+    edge = max(mag[0].max(), mag[-1].max(), mag[:, 0].max(), mag[:, -1].max())
+    return float(total.real), edge / mag.max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.floats(0.0, 3.0),
+    b=st.floats(0.0, 0.999, exclude_max=True),
+    kind=st.sampled_from(("coherent", "squeezed")),
+    nodes=st.sampled_from((16, 32, 64)),
+    extent=st.floats(4.0, 10.0),
+    r=st.floats(0.0, 2.0),
+    angle=st.floats(-np.pi, np.pi),
+)
+def test_transform_equals_the_2d_sum(a, b, kind, nodes, extent, r, angle):
+    p, spec = ScaledParams(a, b), QuadratureSpec(extent, nodes)
+    alpha = cmath.rect(r, angle)
+    want, ratio = direct_transform(alpha, p, kind, spec)
+    if ratio > BOUNDARY_RATIO:
+        with pytest.raises(QuadratureError, match="box edge"):
+            q_from_char_fn(alpha, p, kind, spec)
+    else:
+        got = q_from_char_fn(alpha, p, kind, spec)
+        assert abs(got - want) <= 1e-12 * abs(want) + 1e-15
+
+
+@pytest.mark.parametrize("nodes", (16, 64))
+@pytest.mark.parametrize("params", (ScaledParams(0.0, 0.0), ScaledParams(0.6, 0.4)))
+def test_coherent_transform_is_the_square_box_sum(params, nodes):
+    # the coherent axes are unscaled, so the 1-d product only reorders the
+    # 2-d sum over the spec's square box, coarse grids included
+    spec = QuadratureSpec(nodes=nodes)
+    for alpha in verification.KERNEL_POINTS + (0.6 + 0j, -1.2 + 1.2j):
+        want, _ = direct_transform(alpha, params, "coherent", spec)
+        assert abs(q_from_char_fn(alpha, params, "coherent", spec) - want) <= 1e-14
+
+
+def test_charfn_check_catches_a_wrong_imaginary_axis(monkeypatch, params_ref):
+    # phi with its exponent along the imaginary axis 1% too large
+    assert check_charfn_transform(params_ref).passed
+
+    def wrong(z, params, kind):
+        y = np.asarray(z, dtype=complex).imag
+        return char_fn_antinormal(z, params, kind) * np.abs(
+            char_fn_antinormal(1j * y, params, kind)
+        ) ** 0.01
+
+    monkeypatch.setattr(qfunctions, "char_fn_antinormal", wrong)
+    assert not check_charfn_transform(params_ref).passed
 
 
 def mutate_forms(monkeypatch, **change):
