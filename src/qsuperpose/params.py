@@ -212,16 +212,19 @@ class GaussianQ:
 
     def __call__(self, alpha):
         """Evaluate at a complex point or array of points; DomainError for a
-        non-finite or non-numeric point (:func:`phase_points`)."""
+        non-finite or non-numeric point (:func:`phase_points`) or an overflow."""
         import numpy as np
 
         alpha = phase_points("alpha", alpha)
-        expo = (
-            -self.quad * (alpha.real**2 + alpha.imag**2)
-            + self.squeeze * (alpha**2).real
-            + 2 * self.linear * alpha.real
-        )
-        out = self.prefactor * np.exp(expo)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.prefactor * np.exp(
+                -self.quad * (alpha.real**2 + alpha.imag**2)
+                + self.squeeze * (alpha**2).real
+                + 2 * self.linear * alpha.real
+            )
+        if not np.isfinite(out).all():
+            a = self.linear / (self.quad - self.squeeze)  # the drive, from the mean
+            raise DomainError(f"closed-form Q overflows at this drive (a = {a:.6g})")
         return float(out) if out.ndim == 0 else out
 
     def axis_factors(self, ax) -> tuple["np.ndarray", "np.ndarray"]:

@@ -27,7 +27,6 @@ from .params import (
     Q_KINDS,
     ScaledParams,
     as_count,
-    check_extent,
     check_grid,
     gaussian_form,
     phase_point,
@@ -49,24 +48,24 @@ def trapezoid_weights(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Real-grid quadrature settings: half-width and node count per axis.
+    """Real-grid quadrature settings: the node count per axis.
 
-    The same extent and node count apply to every real dimension of the
-    integral: the two axes of the characteristic-function transform, each
-    in its own units of phi's width (:func:`q_from_char_fn`), and the four
-    phase-space axes of the superposition kernel.  ``rtol`` is the agreement
-    the kernel's callers expect against the closed form when the box covers
-    the integrand.  ``nodes`` is capped so that the kernel's complex nodes^3
-    intermediate fits :data:`ARRAY_BYTES_CAP`; the transform builds only
-    1-d arrays.
+    Both phase-space oracles place each real axis at t (:meth:`grid`, t in
+    [-extent, extent]) widths of its own integrand: phi's widths for the
+    characteristic-function transform (:func:`q_from_char_fn`), marginal
+    standard deviations about the peak for the superposition kernel
+    (:func:`_kernel_axes`).  So ``extent`` is a constant: below about 7.4
+    (kernel) or 5.3 (transform) every box is refused.  ``rtol`` is the
+    kernel's expected agreement with the closed form.  ``nodes`` is capped
+    so that the kernel's complex nodes^3 intermediate fits
+    :data:`ARRAY_BYTES_CAP`; the transform builds only 1-d arrays.
     """
 
-    extent: float = 8.0
-    nodes: int = 64
+    nodes: int = 48
+    extent: ClassVar[float] = 8.0
     rtol: ClassVar[float] = 1e-3
 
     def __post_init__(self):
-        check_extent(self.extent)
         object.__setattr__(self, "nodes", as_count("nodes", self.nodes))
         if self.nodes < 8:
             raise DomainError(f"need at least 8 nodes per axis, got {self.nodes}")
@@ -174,55 +173,67 @@ def q_from_char_fn(
     return float(total.real)
 
 
-def _max_exponent(re_b, re_g, cross_ik, cross_jl) -> float:
-    """max over (i, j, k, l) of re_b[i, j] + re_g[k, l] + cross_ik[i, k]
-    + cross_jl[j, l], by two O(n^3) max-plus reductions."""
-    over_k = (re_g[None, :, :] + cross_ik[:, :, None]).max(axis=1)  # [i, l]
-    return float((re_b[:, :, None] + over_k[:, None, :] + cross_jl[None, :, :]).max())
+def _kernel_axes(t, u, v, a, alpha):
+    """The superposition kernel's real axes (xb, yb, xg, yg), beta = xb + 1j*yb
+    and gamma = xg + 1j*yg, for t on :meth:`QuadratureSpec.grid`.
+
+    Every imaginary coupling of the exponent only turns the phase, so with
+    c = u - 1 and alpha = p + iq the integrand's modulus is exp(X + Y) with
+
+        X = -(1 - v/2)(xb^2 + xg^2) + c xb xg + (a + p(1 - v)) xb + (p(2 - u) - a) xg,
+        Y = -(1 + v/2)(yb^2 + yg^2) + c yb yg + q(1 + v) yb + q(2 - u) yg.
+
+    Each form peaks where its gradient vanishes, and both its axes have the
+    marginal standard deviation sqrt(2d/(4d^2 - c^2)), d its diagonal; each
+    axis is its peak plus t of those widths.
+    """
+    c = u - 1.0
+    p, q = alpha.real, alpha.imag
+    axes = []
+    for d, lb, lg in (
+        (1 - v / 2, a + p * (1 - v), p * (2 - u) - a),  # X
+        (1 + v / 2, q * (1 + v), q * (2 - u)),  # Y
+    ):
+        det = 4 * d * d - c * c
+        s = math.sqrt(2 * d / det) * t
+        axes += [(2 * d * lb + c * lg) / det + s, (c * lb + 2 * d * lg) / det + s]
+    return axes[0], axes[2], axes[1], axes[3]  # xb, yb, xg, yg
 
 
-def _superposition_sum(x, w, u, v, a, alpha):
-    """Weighted sum of exp(E) over the 4-d grid beta = x[i]+1j*x[j],
-    gamma = x[k]+1j*x[l], where E is the variable part of the superposition
-    kernel exponent; the alpha-only constant is folded in by the caller.
+def _superposition_sum(xb, yb, xg, yg, w, u, v, a, alpha):
+    """Weighted sum of exp(E - shift) over the 4-d grid beta = xb[i] + 1j*yb[j],
+    gamma = xg[k] + 1j*yg[l], E the variable part of the kernel exponent, with
+    shift = max Re(E) over the grid and gap = its max on the boundary - shift.
 
-    Returns the sum with max Re(E) over the grid and over its boundary, so
-    the caller can reject a box that truncates a non-negligible integrand.
-
-    The only coupling of beta and gamma is c*conj(gamma)*beta with c = u-1,
-    which splits exactly into c*(x[i]*x[k] + x[j]*x[l]) +
-    1j*c*(x[j]*x[k] - x[i]*x[l]).  So exp(E) factors into the planes
-    exp(E_beta[i,j]), exp(E_gamma[k,l]) and the 2-index cross factors
-    R[i,k] R[j,l] P[j,k] conj(P[i,l]), with P = exp(1j*c*x x'), and the same
-    trapezoid sum of the same integrand contracts as
-    T[i,j,l] = sum_k R[i,k] P[j,k] G[k,l], G the weighted gamma plane (O(n^4)
+    E = E_beta + E_gamma + c*conj(gamma)*beta with c = u - 1: Re(E) is
+    X[i, k] + Y[j, l] (:func:`_kernel_axes`), and Im(E) the phases of
+    E_beta[i, j] and E_gamma[k, l] plus c*(yb[j]*xg[k] - xb[i]*yg[l]).  So
+    the sum contracts as T[i, j, l] = sum_k Rx[i, k] P[j, k] G[k, l] (O(n^4)
     multiply-adds, O(n^2) exponentials), then one O(n^3) contraction.
     """
-    c = u - 1.0  # in (-1/3, 0]
+    c = u - 1.0
     ac = alpha.conjugate()
-    beta = x[:, None] + 1j * x[None, :]  # also the gamma plane
-    betac = beta.conj()
-    # c/2 (x^2 + x'^2) moves out of the planes into R = exp(c/2 (x + x')^2),
-    # which never exceeds one, so no factor overflows on a wide box
-    diag = -0.5 * c * (x[:, None] ** 2 + x[None, :] ** 2) - betac * beta
-    e_b = diag + a * betac + 0.5 * v * beta * beta + (ac - v * alpha) * beta
-    e_g = diag + (ac - a) * beta + (1.0 - u) * alpha * betac + 0.5 * v * betac * betac
-    ww = w[:, None] * w[None, :]
-    cross = 0.5 * c * (x[:, None] + x[None, :]) ** 2
-    r = np.exp(cross)
-    p = np.exp(1j * c * np.outer(x, x))
-    t = np.einsum("ik,jk,kl->ijl", r, p, ww * np.exp(e_g), optimize=True)
-    total = np.einsum("ijl,ij,jl,il->", t, ww * np.exp(e_b), r, p.conj(), optimize=True)
-    re_b, re_g = e_b.real, e_g.real
+
+    def e_beta(z):
+        return -z * z.conj() + a * z.conj() + 0.5 * v * z * z + (ac - v * alpha) * z
+
+    def e_gamma(z):
+        zc = z.conj()
+        return -z * zc + (ac - a) * z + (1.0 - u) * alpha * zc + 0.5 * v * zc * zc
+
+    re_x = e_beta(xb).real[:, None] + e_gamma(xg).real + c * np.outer(xb, xg)
+    re_y = e_beta(1j * yb).real[:, None] + e_gamma(1j * yg).real + c * np.outer(yb, yg)
+    # the 4-d boundary is where (i, k) or (j, l) is on its plane's border
     edge = [0, -1]
-    peak = _max_exponent(re_b, re_g, cross, cross)
-    bnd = max(
-        _max_exponent(re_b[edge], re_g, cross[edge], cross),  # i on the edge
-        _max_exponent(re_b[:, edge], re_g, cross, cross[edge]),  # j
-        _max_exponent(re_b, re_g[edge], cross[:, edge], cross),  # k
-        _max_exponent(re_b, re_g[:, edge], cross, cross[:, edge]),  # l
-    )
-    return complex(total), peak, bnd
+    gap = max(max(r[edge].max(), r[:, edge].max()) - r.max() for r in (re_x, re_y))
+    ww = w[:, None] * w[None, :]
+    b_plane = ww * np.exp(1j * e_beta(xb[:, None] + 1j * yb).imag)
+    g_plane = ww * np.exp(1j * e_gamma(xg[:, None] + 1j * yg).imag)
+    p_jk, p_il = np.exp(1j * c * np.outer(yb, xg)), np.exp(-1j * c * np.outer(xb, yg))
+    rx, ry = np.exp(re_x - re_x.max()), np.exp(re_y - re_y.max())
+    t = np.einsum("ik,jk,kl->ijl", rx, p_jk, g_plane, optimize=True)
+    total = np.einsum("ijl,ij,jl,il->", t, b_plane, ry, p_il, optimize=True)
+    return complex(total), re_x.max() + re_y.max(), gap
 
 
 def superpose_q_numeric(
@@ -233,29 +244,30 @@ def superpose_q_numeric(
     """Brute-force superposed Q function via the raw 4-d composition integral.
 
     The coherent and squeezed Q functions are composed through a Gaussian
-    kernel over two intermediate phase-space variables; this evaluates that
-    integral directly on a 4-d trapezoid grid (no completion of squares), as
-    an independent check on :func:`q_superposed`.  Agreement within
-    ``quad_spec.rtol`` is expected once the box extends past the integrand's
-    support (~6 standard deviations).  A non-finite or non-numeric alpha
-    raises :class:`DomainError`.
+    kernel over two intermediate phase-space variables; this sums that
+    integral term by term on a 4-d trapezoid grid (no completion of
+    squares), as an independent check on :func:`q_superposed` to within
+    ``quad_spec.rtol``.  Each real axis is centred on the integrand's peak
+    and measured in its width (:func:`_kernel_axes`).  A box whose edge
+    holds a non-negligible integrand raises :class:`QuadratureError`, and a
+    non-finite or non-numeric alpha :class:`DomainError`.
     """
     alpha = phase_point("alpha", alpha)
     spec = quad_spec or QuadratureSpec()
     u, v = squeeze_coeffs(params)
     a = params.a
-    x, w, h = spec.grid()
-    total, peak, bnd = _superposition_sum(x, w, u, v, a, alpha)
-    if bnd - peak > math.log(BOUNDARY_RATIO):
+    t, w, _ = spec.grid()
+    axes = _kernel_axes(t, u, v, a, alpha)
+    total, shift, gap = _superposition_sum(*axes, w, u, v, a, alpha)
+    if gap > math.log(BOUNDARY_RATIO):
         raise QuadratureError(
             f"superposition integrand not negligible at the box edge "
-            f"(ratio {math.exp(bnd - peak):.2e}); increase extent"
+            f"(ratio {math.exp(gap):.2e}); increase extent"
         )
-    const = (
-        -abs(alpha) ** 2 + a * alpha - a * a + 0.5 * v * alpha * alpha
-    )  # alpha-only part of the exponent
-    pref = math.sqrt(u * u - v * v) / np.pi**3
-    return float((pref * np.exp(const) * total * h**4).real)
+    # the alpha-only part of the exponent, and the peak taken out of the sum
+    const = -abs(alpha) ** 2 + a * alpha - a * a + 0.5 * v * alpha * alpha + shift
+    pref = math.sqrt(u * u - v * v) / np.pi**3 * math.prod(x[1] - x[0] for x in axes)
+    return float((pref * np.exp(const) * total).real)
 
 
 @dataclass(frozen=True)
@@ -343,13 +355,8 @@ def q_grid(
     ax = np.linspace(-extent, extent, n)
     alpha = ax[:, None] + 1j * ax[None, :]
     dx = ax[1] - ax[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = form(alpha)
-        norm = float(values.sum() * dx * dx)
-    if not (np.all(np.isfinite(values)) and math.isfinite(norm)):
-        raise DomainError(
-            f"closed-form {kind} Q overflows at this drive (a = {params.a:.6g})"
-        )
+    values = form(alpha)
+    norm = float(values.sum() * dx * dx)
     if abs(norm - 1) > 1e-4:
         warnings.warn(
             NormalizationWarning(

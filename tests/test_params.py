@@ -123,9 +123,6 @@ class TestNonRealInputs:
             pytest.param(lambda: CavityConfig(10**400), id="CavityConfig"),
             pytest.param(lambda: ScaledParams(10**400, 0), id="ScaledParams"),
             pytest.param(
-                lambda: QuadratureSpec(extent=10**400), id="QuadratureSpec-extent"
-            ),
-            pytest.param(
                 lambda: steady_state(CavityConfig(1.0, 0.3, 0.2), trunc=10**400),
                 id="steady_state-trunc",
             ),

@@ -24,7 +24,7 @@ from qsuperpose import (
     q_superposed,
     superpose_q_numeric,
 )
-from qsuperpose import qfunctions
+from qsuperpose import qfunctions, verification
 from qsuperpose.params import squeeze_coeffs
 from qsuperpose.qfunctions import ARRAY_BYTES_CAP, _superposition_sum, trapezoid_weights
 
@@ -90,6 +90,21 @@ class TestClosedForms:
             q_superposed(pts, no_drive), q_squeezed(pts, no_drive), rtol=1e-14
         )
 
+    @pytest.mark.parametrize(
+        "closed_form, alpha, params",
+        (
+            (q_superposed, 25 + 0.1j, ScaledParams(25.0, 0.4)),
+            (q_coherent, 26.8, ScaledParams(26.8, 0.0)),
+            (q_coherent, np.array([0.0, 26.8]), ScaledParams(26.8, 0.0)),
+        ),
+    )
+    def test_overflow_at_its_peak_rejected(self, closed_form, alpha, params):
+        # the Q at its own peak came back as inf with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"overflows .*a = {params.a:g}"):
+                closed_form(alpha, params)
+
 
 class TestCharFn:
     def test_unity_at_origin(self, params_ref):
@@ -139,17 +154,17 @@ class TestTransform:
             got = q_from_char_fn(alpha, params_ref, kind)
             assert got == pytest.approx(closed(alpha, params_ref), abs=1e-4)
 
-    def test_clipped_box_rejected(self, params_ref):
+    def test_clipped_box_rejected(self, params_ref, monkeypatch):
         # the squeezed axes are measured in phi's own widths, so a box one
         # width wide clips phi at every b
-        spec = QuadratureSpec(extent=1.0)
+        monkeypatch.setattr(QuadratureSpec, "extent", 1.0)
         for kind, p in (
             ("coherent", params_ref),
             ("squeezed", params_ref),
             ("squeezed", ScaledParams(0.6, 0.9)),
         ):
             with pytest.raises(QuadratureError, match="box edge"):
-                q_from_char_fn(0j, p, kind, spec)
+                q_from_char_fn(0j, p, kind)
 
     @pytest.mark.parametrize("b", (0.95, 0.99, 0.997))
     def test_near_threshold(self, b):
@@ -175,18 +190,14 @@ class TestSuperpositionIntegral:
         want = q_superposed(alpha, params_ref)
         assert got == pytest.approx(want, rel=spec.rtol)
 
-    def test_clipped_box_rejected(self, params_ref):
-        with pytest.raises(QuadratureError):
-            superpose_q_numeric(0j, params_ref, QuadratureSpec(extent=1.5, nodes=16))
+    def test_clipped_box_rejected(self, params_ref, monkeypatch):
+        monkeypatch.setattr(QuadratureSpec, "extent", 1.5)
+        with pytest.raises(QuadratureError, match="box edge"):
+            superpose_q_numeric(0j, params_ref, QuadratureSpec(nodes=16))
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):
-            QuadratureSpec(extent=-1.0)
-        with pytest.raises(DomainError):
             QuadratureSpec(nodes=4)
-        for extent in (math.nan, math.inf):
-            with pytest.raises(DomainError, match="extent must be finite"):
-                QuadratureSpec(extent=extent)
         for nodes in (math.nan, math.inf, 32.5):
             with pytest.raises(DomainError, match="nodes must be a finite integer"):
                 QuadratureSpec(nodes=nodes)
@@ -247,29 +258,37 @@ def test_closed_form_bad_phase_point_rejected(closed_form, point, params_ref):
         closed_form(point, params_ref)
 
 
+def kernel_exponent(beta, gam, u, v, a, alpha):
+    """The variable part E of the superposition kernel exponent, term by term."""
+    ac = np.conj(alpha)
+    return (
+        -abs(beta) ** 2
+        + a * np.conj(beta)
+        + 0.5 * v * beta**2
+        + (ac - v * alpha) * beta
+        - abs(gam) ** 2
+        + (ac - a) * gam
+        + (1 - u) * alpha * np.conj(gam)
+        + 0.5 * v * np.conj(gam) ** 2
+        + (u - 1) * np.conj(gam) * beta
+    )
+
+
+def mesh4(xb, yb, xg, yg):
+    """beta and gamma broadcast over the 4-d grid (i, j, k, l)."""
+    beta = xb[:, None, None, None] + 1j * yb[None, :, None, None]
+    return beta, xg[None, None, :, None] + 1j * yg[None, None, None, :]
+
+
 class TestSuperpositionSum:
     """The factorized kernel against the 4-d sum written out term by term."""
 
     @staticmethod
-    def direct_sum(x, w, u, v, a, alpha):
+    def direct_sum(axes, w, u, v, a, alpha):
         """Weighted sum of exp(E) over every grid point (i, j, k, l), the max
         of Re(E), its max on the grid boundary, and the sum of |w exp(E)|."""
-        n = len(x)
-        plane = x[:, None] + 1j * x[None, :]
-        beta = plane[:, :, None, None]
-        gam = plane[None, None, :, :]
-        ac = np.conj(alpha)
-        e = (
-            -abs(beta) ** 2
-            + a * np.conj(beta)
-            + 0.5 * v * beta**2
-            + (ac - v * alpha) * beta
-            - abs(gam) ** 2
-            + (ac - a) * gam
-            + (1 - u) * alpha * np.conj(gam)
-            + 0.5 * v * np.conj(gam) ** 2
-            + (u - 1) * np.conj(gam) * beta
-        )
+        n = len(w)
+        e = kernel_exponent(*mesh4(*axes), u, v, a, alpha)
         wt = np.einsum("i,j,k,l->ijkl", w, w, w, w)
         terms = wt * np.exp(e)
         boundary = np.ones((n,) * 4, dtype=bool)
@@ -281,20 +300,84 @@ class TestSuperpositionSum:
         n=st.integers(8, 16),
         a=st.floats(0.0, 3.0),
         b=st.floats(0.0, 0.95),
-        extent=st.floats(1.0, 12.0),
+        centres=st.lists(st.floats(-3.0, 4.0), min_size=4, max_size=4),
+        halves=st.lists(st.floats(0.5, 10.0), min_size=4, max_size=4),
         d_re=st.floats(-2.0, 2.0),
         d_im=st.floats(-2.0, 2.0),
     )
-    def test_matches_direct_sum(self, n, a, b, extent, d_re, d_im):
+    def test_any_axes_match_direct_sum(self, n, a, b, centres, halves, d_re, d_im):
         u, v = squeeze_coeffs(ScaledParams(a, b))
-        x = np.linspace(-extent, extent, n)
+        axes = [c + h * np.linspace(-1.0, 1.0, n) for c, h in zip(centres, halves)]
         w = trapezoid_weights(n)
         alpha = complex(a + d_re, d_im)
-        total, peak, bnd = _superposition_sum(x, w, u, v, a, alpha)
-        want, want_peak, want_bnd, scale = self.direct_sum(x, w, u, v, a, alpha)
-        assert abs(total - want) <= 1e-10 * scale
-        assert peak == pytest.approx(want_peak, abs=1e-12)
-        assert bnd == pytest.approx(want_bnd, abs=1e-12)
+        total, shift, gap = _superposition_sum(*axes, w, u, v, a, alpha)
+        want, want_peak, want_bnd, scale = self.direct_sum(axes, w, u, v, a, alpha)
+        assert abs(total * np.exp(shift) - want) <= 1e-10 * scale
+        assert shift == pytest.approx(want_peak, abs=1e-12)
+        assert gap == pytest.approx(want_bnd - want_peak, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "a, b, alpha",
+        (
+            (0.0, 0.0, 0j),
+            (0.6, 0.4, 0.5 + 0.2j),
+            (2.2, 0.89, -0.7 + 1.1j),
+            (6.0, 0.9999, 6.3 - 0.4j),
+        ),
+    )
+    def test_axes_centred_on_the_peak(self, a, b, alpha):
+        # zoom a brute-force argmax of |integrand| = exp(Re E) onto its peak:
+        # each round keeps two spacings around the best of 21^4 grid points
+        u, v = squeeze_coeffs(ScaledParams(a, b))
+        centre, half = np.zeros(4), 3.0 + a + abs(alpha)
+        for _ in range(12):
+            axes = [c + half * np.linspace(-1.0, 1.0, 21) for c in centre]
+            re = kernel_exponent(*mesh4(*axes), u, v, a, alpha).real
+            idx = np.unravel_index(re.argmax(), re.shape)
+            centre = np.array([ax[i] for ax, i in zip(axes, idx)])
+            half /= 5
+        got = [ax[0] for ax in qfunctions._kernel_axes(np.zeros(1), u, v, a, alpha)]
+        assert got == pytest.approx(centre, abs=1e-6)
+        # each axis is in marginal standard deviations, so the box border
+        # holds exp(-extent^2/2) of the peak, less the grid's miss of the peak
+        t, w, _ = QuadratureSpec().grid()
+        axes = qfunctions._kernel_axes(t, u, v, a, alpha)
+        gap = _superposition_sum(*axes, w, u, v, a, alpha)[2]
+        assert 0 < gap + QuadratureSpec.extent**2 / 2 < 0.1
+
+    @pytest.mark.parametrize("b", (0.0, 0.4, 0.9, 0.9999))
+    @pytest.mark.parametrize("a", (5.0, 6.0, 8.0, 20.0))
+    def test_reaches_large_drive(self, a, b):
+        # an origin-centred box of half-width 8 clipped the beta integrand,
+        # which peaks near a, from a = 5
+        p = ScaledParams(a, b)
+        for point in verification.KERNEL_POINTS:
+            alpha = a + point
+            want = q_superposed(alpha, p)
+            assert abs(superpose_q_numeric(alpha, p) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("axis", range(4))
+    @pytest.mark.parametrize("params", (ScaledParams(0.6, 0.4), ScaledParams(6.0, 0.9)))
+    def test_off_centre_axis_rejected(self, axis, params, monkeypatch):
+        # one axis moved by one width leaves exp(-7^2/2) of the peak at its edge
+        place = qfunctions._kernel_axes
+
+        def shifted(t, *args):
+            axes = list(place(t, *args))
+            axes[axis] = axes[axis] + (axes[axis][1] - axes[axis][0]) / (t[1] - t[0])
+            return tuple(axes)
+
+        alpha = params.a + 0.2j
+        superpose_q_numeric(alpha, params)
+        monkeypatch.setattr(qfunctions, "_kernel_axes", shifted)
+        with pytest.raises(QuadratureError, match="box edge"):
+            superpose_q_numeric(alpha, params)
+
+    def test_coarse_warm_up_specs_accepted(self):
+        # the smallest specs a caller may warm up on still place a valid box
+        p = ScaledParams(0.2, 0.1)
+        assert superpose_q_numeric(0.1, p, QuadratureSpec(nodes=8)) > 0
+        assert q_from_char_fn(0.1, p, "coherent", QuadratureSpec(nodes=16)) > 0
 
 
 def _per_cell_csv(grid) -> str:
