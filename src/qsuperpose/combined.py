@@ -12,7 +12,7 @@ superposition of :mod:`qsuperpose.superposed`.
 Times are measured in units of 1/kappa throughout (tau = kappa * t).
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, NumericsError, StepError
@@ -43,6 +43,10 @@ class MomentSet:
         # tolerate quadrature-level noise but reject genuinely negative values
         if self.mean_photon < -1e-9:
             raise DomainError(f"mean photon number negative: {self.mean_photon}")
+
+    def __add__(self, other: "MomentSet") -> "MomentSet":
+        """Field-wise sum: the moments of two superposed independent sources."""
+        return MomentSet(*(x + y for x, y in zip(astuple(self), astuple(other))))
 
 
 def steady_mean_amp(params: ScaledParams) -> float:

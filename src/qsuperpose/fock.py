@@ -553,8 +553,4 @@ def superposition_oracle(config: CavityConfig, trunc: int | None = None) -> Mome
     superposition predicts for the combined light."""
     coh = moments(steady_state(CavityConfig(config.kappa, config.eps1, 0.0), trunc))
     sqz = moments(steady_state(CavityConfig(config.kappa, 0.0, config.eps2), trunc))
-    return MomentSet(
-        mean_amp=coh.mean_amp + sqz.mean_amp,
-        mean_sq=coh.mean_sq + sqz.mean_sq,
-        mean_photon=coh.mean_photon + sqz.mean_photon,
-    )
+    return coh + sqz

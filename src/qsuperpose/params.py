@@ -222,42 +222,48 @@ class GaussianQ:
                 + self.squeeze * (alpha**2).real
                 + 2 * self.linear * alpha.real
             )
-        if not np.isfinite(out).all():
-            a = self.linear / (self.quad - self.squeeze)  # the drive, from the mean
-            raise DomainError(f"closed-form Q overflows at this drive (a = {a:.6g})")
+        self._check_finite(out)
         return float(out) if out.ndim == 0 else out
+
+    def _check_finite(self, values) -> None:
+        import numpy as np
+
+        if not np.isfinite(values).all():
+            a = self.marginals()[0]  # the drive: the mean of x
+            raise DomainError(f"closed-form Q overflows at this drive (a = {a:.6g})")
 
     def axis_factors(self, ax) -> tuple["np.ndarray", "np.ndarray"]:
         """Factors fx, fy on the real axis ``ax`` with Q(x + iy) = fx(x)*fy(y):
         fx = exp(-(quad - squeeze)*x^2 + 2*linear*x) and
         fy = prefactor*exp(-(quad + squeeze)*y^2).  So Q on the grid ax x ax is
         their outer product, and its sums against x, x^2, y^2 are products
-        of 1-d sums."""
+        of 1-d sums.  fx peaks at exp(linear*mean), which overflows at a
+        drive where Q itself is still finite: DomainError, as in
+        :meth:`__call__`."""
         import numpy as np
 
         ax = np.asarray(ax, dtype=float)
-        fx = np.exp(-(self.quad - self.squeeze) * ax**2 + 2 * self.linear * ax)
+        with np.errstate(over="ignore"):
+            fx = np.exp(-(self.quad - self.squeeze) * ax**2 + 2 * self.linear * ax)
+        self._check_finite(fx)
         return fx, self.prefactor * np.exp(-(self.quad + self.squeeze) * ax**2)
 
-    def axis_half_widths(self, sigmas: float) -> tuple[float, float]:
-        """Half-widths of origin-centred x and y grids: the rule of
-        :meth:`half_width` with each axis's own standard deviation, so both
-        equal the square box's while neither axis is wider than the vacuum.
-        For the squeezed and superposed Q, as b -> 1 the y width grows like
-        (1 - b)^(-1/2) while x stays narrower than the vacuum."""
+    def marginals(self) -> tuple[float, float, float]:
+        """(mean, sigma_x, sigma_y): Q is a Gaussian in x about ``mean`` of
+        standard deviation sigma_x times one in y about 0 of sigma_y.  For
+        the squeezed and superposed Q, as b -> 1 sigma_y grows like
+        (1 - b)^(-1/2) while sigma_x stays at most the vacuum's 1/sqrt(2)."""
         mean = self.linear / (self.quad - self.squeeze)
         sigma_x = math.sqrt(1 / (2 * (self.quad - self.squeeze)))
         sigma_y = math.sqrt(1 / (2 * (self.quad + self.squeeze)))
-        return (
-            abs(mean) + sigmas * max(1.0, sigma_x),
-            abs(mean) + sigmas * max(1.0, sigma_y),
-        )
+        return mean, sigma_x, sigma_y
 
     def half_width(self, sigmas: float) -> float:
         """Half-width of an origin-centred square box covering the displaced
         peak plus ``sigmas`` standard deviations of the widest Gaussian axis
-        (at least the vacuum width): the larger of :meth:`axis_half_widths`."""
-        return max(self.axis_half_widths(sigmas))
+        (at least the vacuum width)."""
+        mean, sigma_x, sigma_y = self.marginals()
+        return abs(mean) + sigmas * max(1.0, sigma_x, sigma_y)
 
 
 def gaussian_form(params: ScaledParams, kind: str) -> GaussianQ:

@@ -25,6 +25,7 @@ from .errors import DomainError, NormalizationWarning, QuadratureError
 from .params import (
     ARRAY_BYTES_CAP,
     Q_KINDS,
+    GaussianQ,
     ScaledParams,
     as_count,
     check_grid,
@@ -48,17 +49,16 @@ def trapezoid_weights(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Real-grid quadrature settings: the node count per axis.
+    """Real-grid quadrature rule: the node count per axis.
 
-    Both phase-space oracles place each real axis at t (:meth:`grid`, t in
+    Every phase-space sum places each real axis at t (:meth:`grid`, t in
     [-extent, extent]) widths of its own integrand: phi's widths for the
     characteristic-function transform (:func:`q_from_char_fn`), marginal
     standard deviations about the peak for the superposition kernel
-    (:func:`_kernel_axes`).  So ``extent`` is a constant: below about 7.4
-    (kernel) or 5.3 (transform) every box is refused.  ``rtol`` is the
-    kernel's expected agreement with the closed form.  ``nodes`` is capped
-    so that the kernel's complex nodes^3 intermediate fits
-    :data:`ARRAY_BYTES_CAP`; the transform builds only 1-d arrays.
+    (:func:`_kernel_axes`) and for the closed-form Q's normalization and
+    moments (:func:`plane_sums`).  So ``extent`` is a constant: below about
+    7.4 (kernel) or 5.3 (transform) every box is refused.  ``rtol`` is the
+    kernel's expected agreement with the closed form.
     """
 
     nodes: int = 48
@@ -69,16 +69,27 @@ class QuadratureSpec:
         object.__setattr__(self, "nodes", as_count("nodes", self.nodes))
         if self.nodes < 8:
             raise DomainError(f"need at least 8 nodes per axis, got {self.nodes}")
-        if 16 * self.nodes**3 > ARRAY_BYTES_CAP:
-            mib = 16 * self.nodes**3 / 2**20
-            raise DomainError(
-                f"{self.nodes} nodes per axis need a {mib:.1f} MiB kernel array, "
-                f"above the cap of {ARRAY_BYTES_CAP >> 20} MiB"
-            )
 
     def grid(self) -> tuple[np.ndarray, np.ndarray, float]:
         x = np.linspace(-self.extent, self.extent, self.nodes)
         return x, trapezoid_weights(self.nodes), x[1] - x[0]
+
+
+def plane_sums(form: GaussianQ, spec: QuadratureSpec | None = None) -> tuple:
+    """Trapezoid sums of Q, Q x, Q x^2 and Q y^2 times dx dy over the phase
+    plane, alpha = x + iy, for a closed-form Q.  Q is fx(x) fy(y)
+    (:meth:`GaussianQ.axis_factors`), so each is a product of 1-d sums; the
+    axes are x = mean + sigma_x t and y = sigma_y t
+    (:meth:`GaussianQ.marginals`) with t on :meth:`QuadratureSpec.grid`, so
+    the narrow x axis stays resolved as b -> 1."""
+    t, w, h = (spec or QuadratureSpec()).grid()
+    mean, sigma_x, sigma_y = form.marginals()
+    x, y = mean + sigma_x * t, sigma_y * t
+    fx = form.axis_factors(x)[0] * w * (sigma_x * h)
+    fy = form.axis_factors(y)[1] * w * (sigma_y * h)
+    sx, sy = fx.sum(), fy.sum()
+    sums = sx * sy, (fx * x).sum() * sy, (fx * x**2).sum() * sy, sx * (fy * y**2).sum()
+    return tuple(map(float, sums))
 
 
 def q_coherent(alpha, params: ScaledParams):
@@ -249,11 +260,18 @@ def superpose_q_numeric(
     squares), as an independent check on :func:`q_superposed` to within
     ``quad_spec.rtol``.  Each real axis is centred on the integrand's peak
     and measured in its width (:func:`_kernel_axes`).  A box whose edge
-    holds a non-negligible integrand raises :class:`QuadratureError`, and a
-    non-finite or non-numeric alpha :class:`DomainError`.
+    holds a non-negligible integrand raises :class:`QuadratureError`; a
+    non-finite or non-numeric alpha, or a spec whose complex nodes^3
+    intermediate exceeds :data:`ARRAY_BYTES_CAP`, :class:`DomainError`
+    before anything is allocated.
     """
     alpha = phase_point("alpha", alpha)
     spec = quad_spec or QuadratureSpec()
+    if 16 * spec.nodes**3 > ARRAY_BYTES_CAP:
+        raise DomainError(
+            f"{spec.nodes} nodes per axis need a {16 * spec.nodes**3 / 2**20:.1f} "
+            f"MiB kernel array, above the cap of {ARRAY_BYTES_CAP >> 20} MiB"
+        )
     u, v = squeeze_coeffs(params)
     a = params.a
     t, w, _ = spec.grid()

@@ -19,8 +19,8 @@ from .combined import (
     steady_moments_combined,
 )
 from .errors import DomainError, TruncationError
-from .params import CavityConfig, ScaledParams, finite, gaussian_form, scale
-from .qfunctions import Q_KINDS, QuadratureSpec, q_from_char_fn, superpose_q_numeric
+from .params import Q_KINDS, CavityConfig, ScaledParams, finite, gaussian_form, scale
+from .qfunctions import QuadratureSpec, plane_sums, q_from_char_fn, superpose_q_numeric
 from .superposed import (
     PAIR_BASELINE,
     moments_via_qfunction,
@@ -62,18 +62,6 @@ def _gap(x: MomentSet, y: MomentSet) -> float:
     return max(abs(u - v) for u, v in zip(astuple(x), astuple(y)))
 
 
-def _norm_quadrature(params: ScaledParams, kind: str) -> float:
-    """Discrete integral of the closed-form Q over a generous box: the sum
-    over the 801 x 801 grid is taken exactly as the product of the 1-d sums
-    of :meth:`GaussianQ.axis_factors`."""
-    form = gaussian_form(params, kind)
-    extent = form.half_width(9)
-    ax = np.linspace(-extent, extent, 801)
-    dx = ax[1] - ax[0]
-    fx, fy = form.axis_factors(ax)
-    return float(fx.sum() * fy.sum() * dx * dx)
-
-
 def _grid_params(extra: ScaledParams) -> list[ScaledParams]:
     grid = [ScaledParams(a, b) for a in STANDARD_A for b in STANDARD_B]
     if all((p.a, p.b) != (extra.a, extra.b) for p in grid):
@@ -81,17 +69,13 @@ def _grid_params(extra: ScaledParams) -> list[ScaledParams]:
     return grid
 
 
-def check_combined_vs_lindblad(config: CavityConfig, trunc, tol) -> CheckResult:
-    closed = steady_moments_combined(scale(config))
-    dev = _gap(fock.moments(fock.steady_state(config, trunc)), closed)
+def check_combined_vs_lindblad(params: ScaledParams, rho, tol) -> CheckResult:
+    dev = _gap(fock.moments(rho), steady_moments_combined(params))
     return _within("combined_moments_vs_lindblad", dev, tol)
 
 
-def check_squeezed_variance_vs_oracle(config: CavityConfig, trunc, tol) -> CheckResult:
-    sq_config = CavityConfig(config.kappa, 0.0, config.eps2)
-    p = scale(sq_config)
-    vp, vm = quad_variance_single(p)
-    rho = fock.steady_state(sq_config, trunc)
+def check_squeezed_variance_vs_oracle(params: ScaledParams, rho, tol) -> CheckResult:
+    vp, vm = quad_variance_single(ScaledParams(0.0, params.b))
     dev = max(
         abs(fock.expect(rho, "quad_var_plus") - vp),
         abs(fock.expect(rho, "quad_var_minus") - vm),
@@ -109,10 +93,13 @@ def check_single_uncertainty_product() -> CheckResult:
 
 
 def check_q_normalization(extra: ScaledParams) -> CheckResult:
+    """Unit normalization of the three closed-form Q functions on the
+    standard grid and ``extra``, each integral the first of its
+    :func:`plane_sums`: it holds to ~1e-11 up to b = 1 - 1e-6."""
     dev = 0.0
     for p in _grid_params(extra):
         for kind in Q_KINDS:
-            dev = max(dev, abs(_norm_quadrature(p, kind) - 1.0))
+            dev = max(dev, abs(plane_sums(gaussian_form(p, kind))[0] - 1.0))
     return _within("q_normalization", dev, 1e-6)
 
 
@@ -122,6 +109,8 @@ def check_superposition_kernel(params: ScaledParams) -> CheckResult:
     dev = 0.0
     for alpha in KERNEL_POINTS:
         closed = form(alpha)
+        if closed == 0:
+            raise DomainError(f"closed-form Q underflows to 0 at alpha = {alpha}")
         dev = max(dev, abs(superpose_q_numeric(alpha, params, spec) - closed) / closed)
     return _within("superposition_kernel_4d", dev, spec.rtol, "relative")
 
@@ -140,16 +129,15 @@ def check_charfn_transform(params: ScaledParams) -> CheckResult:
     return _within("charfn_transform", dev, 1e-4)
 
 
-def check_superposed_moments_threeway(config: CavityConfig, trunc, tol) -> CheckResult:
-    closed = superposed_moments(scale(config))
-    quad = moments_via_qfunction(scale(config))
-    oracle = fock.superposition_oracle(config, trunc)
+def check_superposed_moments_threeway(
+    params: ScaledParams, quad: MomentSet, oracle: MomentSet, tol
+) -> CheckResult:
+    closed = superposed_moments(params)
     dev = max(_gap(closed, quad), _gap(closed, oracle))
     return _within("superposed_moments_threeway", dev, tol)
 
 
-def check_pair_variance_quadrature(params: ScaledParams) -> CheckResult:
-    mom = moments_via_qfunction(params)
+def check_pair_variance_quadrature(params: ScaledParams, mom: MomentSet) -> CheckResult:
     vp = PAIR_BASELINE + 2 * mom.mean_photon + 2 * mom.mean_sq - 4 * mom.mean_amp**2
     vm = PAIR_BASELINE + 2 * mom.mean_photon - 2 * mom.mean_sq
     closed_plus, closed_minus = quad_variance_pair(params)
@@ -205,11 +193,10 @@ def check_coherent_term_contrast() -> CheckResult:
     )
 
 
-def check_truncation_doubling(config: CavityConfig, trunc) -> CheckResult:
-    """Moments at the lab and frame truncations against both doubled: the
-    solve truncates in the frame, so doubling the lab N alone would compare
-    a state with itself."""
-    lo = fock.steady_state(config, trunc)
+def check_truncation_doubling(config: CavityConfig, lo) -> CheckResult:
+    """Moments of the steady state ``lo`` at its lab and frame truncations
+    against both doubled: the solve truncates in the frame, so doubling the
+    lab N alone would compare a state with itself."""
     dim, frame_dim = lo.dim, fock.frame_truncation(config)
     if 2 * frame_dim > fock.frame_cap():
         raise TruncationError(
@@ -229,22 +216,29 @@ def run_verification(
     tol: float = 1e-6,
 ) -> list[CheckResult]:
     """Run every check against the given configuration; deterministic.
-    tol must be finite and positive, else :class:`DomainError`."""
+    Each Fock state and the quadrature moments are computed once, for every
+    check that reads them.  tol must be finite and positive, else
+    :class:`DomainError`."""
     if not (finite("tol", tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
     p = scale(config)
+    rho = fock.steady_state(config, trunc)
+    rho_sq = fock.steady_state(CavityConfig(config.kappa, 0.0, config.eps2), trunc)
+    rho_coh = fock.steady_state(CavityConfig(config.kappa, config.eps1, 0.0), trunc)
+    oracle = fock.moments(rho_coh) + fock.moments(rho_sq)
+    quad = moments_via_qfunction(p)
     return [
-        check_combined_vs_lindblad(config, trunc, tol),
-        check_squeezed_variance_vs_oracle(config, trunc, tol),
+        check_combined_vs_lindblad(p, rho, tol),
+        check_squeezed_variance_vs_oracle(p, rho_sq, tol),
         check_single_uncertainty_product(),
         check_q_normalization(p),
         check_superposition_kernel(p),
         check_charfn_transform(p),
-        check_superposed_moments_threeway(config, trunc, tol),
-        check_pair_variance_quadrature(p),
+        check_superposed_moments_threeway(p, quad, oracle, tol),
+        check_pair_variance_quadrature(p, quad),
         check_halving_identity(),
         check_output_scaling(config),
         check_transient_mean_amp(config),
         check_coherent_term_contrast(),
-        check_truncation_doubling(config, trunc),
+        check_truncation_doubling(config, rho),
     ]

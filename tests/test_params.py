@@ -278,3 +278,27 @@ class TestGaussianQ:
         _, fy = form.axis_factors(y)
         want = form(x[:, None] + 1j * y[None, :])
         np.testing.assert_allclose(fx[:, None] * fy[None, :], want, rtol=1e-12, atol=0)
+
+    def test_marginals_at_the_reference_point(self, params_ref):
+        # Q ~ exp(-(u - v)(x - a)^2 - (u + v) y^2)
+        mean, sigma_x, sigma_y = gaussian_form(params_ref, "superposed").marginals()
+        assert mean == pytest.approx(0.6, rel=1e-15)
+        assert sigma_x == pytest.approx((2 * (U_REF - V_REF)) ** -0.5, rel=1e-15)
+        assert sigma_y == pytest.approx((2 * (U_REF + V_REF)) ** -0.5, rel=1e-15)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(Q_KINDS),
+        a=st.floats(0.0, 20.0),
+        b=st.floats(0.0, 1.0, exclude_max=True),
+        sigmas=st.floats(1.0, 12.0),
+    )
+    def test_half_width_is_the_wider_axis_box(self, kind, a, b, sigmas):
+        # q_grid's automatic extent, bit for bit: the wider of the two
+        # origin-centred axis boxes, each at least vacuum-wide
+        form = gaussian_form(ScaledParams(a, b), kind)
+        mean, sigma_x, sigma_y = form.marginals()
+        assert form.half_width(sigmas) == max(
+            abs(mean) + sigmas * max(1.0, sigma_x),
+            abs(mean) + sigmas * max(1.0, sigma_y),
+        )

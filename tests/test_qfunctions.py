@@ -25,7 +25,7 @@ from qsuperpose import (
     superpose_q_numeric,
 )
 from qsuperpose import qfunctions, verification
-from qsuperpose.params import squeeze_coeffs
+from qsuperpose.params import gaussian_form, squeeze_coeffs
 from qsuperpose.qfunctions import ARRAY_BYTES_CAP, _superposition_sum, trapezoid_weights
 
 INV_PI = 0.3183098861837907
@@ -37,6 +37,11 @@ PHI_SQ_HALF = 0.7165313105737893  # squeezed char fn at z=0.5, b=0.4
 SAMPLE_POINTS = [
     complex(re, im) for re in np.linspace(-1.2, 1.2, 5) for im in np.linspace(-1.2, 1.2, 5)
 ]
+
+
+def coherent_x_factor(x, params):
+    """fx of the coherent Q on the real axis x (:meth:`GaussianQ.axis_factors`)."""
+    return gaussian_form(params, "coherent").axis_factors(x)[0]
 
 
 class TestClosedForms:
@@ -96,10 +101,13 @@ class TestClosedForms:
             (q_superposed, 25 + 0.1j, ScaledParams(25.0, 0.4)),
             (q_coherent, 26.8, ScaledParams(26.8, 0.0)),
             (q_coherent, np.array([0.0, 26.8]), ScaledParams(26.8, 0.0)),
+            # exp(a^2) at its peak while the prefactor exp(-a^2) is subnormal
+            (coherent_x_factor, np.array([0.0, 27.0]), ScaledParams(27.0, 0.0)),
         ),
     )
     def test_overflow_at_its_peak_rejected(self, closed_form, alpha, params):
-        # the Q at its own peak came back as inf with a RuntimeWarning
+        # the Q or its x factor at its own peak came back as inf with a
+        # RuntimeWarning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=f"overflows .*a = {params.a:g}"):
@@ -202,12 +210,21 @@ class TestSuperpositionIntegral:
             with pytest.raises(DomainError, match="nodes must be a finite integer"):
                 QuadratureSpec(nodes=nodes)
         assert isinstance(QuadratureSpec(nodes=32.0).nodes, int)
-        # the smallest node count whose complex nodes^3 kernel array
-        # exceeds the byte cap; a spec allocates nothing
+
+    def test_kernel_refuses_an_over_cap_spec(self, params_ref, monkeypatch):
+        # the smallest node count whose complex nodes^3 kernel array exceeds
+        # the byte cap: the kernel refuses it before it places a grid, while
+        # the transform, which builds only 1-d arrays, runs on it
         nodes = next(n for n in itertools.count(8) if 16 * n**3 > ARRAY_BYTES_CAP)
-        QuadratureSpec(nodes=nodes - 1)
-        with pytest.raises(DomainError, match="cap"):
-            QuadratureSpec(nodes=nodes)
+        spec = QuadratureSpec(nodes=nodes)
+        want = q_coherent(0.1, params_ref)
+        assert q_from_char_fn(0.1, params_ref, "coherent", spec) == pytest.approx(
+            want, rel=1e-12
+        )
+        with monkeypatch.context() as m:
+            m.setattr(QuadratureSpec, "grid", None)
+            with pytest.raises(DomainError, match=f"{nodes} nodes per axis .* cap"):
+                superpose_q_numeric(0j, params_ref, spec)
 
 
 @pytest.mark.parametrize(

@@ -5,15 +5,17 @@ row reports."""
 
 import cmath
 import dataclasses
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsuperpose import (
     CavityConfig,
+    DomainError,
     MomentSet,
     QuadratureError,
     QuadratureSpec,
@@ -26,52 +28,89 @@ from qsuperpose import (
 )
 from qsuperpose import fock, qfunctions, superposed, verification
 from qsuperpose.params import Q_KINDS
-from qsuperpose.qfunctions import BOUNDARY_RATIO, _char_gauss_coeffs, q_from_char_fn
+from qsuperpose.qfunctions import (
+    BOUNDARY_RATIO,
+    _char_gauss_coeffs,
+    plane_sums,
+    q_from_char_fn,
+)
 from qsuperpose.verification import (
-    _norm_quadrature,
     check_charfn_transform,
     check_pair_variance_quadrature,
     check_q_normalization,
+    check_superposition_kernel,
 )
 
 
-def direct_sums(form, n, extent, extent_y=None):
-    """Sums of Q, Q x, Q (x^2 - y^2) and Q (x^2 + y^2) times dx dy over the
-    n x n grid of half-width ``extent`` in x and ``extent_y`` (default: the
-    same) in y, term by term.  Q(x + iy) is evaluated from its exponent
+def direct_sums(form, spec):
+    """Sums of Q, Q x, Q x^2 and Q y^2 times dx dy, term by term, over the
+    2-d trapezoid grid of the one rule: x = mean + sigma_x t, y = sigma_y t
+    for t on the spec's grid, with the mean and widths read off the
+    exponent.  Q(x + iy) is evaluated from its exponent
     -quad (x^2 + y^2) + squeeze (x^2 - y^2) + 2 linear x grouped by x and y:
     grouped by |alpha|^2 and Re(alpha^2) instead, the rounding of the
     cancelling y^2 terms grows like eps quad y^2 ~ eps/(1 - b) on these boxes
     and alone exceeds 1e-12 as b -> 1."""
-    ax = np.linspace(-extent, extent, n)
-    ay = ax if extent_y is None else np.linspace(-extent_y, extent_y, n)
+    cx, cy = form.quad - form.squeeze, form.quad + form.squeeze
+    t = np.linspace(-spec.extent, spec.extent, spec.nodes)
+    w = np.ones(spec.nodes)
+    w[0] = w[-1] = 0.5
+    ax = form.linear / cx + t / np.sqrt(2 * cx)
+    ay = t / np.sqrt(2 * cy)
     x, y = ax[:, None], ay[None, :]
-    q = form.prefactor * np.exp(
-        -(form.quad - form.squeeze) * x**2
-        + 2 * form.linear * x
-        - (form.quad + form.squeeze) * y**2
-    )
-    w = q * (ax[1] - ax[0]) * (ay[1] - ay[0])
-    return w.sum(), (w * x).sum(), (w * (x**2 - y**2)).sum(), (w * (x**2 + y**2)).sum()
+    q = form.prefactor * np.exp(-cx * x**2 + 2 * form.linear * x - cy * y**2)
+    terms = w[:, None] * w[None, :] * q * (ax[1] - ax[0]) * (ay[1] - ay[0])
+    return terms.sum(), (terms * x).sum(), (terms * x**2).sum(), (terms * y**2).sum()
 
 
 @settings(max_examples=25, deadline=None)
-@given(a=st.floats(0.0, 5.0), b=st.floats(0.0, 1.0, exclude_max=True))
-def test_factorized_sums_equal_the_2d_sums(a, b):
-    p = ScaledParams(a, b)
+@given(
+    a=st.floats(0.0, 20.0),
+    b=st.floats(0.0, 1.0, exclude_max=True),
+    nodes=st.sampled_from((16, 48, 64)),
+)
+def test_factorized_sums_equal_the_2d_sums(a, b, nodes):
+    spec = QuadratureSpec(nodes)
     for kind in Q_KINDS:
-        form = gaussian_form(p, kind)
-        norm = direct_sums(form, 801, form.half_width(9))[0]
-        assert abs(_norm_quadrature(p, kind) - norm) <= 1e-12 * max(1.0, norm)
-    form = gaussian_form(p, "superposed")
-    # the default moment grid spans each axis's own 10 sigma
-    _, amp, sq, photon = direct_sums(form, 601, *form.axis_half_widths(10))
-    # the moments cancel terms of size sum Q (x^2 + y^2)
-    tol = 1e-12 * max(1.0, photon)
-    got = moments_via_qfunction(p)
-    assert abs(got.mean_amp - amp) <= tol
-    assert abs(got.mean_sq - sq) <= tol
-    assert abs(got.mean_photon - (photon - 1.0)) <= tol
+        form = gaussian_form(ScaledParams(a, b), kind)
+        q, qx, qx2, qy2 = direct_sums(form, spec)
+        # sum Q x has terms of either sign, each below Q (1 + x^2)/2
+        scales = (q, q + qx2, qx2, qy2)
+        for got, want, scale in zip(plane_sums(form, spec), (q, qx, qx2, qy2), scales):
+            assert abs(got - want) <= 1e-12 * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(0.0, 20.0), b=st.floats(0.0, 1 - 1e-6))
+# one square box took its spacing from the wide y axis and undersampled the
+# narrow x axis: the normalization check read 1.7e-5, 5.8e-3 and 6.3 here
+@example(a=0.0, b=0.9998)
+@example(a=0.0, b=0.9999)
+@example(a=0.0, b=1 - 1e-6)
+def test_one_rule_holds_over_the_stable_domain(a, b):
+    p = ScaledParams(a, b)
+    assert check_q_normalization(p).max_deviation <= 1e-10
+    closed, quad = superposed_moments(p), moments_via_qfunction(p)
+    # each moment is a difference of sums of size <|alpha|^2> = <n> + 1
+    tol = 1e-9 * (1.0 + closed.mean_photon)
+    assert abs(quad.mean_amp - closed.mean_amp) <= tol
+    assert abs(quad.mean_sq - closed.mean_sq) <= tol
+    assert abs(quad.mean_photon - closed.mean_photon) <= tol
+
+
+def test_normalization_check_refuses_an_overflowing_drive():
+    # a = 27: the x factor overflows at its peak; the check read inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows .*a = 27"):
+            check_q_normalization(ScaledParams(27.0, 0.0))
+
+
+def test_kernel_check_refuses_an_underflowing_closed_form():
+    # a = 27.1: the closed Q underflows to 0 at some probe points, which
+    # the relative deviation divided by
+    with pytest.raises(DomainError, match="underflows to 0"):
+        check_superposition_kernel(ScaledParams(27.1, 0.0))
 
 
 def direct_transform(alpha, params, kind, spec):
@@ -165,22 +204,26 @@ def test_normalization_check_catches_a_wrong_prefactor(monkeypatch, params_ref):
 
 
 def test_pair_variance_check_catches_a_flipped_squeeze(monkeypatch, params_ref):
-    assert check_pair_variance_quadrature(params_ref).passed
+    mom = moments_via_qfunction(params_ref)
+    assert check_pair_variance_quadrature(params_ref, mom).passed
     mutate_forms(monkeypatch, squeeze=lambda c: -c)
-    assert not check_pair_variance_quadrature(params_ref).passed
+    mom = moments_via_qfunction(params_ref)
+    assert not check_pair_variance_quadrature(params_ref, mom).passed
 
 
 def test_doubling_row_names_what_it_doubled():
     # a = 2.2, b = 0.89: the corner of the oracle's reach; the solve
     # truncates in the frame, so both the lab N and n_f are doubled
-    res = verification.check_truncation_doubling(CavityConfig(1.0, 1.1, 0.445), None)
+    config = CavityConfig(1.0, 1.1, 0.445)
+    res = verification.check_truncation_doubling(config, fock.steady_state(config))
     assert res.passed
     assert res.note == "N 194/388, frame 29/58"
 
 
 def test_doubling_row_at_the_truncation_cap():
     # an explicit trunc = TRUNC_CAP is accepted and doubled to 2 TRUNC_CAP
-    res = verification.check_truncation_doubling(CavityConfig(1.0, 0.3, 0.2), 200)
+    config = CavityConfig(1.0, 0.3, 0.2)
+    res = verification.check_truncation_doubling(config, fock.steady_state(config, 200))
     assert res.passed
     assert res.note == "N 200/400, frame 16/32"
 
@@ -191,8 +234,9 @@ def test_doubling_beyond_the_dense_solve_is_out_of_reach():
     # the dense solve, which is the oracle's reach, not a bad argument
     config = CavityConfig(1.0, 0.1, 0.4774)
     assert fock.frame_truncation(config) == 46
+    lo = fock.steady_state(config, 200)
     with pytest.raises(TruncationError, match="needs 92 frame levels"):
-        verification.check_truncation_doubling(config, 200)
+        verification.check_truncation_doubling(config, lo)
 
 
 @pytest.mark.parametrize("field", ("mean_amp", "mean_sq", "mean_photon"))
@@ -205,14 +249,41 @@ def test_gap_reads_every_moment(field):
 def test_threeway_check_catches_a_wrong_mean_sq(monkeypatch):
     # the Fock oracle and the quadrature both disagree with a closed form
     # whose <a^2> is off by 1e-5; the other two moments stay exact
-    config = CavityConfig(1.0, 0.3, 0.2)
-    assert verification.check_superposed_moments_threeway(config, None, 1e-6).passed
+    p = ScaledParams(0.6, 0.4)
+    quad = moments_via_qfunction(p)
+    oracle = fock.superposition_oracle(CavityConfig(1.0, 0.3, 0.2))
+    check = verification.check_superposed_moments_threeway
+    assert check(p, quad, oracle, 1e-6).passed
 
     def wrong(params):
         closed = superposed_moments(params)
         return dataclasses.replace(closed, mean_sq=closed.mean_sq + 1e-5)
 
     monkeypatch.setattr(verification, "superposed_moments", wrong)
-    res = verification.check_superposed_moments_threeway(config, None, 1e-6)
+    res = check(p, quad, oracle, 1e-6)
     assert not res.passed
     assert res.max_deviation == pytest.approx(1e-5, rel=1e-6)
+
+
+def test_verify_solves_each_oracle_state_once(monkeypatch):
+    # the combined, squeezed-only and coherent-only states, the doubled
+    # state and the quadrature moments: each is computed once and shared
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("steady_state", "steady_state_in_frame"):
+        counted(fock, name)
+    counted(verification, "moments_via_qfunction")
+    results = verification.run_verification(CavityConfig(1.0, 0.3, 0.2))
+    assert all(r.passed for r in results)
+    assert sorted(calls) == sorted(
+        ["steady_state"] * 3 + ["steady_state_in_frame", "moments_via_qfunction"]
+    )
