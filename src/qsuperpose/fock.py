@@ -3,34 +3,37 @@
 Ground truth for every closed form in the package: the driven damped cavity
 is realized as a Lindblad master equation (vacuum-reservoir dissipator at
 rate kappa plus the combined drive Hamiltonian), its steady state is found by
-a direct LU solve, and expectation values are taken with explicit truncated
-ladder operators.  Nothing here reuses the closed-form results it is meant
-to check, and nothing here needs more than numpy.
+a direct block LU solve, and expectation values are taken with explicit
+truncated ladder operators.  Nothing here reuses the closed-form results it
+is meant to check, and nothing here needs more than numpy.
 
 Conventions: Fock levels 0..N-1, annihilation matrix entries
 a[n-1, n] = sqrt(n).  The master equation is written once, as a
 :class:`Generator` of the drive K (H = iK), a jump matrix A in place of a,
 and kappa: L rho = K rho - rho K + kappa (A rho A^T - {A^T A, rho}/2).
 Its matrix action, four dense products, certifies every solution and steps
-:func:`propagate`; the LU factorizes its separate COO assembly on the
-symmetric subspace.
+:func:`propagate`; the steady-state solve builds its system from a separate
+COO assembly on the symmetric subspace.
 
 Solver strategy: the steady state is solved in the frame D(delta) S(r) of
 :func:`frame`, where it is thermal with nbar depending on b only, so
 n_f = 16..29 frame levels hold it where the lab basis needs N = 40..194.
 There A = cosh r b - sinh r b^dag + delta; every drive is real, so L is real
 and commutes with transposition, L(rho^T) = (L rho)^T, and the unique steady
-state is real symmetric: one certified dense LU solve (LAPACK, partial
-pivoting) on its n_f(n_f+1)/2 unknowns rho_mn, m <= n, finds it
-(:func:`_solve_lu`).  Mapped to the lab basis, rho = U rho_f U^T with
-U[n, k] = <n|D S|k>, it must pass the lab tail check and an independent
-certificate: |(L_lab rho)_mn| <= 1e-9 max|rho| on the interior rows
-m, n <= N-3, exact rows of the untruncated master equation.  Any
-(delta, r) gives the same state once n_f is adequate, so the frame is no
-input to the answer; a wrong frame or too small an n_f misses that bound and
-raises SolveError.  An explicit lab truncation above TRUNC_CAP, or a frame
-whose dense system exceeds ARRAY_BYTES_CAP, is refused before anything is
-allocated.
+state is real symmetric: one certified block LU solve on its n_f(n_f+1)/2
+unknowns rho_mn, m <= n, finds it (:func:`_solve_lu`).  Ordered row-major
+by m, an unknown couples only to those of m - 2..m + 2, so the rows of two
+consecutive m form a block tridiagonal system; it is eliminated block row by
+block row, each built from the generator's triples when it is needed, and
+only the eliminated upper blocks are kept.  Mapped to the lab basis,
+rho = U rho_f U^T with U[n, k] = <n|D S|k>, it must pass the lab tail check
+and an independent certificate: |(L_lab rho)_mn| <= 1e-9 max|rho| on the
+interior rows m, n <= N-3, exact rows of the untruncated master equation.
+Any (delta, r) gives the same state once n_f is adequate, so the frame is
+no input to the answer; a wrong frame or too small an n_f misses that bound
+and raises SolveError.  An explicit lab truncation above TRUNC_CAP, or a frame
+whose block solve would exceed ARRAY_BYTES_CAP (:func:`frame_cap`), is
+refused before anything is allocated.
 """
 
 import math
@@ -56,11 +59,12 @@ FRAME_TAIL_TOL = 1e-12
 #: bound on |(L rho)_mn| / max|rho| over the interior rows m, n <= N-3 of the
 #: lab generator, for the lab-basis state mapped back from the frame
 INTERIOR_TOL = 1e-9
-#: smallest accepted reciprocal condition estimate of the trace-constrained
-#: generator on the symmetric subspace, with LAPACK's partial pivoting:
-#: 1.4e-4..0.043 for the frame systems the solver factorizes (n_f and 2 n_f =
-#: 16..58, kappa = 0.5..2, a <= 2.2, b <= 0.89), 2.9e-18..3.9e-17 for the
-#: singular kappa = 0 generators on 8..58 levels, where the zero matrix is
+#: smallest accepted reciprocal condition estimate of the pinned generator on
+#: the symmetric subspace, from the block solve and its fixed probe:
+#: 9.6e-4..0.012 for the frame systems of the lab reach (n_f and 2 n_f =
+#: 16..58, kappa = 0.5..2, a <= 2.2, b <= 0.89), 1.1e-6..3.1e-3 on the n_f =
+#: 30..219 levels of b = 0.9..0.998, 1.1e-19..3.4e-14 for the singular
+#: kappa = 0 generators on 8..58 levels, where the zero matrix leaves a block
 #: exactly singular to LAPACK
 RCOND_FLOOR = 1e-10
 
@@ -250,18 +254,19 @@ def frame_truncation(config: CavityConfig) -> int:
     n = max(FRAME_MIN, math.ceil(math.log(FRAME_TAIL_TOL) / math.log(q)))
     if n > frame_cap():
         raise TruncationError(
-            f"frame truncation {n} exceeds the cap {frame_cap()} of the dense "
+            f"frame truncation {n} exceeds the cap {frame_cap()} of the frame "
             f"solve for b={p.b}; this regime is out of the oracle's reach"
         )
     return n
 
 
 def frame_cap() -> int:
-    """The largest frame truncation n whose dense system, with numpy's
-    working copy, fits ARRAY_BYTES_CAP: 16 s^2 bytes for s = n(n+1)/2
-    float64 unknowns, so n <= 90."""
-    unknowns = math.isqrt(ARRAY_BYTES_CAP // 16)
-    return (math.isqrt(8 * unknowns + 1) - 1) // 2
+    """The largest frame truncation n whose block solve fits ARRAY_BYTES_CAP
+    at 16 n^3 bytes, so n <= 256.  The kept blocks C_j of n levels take
+    (2/3) 8 n^3 bytes in float64 (twice that complex), the block rows built
+    on the way O(n^2)."""
+    n = round((ARRAY_BYTES_CAP / 16) ** (1 / 3))
+    return n if 16 * n**3 <= ARRAY_BYTES_CAP else n - 1
 
 
 def _check_tail(diag: np.ndarray) -> None:
@@ -316,40 +321,139 @@ def _finalize(rho: np.ndarray) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def _system(gen: Generator) -> np.ndarray:
-    """:meth:`Generator.symmetric` as a dense array, with its (0,0) row
-    replaced by the trace row."""
-    rows, cols, vals = gen.symmetric()
-    index = _fold_index(len(gen.jump))
-    keep = rows > 0
-    system = np.zeros((index[-1, -1] + 1,) * 2, dtype=vals.dtype)
-    np.add.at(system, (rows[keep], cols[keep]), vals[keep])
-    system[0, np.diag(index)] = 1.0
-    return system
+@dataclass(frozen=True)
+class _Pinned:
+    """The system of the frame solve: :meth:`Generator.symmetric` with its
+    (0,0) row replaced by x_00 = 1, as COO triples (duplicates summed,
+    sorted by row, then column) cut into block rows.
+
+    With the unknowns row-major by m, row (m,n) couples only to the
+    unknowns (k,l) with |k - m| <= span, the band of the side operators and
+    of A (2 for the oracle's generators, whose drive holds A^2), even after
+    (l,k) is folded onto (k,l).  So the rows of span consecutive m form a
+    block row coupled only to its two neighbours: bounds[j] is the first
+    unknown of block row j, and cuts[j] its first triple."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    bounds: np.ndarray
+    cuts: np.ndarray
+
+    @classmethod
+    def of(cls, gen: Generator) -> "_Pinned":
+        dim = len(gen.jump)
+        rows, cols, vals = gen.symmetric()
+        keep = rows > 0
+        rows = np.concatenate([[0], rows[keep]])
+        cols = np.concatenate([[0], cols[keep]])
+        vals = np.concatenate([np.ones(1, vals.dtype), vals[keep]])
+        # first[m] is the unknown (m,m); first[dim] their number
+        first = np.concatenate([[0], np.cumsum(np.arange(dim, 0, -1))])
+        key = rows * first[-1] + cols
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        heads = np.flatnonzero(np.diff(key, prepend=-1))
+        rows, cols = np.divmod(key[heads], first[-1])
+        vals = np.add.reduceat(vals[order], heads)
+        level = np.repeat(np.arange(dim), np.arange(dim, 0, -1))  # m of each
+        span = max(1, np.abs(level[rows] - level[cols]).max())
+        bounds = first[np.r_[0:dim:span, dim]]
+        return cls(rows, cols, vals, bounds, np.searchsorted(rows, bounds))
+
+    def band(self, j: int):
+        """Block row j, dense, as (L_j, D_j, U_j): its couplings to the
+        unknowns of block rows j-1, j and j+1."""
+        start, stop = self.bounds[j], self.bounds[j + 1]
+        left = self.bounds[max(j - 1, 0)]
+        right = self.bounds[min(j + 2, len(self.bounds) - 1)]
+        part = slice(self.cuts[j], self.cuts[j + 1])
+        band = np.zeros((stop - start, right - left), self.vals.dtype)
+        band[self.rows[part] - start, self.cols[part] - left] = self.vals[part]
+        return np.split(band, [start - left, stop - left], axis=1)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """A x, summed row by row from the triples."""
+        heads = np.flatnonzero(np.diff(self.rows, prepend=-1))
+        out = np.zeros(len(x), np.result_type(self.vals, x))
+        out[self.rows[heads]] = np.add.reduceat(self.vals * x[self.cols], heads)
+        return out
+
+
+def _schur(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """D'_j = D_j - L_j C_{j-1}: block row j's diagonal block once block row
+    j-1 is eliminated."""
+    return diag - lower @ upper
+
+
+def _sweep(system: _Pinned, rhs: np.ndarray, uppers: list):
+    """(x, g): x solves system x = rhs by block LU, the block Thomas
+    algorithm (Golub & Van Loan, Matrix Computations, ch. 4), and g is
+    rhs after forward elimination.
+
+    Forward elimination builds each block row j from the triples when it
+    needs it and takes g_j = D'_j^-1 (r_j - L_j g_{j-1}), with D'_j from
+    :func:`_schur` and C_j = D'_j^-1 U_j, both in one LAPACK solve with
+    partial pivoting; back substitution gives x_j = g_j - C_j x_{j+1}.  The
+    C_j are the only blocks kept: the first call, with columns of right-hand
+    sides, appends them to uppers, and a later call with the same uppers
+    reuses them."""
+    parts = []
+    for j in range(len(system.bounds) - 1):
+        lower, diag, upper = system.band(j)
+        r = rhs[system.bounds[j] : system.bounds[j + 1]]
+        if j:
+            diag = _schur(diag, lower, uppers[j - 1])
+            r = r - lower @ parts[-1]
+        if j == len(uppers):
+            both = solve(diag, np.column_stack([upper, r]))
+            uppers.append(both[:, : upper.shape[1]])
+            parts.append(both[:, upper.shape[1] :])
+        else:
+            parts.append(solve(diag, r))
+    forward = np.concatenate(parts)
+    for j in range(len(parts) - 2, -1, -1):
+        parts[j] = parts[j] - uppers[j] @ parts[j + 1]
+    return np.concatenate(parts), forward
+
+
+def _probe(size: int) -> np.ndarray:
+    """The fixed uniqueness probe r_k = cos(k^2), k = 1..size: a chirp,
+    deterministic and with no structure that a generator's rows share."""
+    k = np.arange(1.0, size + 1.0)
+    return np.cos(k * k)
 
 
 def _solve_lu(gen: Generator) -> np.ndarray:
-    """Steady state of gen, in its dtype, by dense LU on the symmetric subspace.
+    """Steady state of gen, in its dtype, by block LU on the symmetric subspace.
 
-    LAPACK factorizes the system of :func:`_system` with partial pivoting and
-    solves for the state and a fixed random probe r in one call; an exactly
-    singular factor is refused.  max|r| / (max|A| max|y|) estimates the
-    reciprocal condition of the system A, and the probe's solution y must
-    meet |A y - r| <= 1e-8 max|r| (unique steady states give <= 1e-12).
-    Then gen applied to the solution x[index] must meet |L x| <= 1e-9 max|x|,
-    at once or after one step of iterative refinement."""
-    system, index = _system(gen), _fold_index(len(gen.jump))
-    probe = np.random.default_rng(0).standard_normal(len(system))
-    rhs = np.column_stack([np.zeros_like(probe), probe]).astype(system.dtype)
-    rhs[0, 0] = 1.0
-    try:
-        x, y = solve(system, rhs).T
-    except LinAlgError as exc:  # exactly singular
-        raise SolveError(f"steady state not unique: {exc}") from None
-    # the probe's solution overflows on a singular system that LAPACK still
-    # factorized; the certificate then refuses it
+    :func:`_sweep` solves the system A of :class:`_Pinned` for the state and
+    the fixed probe r of :func:`_probe` together; an exactly singular block
+    is refused.  Pinning x_00 = 1 in place of the trace row keeps A block
+    tridiagonal and holds while rho_00 > 0: the frame's thermal state has
+    its largest population there.  max|r| / (max|A| max|y, g|) estimates the
+    reciprocal condition of A from the probe's solution y and its forward
+    elimination g (a nearly singular block blows up g, and back substitution
+    can cancel that in y), and y must meet |A y - r| <= 1e-8 max|r|, with
+    A y summed from the triples (unique steady states give <= 1e-10).  Then
+    gen applied to the solution x[index] must meet |L x| <= 1e-9 max|x|, at
+    once or after one step of iterative refinement, which reuses the kept
+    blocks; the state comes back normalized."""
+    system, index = _Pinned.of(gen), _fold_index(len(gen.jump))
+    probe = _probe(system.bounds[-1])
+    rhs = np.zeros((probe.size, 2), system.vals.dtype)
+    rhs[0, 0], rhs[:, 1] = 1.0, probe
+    uppers = []
+    # the probe's solution overflows on a singular system that the
+    # elimination still carried through; the certificate then refuses it
     with np.errstate(over="ignore", invalid="ignore"):
-        rcond = np.abs(probe).max() / (np.abs(system).max() * np.abs(y).max())
+        try:
+            solution, forward = _sweep(system, rhs, uppers)
+        except LinAlgError as exc:  # an exactly singular block
+            raise SolveError(f"steady state not unique: {exc}") from None
+        x, y = solution.T
+        peak = max(np.abs(y).max(), np.abs(forward[:, 1]).max())
+        rcond = np.abs(probe).max() / (np.abs(system.vals).max() * peak)
         probe_residual = np.abs(system @ y - probe).max() / np.abs(probe).max()
     if not (rcond > RCOND_FLOOR and probe_residual <= 1e-8):
         raise SolveError(
@@ -361,8 +465,8 @@ def _solve_lu(gen: Generator) -> np.ndarray:
         residual = np.abs(gen(rho)).max()
         if np.all(np.isfinite(rho)) and residual <= 1e-9 * np.abs(rho).max():
             return _finalize(rho)
-        if not refined:
-            x = x + solve(system, rhs[:, 0] - system @ x)  # one refinement step
+        if not refined:  # one refinement step
+            x = x + _sweep(system, rhs[:, 0] - system @ x, uppers)[0]
     raise SolveError(
         "LU solution misses the residual bound |L x| <= 1e-9 max|x| "
         "after one step of iterative refinement"
@@ -417,7 +521,7 @@ def steady_state_in_frame(
     check, the interior residual bound INTERIOR_TOL of the lab generator and
     the :class:`DensityMatrix` checks.  dim is a count from 8 to 2 TRUNC_CAP,
     room for the doubling check, and frame_dim a count from 8 to the
-    :func:`frame_cap` of the dense solve, else :class:`DomainError`."""
+    :func:`frame_cap` of the frame solve, else :class:`DomainError`."""
     dim = _count("truncation", dim, 2 * TRUNC_CAP)
     frame_dim = _count("frame truncation", frame_dim, frame_cap())
     return _frame_solve(config, dim, frame_dim)

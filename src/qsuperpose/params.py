@@ -29,8 +29,8 @@ if TYPE_CHECKING:
 Q_KINDS = ("coherent", "squeezed", "superposed")
 #: bytes allowed for the largest complex array a grid evaluation builds: the
 #: n x n grid of q_grid, the n^3 intermediate of the superposition kernel;
-#: peak use is about three times it.  It also bounds the Fock oracle's dense
-#: frame system with its working copy (fock.frame_cap)
+#: peak use is about three times it.  It also bounds the Fock oracle's frame
+#: solve, whose kept blocks take at most 16 n_f^3 bytes (fock.frame_cap)
 ARRAY_BYTES_CAP = 2**28
 
 

@@ -201,7 +201,7 @@ def check_truncation_doubling(config: CavityConfig, lo) -> CheckResult:
     if 2 * frame_dim > fock.frame_cap():
         raise TruncationError(
             f"the doubling check needs {2 * frame_dim} frame levels, beyond the "
-            f"cap {fock.frame_cap()} of the dense solve; this regime is out of "
+            f"cap {fock.frame_cap()} of the frame solve; this regime is out of "
             "the oracle's reach"
         )
     hi = fock.steady_state_in_frame(config, 2 * dim, 2 * frame_dim)

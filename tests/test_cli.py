@@ -282,18 +282,18 @@ class TestVerify:
         assert err["error"] == "TruncationError"
 
     def test_frame_beyond_the_dense_solve_exit_code(self, capsys, monkeypatch):
-        # b = 0.99 at an explicit lab cutoff asks for n_f = 98 frame levels,
-        # beyond the 90 whose dense system fits ARRAY_BYTES_CAP: refused
-        # before any frame system is built, with the oracle's exit code
+        # b = 0.9986 at an explicit lab cutoff asks for n_f = 261 frame
+        # levels, beyond the 256 whose block solve fits ARRAY_BYTES_CAP:
+        # refused before any frame system is built, with the oracle's exit code
         def refuse(config, dim):
             pytest.fail("the frame system was built")
 
         monkeypatch.setattr(qsuperpose.fock, "frame_generator", refuse)
-        args = ["--trunc", "200", "--kappa", "1", "--eps1", "0.1", "--eps2", "0.495"]
+        args = ["--trunc", "200", "--kappa", "1", "--eps1", "0.1", "--eps2", "0.4993"]
         assert main(["verify", *args]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "TruncationError"
-        assert "exceeds the cap 90" in err["message"]
+        assert "exceeds the cap 256" in err["message"]
 
     def test_csv_artifact(self, tmp_path, capsys):
         out = tmp_path / "verify.csv"
@@ -426,6 +426,18 @@ class TestColdPath:
         proc = run_fresh(NO_SCIPY_SCRIPT % (VERIFY_SMOKE,))
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [0] * (2 + len(VERIFY_SMOKE))
+
+    def test_verify_leaves_numpy_random_unloaded(self):
+        # the frame solve's uniqueness probe is a fixed vector: a full
+        # verify never imports numpy.random
+        proc = run_fresh(
+            "import contextlib, io, sys\n"
+            "from qsuperpose.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['verify'])\n"
+            "sys.exit(code or 'numpy.random' in sys.modules)"
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_fock_leaves_qfunctions_unloaded(self):
         proc = run_fresh(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -42,26 +44,28 @@ HUSIMI_POINTS = [
 
 
 def recording_solve(solves, spoil=0.0):
-    """A stand-in for the dense solve ``fock.solve`` that appends the number
+    """A stand-in for the block solve ``fock._sweep`` that appends the number
     of dimensions of each right-hand side it solves to ``solves``: 2 for the
     steady state solved beside the uniqueness probe, 1 for a refinement
     step.  With ``spoil``, that steady state comes back off by noise of that
     size."""
+    sweep = fock._sweep
 
-    def solve(system, rhs):
+    def solve(system, rhs, uppers):
         solves.append(rhs.ndim)
-        out = np.linalg.solve(system, rhs)
+        x, forward = sweep(system, rhs, uppers)
         if rhs.ndim == 2:
-            out[:, 0] += spoil * np.random.default_rng(1).standard_normal(len(system))
-        return out
+            x[:, 0] += spoil * np.random.default_rng(1).standard_normal(len(x))
+        return x, forward
 
     return solve
 
 
 def sparse_steady_state(gen):
-    """The steady state of gen by scipy's sparse LU of its symmetric-subspace
-    triples, the (0,0) row replaced by the trace row: a reference for lab
-    systems far beyond the dense solve (18915 unknowns at N = 194)."""
+    """The steady state of gen, in its dtype, by scipy's sparse LU of its
+    symmetric-subspace triples, the (0,0) row replaced by the trace row: a
+    reference for the block solve and for lab systems far beyond it (18915
+    unknowns at N = 194)."""
     dim = len(gen.jump)
     index = fock._fold_index(dim)
     rows, cols, vals = gen.symmetric()
@@ -70,7 +74,7 @@ def sparse_steady_state(gen):
     cols = np.concatenate([np.diag(index), cols[keep]])
     vals = np.concatenate([np.ones(dim), vals[keep]])
     size = index[-1, -1] + 1
-    rhs = np.zeros(size)
+    rhs = np.zeros(size, vals.dtype)
     rhs[0] = 1.0
     x = splu(sp.csc_matrix((vals, (rows, cols)), shape=(size, size))).solve(rhs)
     rho = x[index]
@@ -223,6 +227,76 @@ class TestSymmetricSubspace:
         assert np.abs(got - want).max() <= 1e-12
 
 
+class TestBlockSolve:
+    """_solve_lu eliminates the pinned symmetric-subspace system block row
+    by block row, building each from the generator's triples: its answer
+    must be the sparse reference's, and a broken elimination is refused,
+    never returned."""
+
+    # a = 2.2, b = 0.89: the corner of the lab reach, whose doubling check
+    # solves on 58 frame levels
+    CORNER = CavityConfig(1.0, 1.1, 0.445)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kappa=st.floats(0.5, 2.0),
+        a=st.floats(0.0, 2.2),
+        b=st.floats(0.0, 0.89),
+        dim=st.integers(8, 64),
+        basis=st.sampled_from(("frame", "lab")),
+        dtype=st.sampled_from((float, complex)),
+    )
+    def test_matches_the_sparse_reference(self, kappa, a, b, dim, basis, dtype):
+        config = CavityConfig(kappa, a * kappa / 2, b * kappa / 2)
+        if basis == "frame":
+            gen = fock.frame_generator(config, dim)
+        else:
+            gen = fock.generator(config, ladder(dim))
+        gen = Generator(gen.drive.astype(dtype), gen.jump.astype(dtype), kappa)
+        rho = fock._solve_lu(gen)
+        assert rho.dtype == np.dtype(dtype)
+        assert np.abs(rho - sparse_steady_state(gen)).max() <= 1e-12
+
+    @pytest.mark.parametrize("dim", (16, 29, 58))
+    @pytest.mark.parametrize(
+        "mutation", ("no_schur_update", "shifted_lower", "shifted_upper")
+    )
+    def test_broken_elimination_is_refused(self, mutation, dim, monkeypatch):
+        # dropping L_j C_{j-1} from D_j, or moving one coupling block of
+        # block row 1 a column over, solves another system: the probe
+        # residual, summed from the triples, or the residual bound of the
+        # generator refuses what comes out
+        gen = fock.frame_generator(self.CORNER, dim)
+        fock._solve_lu(gen)
+        if mutation == "no_schur_update":
+            monkeypatch.setattr(fock, "_schur", lambda diag, lower, upper: diag)
+        else:
+            band = fock._Pinned.band
+            which = 0 if mutation == "shifted_lower" else 2
+
+            def shifted(system, j):
+                blocks = band(system, j)
+                if j == 1:
+                    blocks[which] = np.roll(blocks[which], 1, axis=1)
+                return blocks
+
+            monkeypatch.setattr(fock._Pinned, "band", shifted)
+        with pytest.raises(SolveError):
+            fock._solve_lu(gen)
+
+    def test_memory_at_the_doubled_corner_frame(self):
+        # the dense system of these 1711 unknowns and LAPACK's copy of it
+        # took a 44.8 MB peak; the block solve keeps only its C_j
+        gen = fock.frame_generator(self.CORNER, 58)
+        tracemalloc.start()
+        try:
+            fock._solve_lu(gen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+
+
 def frame_reference(delta, r, dim, frame_dim, pad=100):
     """<n| D(delta) S(r) |k>, n < dim, k < frame_dim, from scipy's expm of
     the displacement and squeeze generators truncated pad levels further."""
@@ -272,9 +346,9 @@ class TestFrame:
         ((0.5, 0.0, 0.3), (1.0, 2.2, 0.89), (2.0, 1.0, 0.5), (1.3, 0.4, 0.884)),
     )
     def test_system_diagonal_never_vanishes(self, kappa, a, b):
-        # 1 in the trace row, then -kappa/2 [cosh^2 r (m+n) + sinh^2 r
-        # (m+n+2)], an index at the edge N-1 losing its sinh^2 r N, and
-        # -kappa cosh r sinh r (m+1) where the fold lands, n = m+1
+        # 1 in the pinned row x_00 = 1, then -kappa/2 [cosh^2 r (m+n) +
+        # sinh^2 r (m+n+2)], an index at the edge N-1 losing its sinh^2 r N,
+        # and -kappa cosh r sinh r (m+1) where the fold lands, n = m+1
         config = CavityConfig(kappa, a * kappa / 2, b * kappa / 2)
         dim = frame_truncation(config)
         delta, r = fock.frame(config)
@@ -282,7 +356,9 @@ class TestFrame:
         for sign in (1, -1):
             c, s = np.cosh(sign * r), np.sinh(sign * r)
             am = c * ladder(dim) - s * ladder(dim).T + delta * np.eye(dim)
-            got = fock._system(fock.generator(config, am)).diagonal()
+            system = fock._Pinned.of(fock.generator(config, am))
+            blocks = range(len(system.bounds) - 1)
+            got = np.concatenate([system.band(j)[1].diagonal() for j in blocks])
             edge = (m == dim - 1).astype(float) + (n == dim - 1)
             want = -kappa / 2 * (c * c * (m + n) + s * s * (m + n + 2 - dim * edge))
             want -= kappa * c * s * (m + 1) * (n == m + 1)
@@ -380,7 +456,7 @@ class TestSteadyState:
 
     def test_solver_paths_agree(self, monkeypatch):
         # independent reference: the null space of the dense generator, which
-        # the LU solve of the same truncated generator must reproduce
+        # the block LU solve of the same truncated generator must reproduce
         # (steady_state solves in the frame: its state is the untruncated
         # one, 8.6e-10 from this truncated generator's)
         config = CavityConfig(1.0, 0.3, 0.1)
@@ -392,9 +468,9 @@ class TestSteadyState:
         direct = fock._solve_lu(gen)
 
         # a first LU solution that misses the residual bound goes through
-        # one step of iterative refinement on the same system
+        # one step of iterative refinement on the same kept blocks
         solves = []
-        monkeypatch.setattr(fock, "solve", recording_solve(solves, spoil=1e-6))
+        monkeypatch.setattr(fock, "_sweep", recording_solve(solves, spoil=1e-6))
         via_refinement = fock._solve_lu(gen)
         assert solves == [2, 1]
         for rho in (direct, via_refinement):
@@ -432,10 +508,10 @@ class TestSteadyState:
         # kappa = 0 leaves every function of H stationary; the zero matrix
         # makes every state stationary.  The solve must refuse each one
         # rather than return one of many steady states.  At (0.1, 0.4) the
-        # generator is singular (smallest singular value 4e-18); with
-        # LAPACK's partial pivoting the reduced system's reciprocal condition
-        # estimate reads 1.0e-17, far below RCOND_FLOOR, and its probe
-        # residual 6.7, so both refuse it.  The zero matrix is exactly
+        # generator is singular (smallest singular value 4e-18); in the
+        # block solve the reduced system's reciprocal condition estimate
+        # reads 3.6e-16, far below RCOND_FLOOR, and its probe residual 2.5e3,
+        # so both refuse it.  The zero matrix leaves a block exactly
         # singular to LAPACK.  test_non_unique_at_every_frame_size widens
         # these cases.
         dim = 16
@@ -499,11 +575,11 @@ class TestSteadyState:
     )
     def test_lu_at_the_corners_of_reach(self, a, b, monkeypatch):
         # default truncations up to N = 194 (frame sizes up to 29), where the
-        # factorization takes diagonal pivots without a threshold: the LU
+        # block elimination pivots only within each diagonal block: the LU
         # solution itself must meet the residual bound, with no refinement
         # step behind it
         solves = []
-        monkeypatch.setattr(fock, "solve", recording_solve(solves))
+        monkeypatch.setattr(fock, "_sweep", recording_solve(solves))
         rho = steady_state(CavityConfig(1.0, a / 2, b / 2))
         assert solves == [2]
         closed = steady_moments_combined(ScaledParams(a, b))
@@ -547,28 +623,38 @@ class TestTruncationRule:
             fock.steady_state_in_frame(REF_CONFIG, 80, cap + 1)
 
     def test_dense_frame_system_is_bounded_before_it_is_built(self, monkeypatch):
-        # the frame system is dense: s = n(n+1)/2 unknowns take 16 s^2 bytes
-        # with numpy's working copy, so ARRAY_BYTES_CAP bounds n_f by 90,
-        # above the 58 of today's doubling check
+        # the block solve keeps its eliminated blocks, about 16 n^3 bytes at
+        # most, so ARRAY_BYTES_CAP bounds n_f by 256, above the 58 of the
+        # doubling check at the corner of the lab reach
         cap = fock.frame_cap()
-        assert cap == 90
-        assert 16 * (cap * (cap + 1) // 2) ** 2 <= ARRAY_BYTES_CAP
-        assert 16 * ((cap + 1) * (cap + 2) // 2) ** 2 > ARRAY_BYTES_CAP
+        assert cap == 256
+        assert 16 * cap**3 <= ARRAY_BYTES_CAP < 16 * (cap + 1) ** 3
         assert 2 * frame_truncation(CavityConfig(1.0, 1.1, 0.445)) == 58
 
         def refuse(config, dim):
             pytest.fail("the frame system was built")
 
         monkeypatch.setattr(fock, "frame_generator", refuse)
-        # b = 0.99 asks for n_f = 98: refused, as the oracle's reach
-        edge = CavityConfig(1.0, 0.1, 0.495)
-        with pytest.raises(TruncationError, match="exceeds the cap 90"):
+        # b = 0.9986 asks for n_f = 261: refused, as the oracle's reach
+        edge = CavityConfig(1.0, 0.1, 0.4993)
+        with pytest.raises(TruncationError, match="261 exceeds the cap 256"):
             frame_truncation(edge)
-        with pytest.raises(TruncationError, match="exceeds the cap 90"):
+        with pytest.raises(TruncationError, match="exceeds the cap 256"):
             steady_state(edge, trunc=fock.TRUNC_CAP)
         # an explicit frame size above the cap is a bad argument
-        with pytest.raises(DomainError, match="frame truncation must be from 8 to 90"):
+        with pytest.raises(DomainError, match="frame truncation must be from 8 to 256"):
             fock.steady_state_in_frame(REF_CONFIG, 80, cap + 1)
+
+    def test_frame_solve_reaches_beyond_90_levels(self):
+        # 92 frame levels at b = 0.9548, beyond the 90 that a dense system of
+        # the frame fitted in ARRAY_BYTES_CAP, on twice the lab cap
+        config = CavityConfig(1.0, 0.1, 0.4774)
+        rho = fock.steady_state_in_frame(config, 2 * fock.TRUNC_CAP, 92)
+        mom = fock.moments(rho)
+        closed = steady_moments_combined(ScaledParams(0.2, 0.9548))
+        assert abs(mom.mean_amp - closed.mean_amp) <= 1e-12
+        assert abs(mom.mean_sq - closed.mean_sq) <= 1e-12
+        assert abs(mom.mean_photon - closed.mean_photon) <= 1e-12
 
     def test_numpy_integer_accepted(self):
         rho = steady_state(REF_CONFIG, np.int64(40))

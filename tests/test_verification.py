@@ -5,6 +5,7 @@ row reports."""
 
 import cmath
 import dataclasses
+import types
 import warnings
 from unittest import mock
 
@@ -228,14 +229,21 @@ def test_doubling_row_at_the_truncation_cap():
     assert res.note == "N 200/400, frame 16/32"
 
 
-def test_doubling_beyond_the_dense_solve_is_out_of_reach():
-    # b = 0.9548 at an explicit lab cutoff of 200: the state passes its lab
-    # tail check on n_f = 46 frame levels, but 92 doubled exceed the 90 of
-    # the dense solve, which is the oracle's reach, not a bad argument
-    config = CavityConfig(1.0, 0.1, 0.4774)
-    assert fock.frame_truncation(config) == 46
-    lo = fock.steady_state(config, 200)
-    with pytest.raises(TruncationError, match="needs 92 frame levels"):
+def test_doubling_beyond_the_dense_solve_is_out_of_reach(monkeypatch):
+    # b = 0.9945 asks for n_f = 131 frame levels, and the doubling check for
+    # 262, beyond the 256 of the frame solve: the oracle's reach, not a bad
+    # argument, refused before any frame system is built.  No lab state of
+    # N <= 2 TRUNC_CAP passes its tail check at this b (1.8e-3 in the top
+    # 40 levels of N = 400), so a stand-in gives the check its lab N
+    config = CavityConfig(1.0, 0.1, 0.4972)
+    assert fock.frame_truncation(config) == 131
+
+    def refuse(config, dim):
+        pytest.fail("the frame system was built")
+
+    monkeypatch.setattr(fock, "frame_generator", refuse)
+    lo = types.SimpleNamespace(dim=200)
+    with pytest.raises(TruncationError, match="needs 262 frame levels"):
         verification.check_truncation_doubling(config, lo)
 
 
