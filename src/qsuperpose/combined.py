@@ -150,20 +150,25 @@ def evolve_moments(params: ScaledParams, t: float, dt: float = DEFAULT_DT) -> Mo
     return MomentSet(mean_amp=float(y[0]), mean_sq=float(y[2]), mean_photon=float(y[4]))
 
 
+def variance_expansion(mom: MomentSet, baseline: float) -> tuple[float, float]:
+    """Variances of a_+ = a^dag + a and a_- = i(a^dag - a) from the moments
+    m = <a>, s = <a^2>, n = <a^dag a> about ``baseline``: baseline + 2n +
+    2s - 4m^2 and baseline + 2n - 2s."""
+    m, s, n = mom.mean_amp, mom.mean_sq, mom.mean_photon
+    return baseline + 2 * n + 2 * s - 4 * m**2, baseline + 2 * n - 2 * s
+
+
 def checked_variances(
     mom: MomentSet, baseline: float, closed: tuple[float, float], what: str
 ) -> tuple[float, float]:
-    """The closed-form variances ``closed`` of a_+ = a^dag + a and
-    a_- = i(a^dag - a), once the moment expansion baseline + 2n + 2s - 4m^2
-    and baseline + 2n - 2s agrees with them; any disagreement is a bug and
-    raises :class:`NumericsError` naming the ``what`` it checked."""
-    m, s, n = mom.mean_amp, mom.mean_sq, mom.mean_photon
-    var_plus = baseline + 2 * n + 2 * s - 4 * m * m
-    var_minus = baseline + 2 * n - 2 * s
+    """The closed-form variances ``closed`` of a_+ and a_-, once their
+    :func:`variance_expansion` agrees with them; any disagreement is a bug
+    and raises :class:`NumericsError` naming the ``what`` it checked."""
+    var_plus, var_minus = variance_expansion(mom, baseline)
     closed_plus, closed_minus = closed
     # the expansion cancels moments that diverge as b -> 1, so allow the
     # corresponding roundoff on top of the 1e-12 agreement
-    tol = 1e-12 * max(1.0, abs(n), abs(s))
+    tol = 1e-12 * max(1.0, abs(mom.mean_photon), abs(mom.mean_sq))
     ok = abs(var_plus - closed_plus) <= tol and abs(var_minus - closed_minus) <= tol
     if not ok:
         raise NumericsError(f"moment expansion disagrees with the closed-form {what}")

@@ -31,9 +31,13 @@ and an independent certificate: |(L_lab rho)_mn| <= 1e-9 max|rho| on the
 interior rows m, n <= N-3, exact rows of the untruncated master equation.
 Any (delta, r) gives the same state once n_f is adequate, so the frame is
 no input to the answer; a wrong frame or too small an n_f misses that bound
-and raises SolveError.  An explicit lab truncation above TRUNC_CAP, or a frame
-whose block solve would exceed ARRAY_BYTES_CAP (:func:`frame_cap`), is
-refused before anything is allocated.
+and raises SolveError.  Sizes follow the package's one rule
+(:func:`~qsuperpose.params.as_count`): an explicit lab truncation is an
+integer from 8 to TRUNC_CAP (2 TRUNC_CAP for the doubling check's solve) and
+an explicit frame truncation one from 8 to :func:`frame_cap`, the largest
+whose block solve fits ARRAY_BYTES_CAP; anything else is a DomainError
+before anything is allocated.  An automatic frame truncation above the cap
+is a TruncationError: that regime is out of the oracle's reach.
 """
 
 import math
@@ -44,7 +48,7 @@ from numpy.linalg import LinAlgError, solve
 
 from .combined import MomentSet
 from .errors import DomainError, SolveError, StepError, TruncationError
-from .params import ARRAY_BYTES_CAP, CavityConfig, as_count, finite, phase_point, scale
+from .params import CavityConfig, array_cap, as_count, finite, phase_point, scale
 
 #: cap on the lab truncation, automatic or explicit
 TRUNC_CAP = 200
@@ -63,7 +67,7 @@ INTERIOR_TOL = 1e-9
 #: the symmetric subspace, from the block solve and its fixed probe:
 #: 9.6e-4..0.012 for the frame systems of the lab reach (n_f and 2 n_f =
 #: 16..58, kappa = 0.5..2, a <= 2.2, b <= 0.89), 1.1e-6..3.1e-3 on the n_f =
-#: 30..219 levels of b = 0.9..0.998, 1.1e-19..3.4e-14 for the singular
+#: 30..219 levels of b = 0.9..0.998, 1.4e-20..1.6e-13 for the singular
 #: kappa = 0 generators on 8..58 levels, where the zero matrix leaves a block
 #: exactly singular to LAPACK
 RCOND_FLOOR = 1e-10
@@ -262,11 +266,10 @@ def frame_truncation(config: CavityConfig) -> int:
 
 def frame_cap() -> int:
     """The largest frame truncation n whose block solve fits ARRAY_BYTES_CAP
-    at 16 n^3 bytes, so n <= 256.  The kept blocks C_j of n levels take
-    (2/3) 8 n^3 bytes in float64 (twice that complex), the block rows built
-    on the way O(n^2)."""
-    n = round((ARRAY_BYTES_CAP / 16) ** (1 / 3))
-    return n if 16 * n**3 <= ARRAY_BYTES_CAP else n - 1
+    at 16 n^3 bytes, ``array_cap(3)`` = 256.  The kept blocks C_j of n
+    levels take (2/3) 8 n^3 bytes in float64 (twice that complex), the block
+    rows built on the way O(n^2)."""
+    return array_cap(3)
 
 
 def _check_tail(diag: np.ndarray) -> None:
@@ -481,20 +484,12 @@ def _rk4_step(gen: Generator, rho: np.ndarray, h: float) -> np.ndarray:
     return rho + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _count(name: str, value, cap: int) -> int:
-    """``value`` as a count from 8 to cap; DomainError otherwise."""
-    dim = as_count(name, value)
-    if not 8 <= dim <= cap:
-        raise DomainError(f"{name} must be from 8 to {cap}, got {dim}")
-    return dim
-
-
 def _lab_truncation(config: CavityConfig, trunc) -> int:
     """The lab Fock cutoff N for ``trunc``: :func:`default_truncation` for
     None, else ``trunc`` as a count from 8 to TRUNC_CAP."""
     if trunc is None:
         return default_truncation(config)
-    return _count("truncation", trunc, TRUNC_CAP)
+    return as_count("truncation", trunc, 8, TRUNC_CAP)
 
 
 def steady_state(config: CavityConfig, trunc: int | None = None) -> DensityMatrix:
@@ -522,8 +517,8 @@ def steady_state_in_frame(
     the :class:`DensityMatrix` checks.  dim is a count from 8 to 2 TRUNC_CAP,
     room for the doubling check, and frame_dim a count from 8 to the
     :func:`frame_cap` of the frame solve, else :class:`DomainError`."""
-    dim = _count("truncation", dim, 2 * TRUNC_CAP)
-    frame_dim = _count("frame truncation", frame_dim, frame_cap())
+    dim = as_count("truncation", dim, 8, 2 * TRUNC_CAP)
+    frame_dim = as_count("frame truncation", frame_dim, 8, frame_cap())
     return _frame_solve(config, dim, frame_dim)
 
 

@@ -10,10 +10,13 @@ physics depends only on the dimensionless drives
 
 and a steady state exists only below threshold, b < 1.  This module owns
 those parameter types, the stability checks, and the coefficients (u, v, A)
-of the Gaussian Husimi Q functions every other module consumes.  Everything
-but the Q forms is plain float arithmetic: numpy is imported only inside the
-functions that build arrays or Q prefactors, so the closed-form commands
-never load it.
+of the Gaussian Husimi Q functions every other module consumes.  It also
+owns the one rule for sizes: every truncation, node count and grid size is
+read by :func:`as_count`, an integer from its floor to its cap, and every
+cap set by memory comes from the one byte budget :data:`ARRAY_BYTES_CAP`
+through :func:`array_cap`.  Everything but the Q forms is plain float
+arithmetic: numpy is imported only inside the functions that build arrays or
+Q prefactors, so the closed-form commands never load it.
 """
 
 import math
@@ -27,10 +30,11 @@ if TYPE_CHECKING:
     import numpy as np
 
 Q_KINDS = ("coherent", "squeezed", "superposed")
-#: bytes allowed for the largest complex array a grid evaluation builds: the
-#: n x n grid of q_grid, the n^3 intermediate of the superposition kernel;
-#: peak use is about three times it.  It also bounds the Fock oracle's frame
-#: solve, whose kept blocks take at most 16 n_f^3 bytes (fock.frame_cap)
+#: bytes allowed for the largest complex array a size can make the package
+#: build: the n x n grid of q_grid, the n^3 intermediate of the superposition
+#: kernel (peak use about three times it), and the kept blocks of the Fock
+#: oracle's frame solve, at most 16 n_f^3 bytes; :func:`array_cap` turns it
+#: into each cap on n
 ARRAY_BYTES_CAP = 2**28
 
 
@@ -74,31 +78,28 @@ def phase_points(name: str, value) -> "np.ndarray":
     return arr.astype(complex, copy=False)
 
 
-def as_count(name: str, value) -> int:
-    """``value`` as an int; DomainError unless it is a finite integer."""
+def as_count(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as an int; DomainError unless it is a finite integer, at
+    least the floor ``lo`` and at most the cap ``hi`` where they are given (a
+    cap comes with a floor).  Every size the package accepts, a truncation,
+    a node count or a grid's points per axis, is read by this one rule,
+    before anything is allocated."""
     if not (finite(name, value) and value == int(value)):
         raise DomainError(f"{name} must be a finite integer, got {value}")
-    return int(value)
+    count = int(value)
+    if (lo is not None and count < lo) or (hi is not None and count > hi):
+        span = f"at least {lo}" if hi is None else f"from {lo} to {hi} (the cap)"
+        raise DomainError(f"{name} must be {span}, got {count}")
+    return count
 
 
-def check_extent(extent: float) -> None:
-    """DomainError unless a grid half-width is finite and positive."""
-    if not finite("extent", extent):
-        raise DomainError(f"extent must be finite, got {extent}")
-    if extent <= 0:
-        raise DomainError(f"extent must be positive, got {extent}")
-
-
-def check_grid(n, extent: float | None) -> int:
-    """``n`` as an int for an n x n phase-space grid of half-width ``extent``
-    (None: chosen later); DomainError unless n is an integer >= 16 and the
-    extent passes :func:`check_extent`."""
-    n = as_count("n", n)
-    if n < 16:
-        raise DomainError(f"need n >= 16 grid points per axis, got {n}")
-    if extent is not None:
-        check_extent(extent)
-    return n
+def array_cap(k: int) -> int:
+    """The largest n whose complex n^k array, 16 n^k bytes, fits
+    :data:`ARRAY_BYTES_CAP`: 4096 for the n x n grid of q_grid (k = 2), 256
+    for the superposition kernel's n^3 intermediate and the frame solve's
+    kept blocks (k = 3)."""
+    n = round((ARRAY_BYTES_CAP / 16) ** (1 / k))
+    return n if 16 * n**k <= ARRAY_BYTES_CAP else n - 1
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,11 @@ import numpy as np
 
 from .errors import DomainError, NormalizationWarning, QuadratureError
 from .params import (
-    ARRAY_BYTES_CAP,
-    Q_KINDS,
     GaussianQ,
     ScaledParams,
+    array_cap,
     as_count,
-    check_grid,
+    finite,
     gaussian_form,
     phase_point,
     phase_points,
@@ -66,9 +65,7 @@ class QuadratureSpec:
     rtol: ClassVar[float] = 1e-3
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", as_count("nodes", self.nodes))
-        if self.nodes < 8:
-            raise DomainError(f"need at least 8 nodes per axis, got {self.nodes}")
+        object.__setattr__(self, "nodes", as_count("nodes", self.nodes, 8))
 
     def grid(self) -> tuple[np.ndarray, np.ndarray, float]:
         x = np.linspace(-self.extent, self.extent, self.nodes)
@@ -262,16 +259,12 @@ def superpose_q_numeric(
     and measured in its width (:func:`_kernel_axes`).  A box whose edge
     holds a non-negligible integrand raises :class:`QuadratureError`; a
     non-finite or non-numeric alpha, or a spec whose complex nodes^3
-    intermediate exceeds :data:`ARRAY_BYTES_CAP`, :class:`DomainError`
-    before anything is allocated.
+    intermediate would exceed ``ARRAY_BYTES_CAP`` (``array_cap(3)`` = 256
+    nodes), :class:`DomainError` before anything is allocated.
     """
     alpha = phase_point("alpha", alpha)
     spec = quad_spec or QuadratureSpec()
-    if 16 * spec.nodes**3 > ARRAY_BYTES_CAP:
-        raise DomainError(
-            f"{spec.nodes} nodes per axis need a {16 * spec.nodes**3 / 2**20:.1f} "
-            f"MiB kernel array, above the cap of {ARRAY_BYTES_CAP >> 20} MiB"
-        )
+    as_count("nodes", spec.nodes, 8, array_cap(3))
     u, v = squeeze_coeffs(params)
     a = params.a
     t, w, _ = spec.grid()
@@ -351,22 +344,20 @@ def q_grid(
     """Sample a closed-form Q function on a centered square grid.
 
     extent=None covers the peak plus six standard deviations
-    (:meth:`GaussianQ.half_width`).  n is capped so that the complex n x n
-    grid fits :data:`ARRAY_BYTES_CAP`.  A non-finite or non-integral n, or a
-    non-finite extent, raises :class:`DomainError` before anything is
-    allocated; a closed form that overflows at this drive raises it too.
+    (:meth:`GaussianQ.half_width`).  n is a count from 16 to ``array_cap(2)``
+    = 4096, whose complex n x n grid fits ``ARRAY_BYTES_CAP``, and extent is
+    finite and positive; anything else, or an unknown kind, raises
+    :class:`DomainError` before anything is allocated, and so does a closed
+    form that overflows at this drive.
     If the discrete normalization deviates from one by more than 1e-4 a
     :class:`NormalizationWarning` is issued and the deviation is left
     visible in ``normalization``.
     """
-    if kind not in Q_KINDS:
-        raise DomainError(f"kind must be one of {Q_KINDS}, got {kind!r}")
-    n = check_grid(n, extent)
-    if 16 * n**2 > ARRAY_BYTES_CAP:
-        raise DomainError(
-            f"n = {n} grid points per axis need a {16 * n**2 / 2**20:.1f} MiB grid, "
-            f"above the cap of {ARRAY_BYTES_CAP >> 20} MiB"
-        )
+    n = as_count("n", n, 16, array_cap(2))
+    if extent is not None and not finite("extent", extent):
+        raise DomainError(f"extent must be finite, got {extent}")
+    if extent is not None and extent <= 0:
+        raise DomainError(f"extent must be positive, got {extent}")
     form = gaussian_form(params, kind)
     if extent is None:
         extent = form.half_width(6)

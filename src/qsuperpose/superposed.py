@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 from .combined import MomentSet, checked_variances
 from .errors import DomainError
-from .params import CavityConfig, ScaledParams, check_grid, gaussian_form, scale
+from .params import CavityConfig, ScaledParams, as_count, gaussian_form, scale
 
 #: coherent-state quadrature variance of a single beam
 SINGLE_BEAM_BASELINE = 1.0
@@ -59,7 +59,7 @@ def moments_via_qfunction(params: ScaledParams, n: int = 48) -> MomentSet:
     """
     from .qfunctions import QuadratureSpec, plane_sums
 
-    n = check_grid(n, None)
+    n = as_count("n", n, 16)
     form = gaussian_form(params, "superposed")
     _, amp, x2, y2 = plane_sums(form, QuadratureSpec(nodes=n))
     return MomentSet(mean_amp=amp, mean_sq=x2 - y2, mean_photon=x2 + y2 - 1.0)

@@ -17,6 +17,7 @@ from .combined import (
     evolve_moments,
     quad_variance_single,
     steady_moments_combined,
+    variance_expansion,
 )
 from .errors import DomainError, TruncationError
 from .params import Q_KINDS, CavityConfig, ScaledParams, finite, gaussian_form, scale
@@ -138,8 +139,7 @@ def check_superposed_moments_threeway(
 
 
 def check_pair_variance_quadrature(params: ScaledParams, mom: MomentSet) -> CheckResult:
-    vp = PAIR_BASELINE + 2 * mom.mean_photon + 2 * mom.mean_sq - 4 * mom.mean_amp**2
-    vm = PAIR_BASELINE + 2 * mom.mean_photon - 2 * mom.mean_sq
+    vp, vm = variance_expansion(mom, PAIR_BASELINE)
     closed_plus, closed_minus = quad_variance_pair(params)
     dev = max(abs(vp - closed_plus), abs(vm - closed_minus))
     return _within("pair_variance_quadrature", dev, 1e-6)

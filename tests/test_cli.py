@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qsuperpose
-from qsuperpose import CavityConfig, DomainError, cli, qfunctions
+from qsuperpose import CavityConfig, DomainError, cli, params, qfunctions
 from qsuperpose.cli import main, report_payload
 from qsuperpose.verification import run_verification
 
@@ -191,7 +191,7 @@ class TestQGrid:
         # one point per axis above the memory cap; with the closed form
         # removed, a missing cap fails at once instead of allocating the grid
         monkeypatch.setattr(qfunctions, "gaussian_form", None)
-        too_many = math.isqrt(qfunctions.ARRAY_BYTES_CAP // 16) + 1
+        too_many = math.isqrt(params.ARRAY_BYTES_CAP // 16) + 1
         assert main(["qgrid", "--grid-n", str(too_many)]) == 2
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "DomainError" and "cap" in error["message"]

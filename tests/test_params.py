@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from qsuperpose import (
     CavityConfig,
+    DensityMatrix,
     DomainError,
     GaussianQ,
     QuadratureSpec,
@@ -12,14 +15,18 @@ from qsuperpose import (
     StabilityError,
     evolve_moments,
     gaussian_form,
+    moments_via_qfunction,
     propagate,
     q_grid,
     scale,
     squeeze_coeffs,
     steady_state,
+    superpose_q_numeric,
     superposed_norm,
+    superposition_oracle,
 )
-from qsuperpose.params import Q_KINDS, as_count
+from qsuperpose import fock, qfunctions, superposed
+from qsuperpose.params import ARRAY_BYTES_CAP, Q_KINDS, array_cap, as_count
 from qsuperpose.verification import run_verification
 from conftest import GRID_AB, phase_integral
 
@@ -143,6 +150,106 @@ class TestNonRealInputs:
         assert CavityConfig(value).kappa == value
         assert ScaledParams(value, 0.0).a == value
         assert as_count("n", value) == 1
+
+
+P_REF = ScaledParams(0.6, 0.4)
+C_REF = CavityConfig(1.0, 0.3, 0.2)
+
+
+def _unchecked_spec(nodes):
+    """A QuadratureSpec whose node count skipped the constructor's check, so
+    that the kernel's own reading of it is what refuses it."""
+    spec = QuadratureSpec()
+    object.__setattr__(spec, "nodes", nodes)
+    return spec
+
+
+#: every entry point that takes a size: (call, the size's name in the
+#: refusal, floor, cap, the first thing it builds as (owner, attribute))
+SIZES = {
+    "QuadratureSpec-nodes": (
+        lambda n: QuadratureSpec(nodes=n), "nodes", 8, None, None
+    ),
+    "superpose_q_numeric-nodes": (
+        lambda n: superpose_q_numeric(0j, P_REF, _unchecked_spec(n)),
+        "nodes", 8, 256, (QuadratureSpec, "grid"),
+    ),
+    "q_grid-n": (
+        lambda n: q_grid("superposed", P_REF, n=n),
+        "n", 16, 4096, (qfunctions, "gaussian_form"),
+    ),
+    "moments_via_qfunction-n": (
+        lambda n: moments_via_qfunction(P_REF, n=n),
+        "n", 16, None, (superposed, "gaussian_form"),
+    ),
+    "steady_state-trunc": (
+        lambda n: steady_state(C_REF, n),
+        "truncation", 8, 200, (fock, "frame_generator"),
+    ),
+    "propagate-trunc": (
+        lambda n: propagate(C_REF, 1.0, n),
+        "truncation", 8, 200, (fock, "generator"),
+    ),
+    "superposition_oracle-trunc": (
+        lambda n: superposition_oracle(C_REF, n),
+        "truncation", 8, 200, (fock, "frame_generator"),
+    ),
+    "run_verification-trunc": (
+        lambda n: run_verification(C_REF, n),
+        "truncation", 8, 200, (fock, "frame_generator"),
+    ),
+    "steady_state_in_frame-dim": (
+        lambda n: fock.steady_state_in_frame(C_REF, n, 32),
+        "truncation", 8, 400, (fock, "frame_generator"),
+    ),
+    "steady_state_in_frame-frame_dim": (
+        lambda n: fock.steady_state_in_frame(C_REF, 80, n),
+        "frame truncation", 8, 256, (fock, "frame_generator"),
+    ),
+    "DensityMatrix-dim": (
+        lambda n: DensityMatrix(n, np.identity(2)), "dim", None, None, None
+    ),
+}
+
+
+def _refusals():
+    """Each entry point's non-integer, NaN, one below its floor and one above
+    its cap."""
+    for entry, (_, _, lo, hi, _) in SIZES.items():
+        cases = {"non-integer": 12.5, "nan": math.nan}
+        if lo is not None:
+            cases["below-floor"] = lo - 1
+        if hi is not None:
+            cases["above-cap"] = hi + 1
+        for case, value in cases.items():
+            yield pytest.param(entry, value, id=f"{entry}-{case}")
+
+
+class TestSizeRule:
+    """Every size the package accepts is read by one rule, params.as_count:
+    an integer from its floor to its cap, refused with DomainError (exit 2)
+    before anything is built, in one wording."""
+
+    @pytest.mark.parametrize("entry,value", list(_refusals()))
+    def test_refused_before_anything_is_built(self, entry, value, monkeypatch):
+        call, name, lo, hi, built = SIZES[entry]
+        if built is not None:
+            monkeypatch.setattr(*built, None)
+        if isinstance(value, int):
+            span = f"at least {lo}" if hi is None else f"from {lo} to {hi} (the cap)"
+            want = f"{name} must be {span}, got {value}"
+        else:
+            want = f"{name} must be a finite integer, got {value}"
+        with pytest.raises(DomainError) as refusal:
+            call(value)
+        assert str(refusal.value) == want
+
+    def test_caps_come_from_the_byte_budget(self):
+        # the largest n whose complex n^k array, 16 n^k bytes, fits
+        for k, cap in ((2, 4096), (3, 256)):
+            assert array_cap(k) == cap
+            assert 16 * cap**k <= ARRAY_BYTES_CAP < 16 * (cap + 1) ** k
+        assert fock.frame_cap() == array_cap(3)
 
 
 class TestSqueezeCoeffs:
