@@ -36,7 +36,6 @@ from .params import (
     gaussian_form,
     scale,
     squeeze_coeffs,
-    superposed_norm,
 )
 from .superposed import (
     PAIR_BASELINE,
@@ -132,6 +131,5 @@ __all__ = [
     "steady_state",
     "superpose_q_numeric",
     "superposed_moments",
-    "superposed_norm",
     "superposition_oracle",
 ]

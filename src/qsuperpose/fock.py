@@ -288,8 +288,8 @@ def _check_tail(diag: np.ndarray) -> None:
 class DensityMatrix:
     """Validated density operator on the truncated Fock space.
 
-    Construction reads dim as an integer and the elements as numbers (else
-    :class:`DomainError`) and enforces hermiticity (1e-12), unit trace
+    Construction reads dim as an integer of at least 1 and the elements as
+    numbers (else :class:`DomainError`) and enforces hermiticity (1e-12), unit trace
     (1e-10), positive semidefiniteness (eigenvalues above -1e-10), and
     truncation adequacy (population of the top 10% of levels below 1e-8,
     else :class:`TruncationError`).  The stored array is a read-only copy,
@@ -300,7 +300,7 @@ class DensityMatrix:
     elements: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", as_count("dim", self.dim))
+        object.__setattr__(self, "dim", as_count("dim", self.dim, 1))
         arr = np.array(self.elements)
         if arr.dtype.kind not in "biufc":
             raise DomainError(f"elements must be numbers, got dtype {arr.dtype}")

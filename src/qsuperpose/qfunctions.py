@@ -1,7 +1,8 @@
 """Husimi Q functions of the coherent, squeezed, and superposed cavity light.
 
-Closed Gaussian forms, the antinormally-ordered characteristic functions they
-derive from, and two brute-force cross-checks:
+Closed Gaussian forms (:class:`~qsuperpose.params.GaussianQ`, each on its own
+axes), the antinormally-ordered characteristic functions they derive from,
+also on their own axes, and two brute-force cross-checks:
 
 * :func:`q_from_char_fn` rebuilds Q from the characteristic function by a 2-d
   phase-space transform, summed exactly as a product of two 1-d sums,
@@ -106,20 +107,22 @@ def q_superposed(alpha, params: ScaledParams):
 
 
 def _char_gauss_coeffs(params: ScaledParams) -> tuple[float, float]:
-    """(a1, a2) of the squeezed characteristic function
-    exp(-a1 |z|^2 + a2 (z^2 + conj(z)^2)/2)."""
+    """Axis coefficients (px, py) of the squeezed characteristic function
+    phi(x + iy) = exp(-px x^2 - py y^2): px = (2 - b)/(2(1 - b)) and
+    py = (2 + b)/(2(1 + b)), written straight from b.  They are the Fourier
+    partners of the Q's axis coefficients, cx py = cy px = 1
+    (:func:`~qsuperpose.params.gaussian_form`), but derived apart from them,
+    so that the transform check compares two independent writings."""
     b = params.b
-    one_minus_b2 = (1 - b) * (1 + b)
-    a1 = 1 + b**2 / (2 * one_minus_b2)
-    a2 = -b / (2 * one_minus_b2)
-    return a1, a2
+    return (2 - b) / (2 * (1 - b)), (2 + b) / (2 * (1 + b))
 
 
 def char_fn_antinormal(z, params: ScaledParams, kind: str):
     """Steady-state antinormally-ordered characteristic function.
 
     kind "coherent": exp(-|z|^2 + a(z - conj(z))).
-    kind "squeezed": exp(-a1 |z|^2 + a2 (z^2 + conj(z)^2)/2).
+    kind "squeezed": exp(-px x^2 - py y^2) with z = x + iy and (px, py) of
+    :func:`_char_gauss_coeffs`.
 
     Accepts a complex scalar or array; always returns complex values (the
     coherent form is complex off the real z axis).  A non-finite or
@@ -128,12 +131,11 @@ def char_fn_antinormal(z, params: ScaledParams, kind: str):
     if kind not in CHAR_KINDS:
         raise DomainError(f"kind must be one of {CHAR_KINDS}, got {kind!r}")
     z = phase_points("z", z)
-    zz = z.real**2 + z.imag**2
     if kind == "coherent":
-        out = np.exp(-zz + params.a * (z - z.conj()))
+        out = np.exp(-(z.real**2 + z.imag**2) + params.a * (z - z.conj()))
     else:
-        a1, a2 = _char_gauss_coeffs(params)
-        out = np.exp(-a1 * zz + a2 * (z**2).real)
+        px, py = _char_gauss_coeffs(params)
+        out = np.exp(-px * z.real**2 - py * z.imag**2)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -150,22 +152,22 @@ def q_from_char_fn(
     factor as phi(x + iy) = phi(x) phi(iy), and the kernel as
     exp(2i(x Im alpha - y Re alpha)), so the 2-d sum is exactly the product
     of one 1-d sum per axis.  Each axis is measured in phi's own width:
-    x = t/sqrt(a1 - a2) and y = t/sqrt(a1 + a2) with t on
-    :meth:`QuadratureSpec.grid` and (a1, a2) of :func:`_char_gauss_coeffs`
-    ((1, 0) for the coherent kind), so ``extent`` counts those units and the
-    narrow axis stays resolved as b -> 1.  The kernel is purely
-    oscillatory, so the box only needs to cover the Gaussian decay of phi;
-    a box that clips it raises :class:`QuadratureError`, and a non-finite or
-    non-numeric alpha a :class:`DomainError`.
+    x = t/sqrt(px) and y = t/sqrt(py) with t on :meth:`QuadratureSpec.grid`
+    and (px, py) of :func:`_char_gauss_coeffs` ((1, 1) for the coherent
+    kind), so ``extent`` counts those units and the narrow axis stays
+    resolved as b -> 1.  The kernel is purely oscillatory, so the box only
+    needs to cover the Gaussian decay of phi; a box that clips it raises
+    :class:`QuadratureError`, and a non-finite or non-numeric alpha a
+    :class:`DomainError`.
     """
     alpha = phase_point("alpha", alpha)
     spec = quad_spec or QuadratureSpec()
     t, w, h = spec.grid()
-    a1, a2 = _char_gauss_coeffs(params) if kind == "squeezed" else (1.0, 0.0)
+    px, py = _char_gauss_coeffs(params) if kind == "squeezed" else (1.0, 1.0)
     total = 1 / np.pi**2
     for unit, width, wave in (
-        (1, math.sqrt(a1 - a2), 2 * alpha.imag),
-        (1j, math.sqrt(a1 + a2), -2 * alpha.real),
+        (1, math.sqrt(px), 2 * alpha.imag),
+        (1j, math.sqrt(py), -2 * alpha.real),
     ):
         x = t / width
         phi = char_fn_antinormal(unit * x, params, kind)
@@ -266,6 +268,7 @@ def superpose_q_numeric(
     spec = quad_spec or QuadratureSpec()
     as_count("nodes", spec.nodes, 8, array_cap(3))
     u, v = squeeze_coeffs(params)
+    sq = gaussian_form(params, "squeezed")  # sqrt(cx cy) = sqrt(u^2 - v^2)
     a = params.a
     t, w, _ = spec.grid()
     axes = _kernel_axes(t, u, v, a, alpha)
@@ -277,7 +280,7 @@ def superpose_q_numeric(
         )
     # the alpha-only part of the exponent, and the peak taken out of the sum
     const = -abs(alpha) ** 2 + a * alpha - a * a + 0.5 * v * alpha * alpha + shift
-    pref = math.sqrt(u * u - v * v) / np.pi**3 * math.prod(x[1] - x[0] for x in axes)
+    pref = math.sqrt(sq.cx * sq.cy) / np.pi**3 * math.prod(x[1] - x[0] for x in axes)
     return float((pref * np.exp(const) * total).real)
 
 

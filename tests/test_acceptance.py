@@ -103,7 +103,7 @@ def test_c04_q_normalization():
         p = ScaledParams(a, b)
         for kind in ("coherent", "squeezed", "superposed"):
             form = gaussian_form(p, kind)
-            sigma = np.sqrt(1 / (2 * (form.quad - abs(form.squeeze))))
+            sigma = form.marginals()[2]  # the wider y axis
             extent = a + 9 * max(1.0, sigma)
             dev = max(dev, abs(phase_integral(form, extent).real - 1.0))
     elapsed = time.perf_counter() - t0

@@ -205,6 +205,18 @@ class TestQGrid:
         error = json.loads(captured.err.strip().splitlines()[-1])
         assert error["error"] == "DomainError"
 
+    @pytest.mark.parametrize("eps1, a", (("14", "28"), ("1e200", "2e+200")))
+    def test_underflowing_drive_exit_code(self, capsys, eps1, a):
+        # the prefactor exp(-cx a^2) underflows to 0; forming a^2 at
+        # a = 2e200 once raised an untyped OverflowError (exit 1)
+        assert main(["qgrid", "--eps1", eps1, "--grid-n", "16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err.strip().splitlines()[-1]) == {
+            "error": "DomainError",
+            "message": f"closed-form Q underflows at this drive (a = {a})",
+        }
+
     def test_overflowing_drive_blames_the_closed_form(self, capsys):
         # any warning would turn into an exception and escape main
         with warnings.catch_warnings():

@@ -22,7 +22,6 @@ from qsuperpose import (
     squeeze_coeffs,
     steady_state,
     superpose_q_numeric,
-    superposed_norm,
     superposition_oracle,
 )
 from qsuperpose import fock, qfunctions, superposed
@@ -31,7 +30,8 @@ from qsuperpose.verification import run_verification
 from conftest import GRID_AB, phase_integral
 
 # frozen expectations for (a, b) = (0.6, 0.4); u and v are exact rationals
-# 23/24 and -5/24, A was confirmed by the normalization quadrature below
+# 23/24 and -5/24, A = pi * prefactor of the superposed Q was confirmed by
+# the normalization quadrature below
 U_REF = 0.9583333333333333
 V_REF = -0.20833333333333334
 A_REF = 0.6146110217043336
@@ -207,7 +207,7 @@ SIZES = {
         "frame truncation", 8, 256, (fock, "frame_generator"),
     ),
     "DensityMatrix-dim": (
-        lambda n: DensityMatrix(n, np.identity(2)), "dim", None, None, None
+        lambda n: DensityMatrix(n, np.identity(2)), "dim", 1, None, None
     ),
 }
 
@@ -314,33 +314,39 @@ class TestSqueezeCoeffs:
 
 class TestSuperposedNorm:
     def test_vacuum(self):
-        assert superposed_norm(ScaledParams(0.0, 0.0)) == 1.0
+        form = gaussian_form(ScaledParams(0.0, 0.0), "superposed")
+        assert form.prefactor == 1 / np.pi
 
     def test_pure_coherent(self):
-        assert superposed_norm(ScaledParams(1.0, 0.0)) == pytest.approx(
-            np.exp(-1.0), abs=1e-15
-        )
+        form = gaussian_form(ScaledParams(1.0, 0.0), "superposed")
+        assert form.prefactor * np.pi == pytest.approx(np.exp(-1.0), abs=1e-15)
 
     def test_reference_point(self, params_ref):
-        assert superposed_norm(params_ref) == pytest.approx(A_REF, abs=1e-12)
+        form = gaussian_form(params_ref, "superposed")
+        assert form.prefactor * np.pi == pytest.approx(A_REF, abs=1e-12)
 
     @pytest.mark.parametrize("a,b", GRID_AB)
     def test_normalizes_superposed_q(self, a, b):
         p = ScaledParams(a, b)
         form = gaussian_form(p, "superposed")
-        sigma = np.sqrt(1 / (2 * (form.quad - abs(form.squeeze))))
+        sigma = form.marginals()[2]  # the wider y axis
         norm = phase_integral(form, extent=a + 9 * max(1.0, sigma)).real
         assert norm == pytest.approx(1.0, abs=1e-6)
 
 
 class TestGaussianQ:
     def test_rejects_non_normalizable(self):
-        with pytest.raises(DomainError):
-            GaussianQ(prefactor=1.0, quad=0.5, squeeze=0.6, linear=0.0)
-        with pytest.raises(DomainError):
-            GaussianQ(prefactor=1.0, quad=-1.0, squeeze=0.0, linear=0.0)
-        with pytest.raises(DomainError):
-            GaussianQ(prefactor=0.0, quad=1.0, squeeze=0.0, linear=0.0)
+        with pytest.raises(DomainError, match="not normalizable"):
+            GaussianQ(mean=0.0, cx=1.0, cy=-0.1)
+        with pytest.raises(DomainError, match="not normalizable"):
+            GaussianQ(mean=0.0, cx=-1.0, cy=1.0)
+        with pytest.raises(DomainError, match="not normalizable"):
+            GaussianQ(mean=0.0, cx=math.nan, cy=1.0)
+        # the prefactor exp(-cx mean^2) underflows to zero
+        with pytest.raises(DomainError, match=r"underflows .*\(a = 28\)"):
+            GaussianQ(mean=28.0, cx=1.0, cy=1.0)
+        with pytest.raises(DomainError, match="underflows"):
+            GaussianQ(mean=1e200, cx=1.0, cy=1.0)
 
     def test_bad_kind(self):
         with pytest.raises(DomainError):
@@ -350,10 +356,12 @@ class TestGaussianQ:
     @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.6, 0.4), (0.3, 0.8)])
     def test_prefactor_is_the_normalizing_one(self, kind, a, b):
         form = gaussian_form(ScaledParams(a, b), kind)
-        # the Gaussian integral of the exponent, completed in x
-        det = form.quad**2 - form.squeeze**2
-        shift = form.linear**2 / (form.quad - form.squeeze)
-        normalizing = np.sqrt(det) / np.pi * np.exp(-shift)
+        # the Gaussian integral of exp(-u|alpha|^2 + v Re(alpha^2) + 2 l Re
+        # alpha), l = mean (u - v), completed in x
+        u, v = squeeze_coeffs(ScaledParams(a, 0.0 if kind == "coherent" else b))
+        mean = 0.0 if kind == "squeezed" else a
+        linear = mean * (u - v)
+        normalizing = np.sqrt(u * u - v * v) / np.pi * np.exp(-(linear**2) / (u - v))
         assert form.prefactor == pytest.approx(normalizing, rel=1e-12)
 
     def test_vectorized_evaluation(self, params_ref):
@@ -376,8 +384,8 @@ class TestGaussianQ:
     def test_axis_factors_outer_product_is_q(self, kind, a, b, extent, nx, ny):
         # the x axis also covers the displaced peak; on this box every
         # exponent term is below ~700 in size, so GaussianQ.__call__ itself
-        # is accurate to ~1e-13 (its grouping by |alpha|^2 and Re(alpha^2)
-        # cancels to eps*quad*y^2 near b = 1, which the box keeps small)
+        # is accurate to ~1e-13: it groups the exponent by x and y, as the
+        # factors do, so nothing cancels as b -> 1
         form = gaussian_form(ScaledParams(a, b), kind)
         x = np.linspace(-extent, extent + a, nx)
         y = np.linspace(-extent, extent, ny)

@@ -176,7 +176,7 @@ class TestTransform:
 
     @pytest.mark.parametrize("b", (0.95, 0.99, 0.997))
     def test_near_threshold(self, b):
-        # phi's narrow axis has width (2(a1 - a2))^-1/2, 0.0995 at b = 0.99:
+        # phi's narrow axis has width (2 px)^-1/2, 0.0995 at b = 0.99:
         # one square box of spacing 0.254 missed it by up to 2e-2
         p = ScaledParams(1.0, b)
         for alpha in SAMPLE_POINTS:

@@ -4,6 +4,7 @@ stable domain, and still able to fail; and what the Fock oracle's doubling
 row reports."""
 
 import cmath
+import copy
 import dataclasses
 import types
 import warnings
@@ -25,6 +26,7 @@ from qsuperpose import (
     char_fn_antinormal,
     gaussian_form,
     moments_via_qfunction,
+    superpose_q_numeric,
     superposed_moments,
 )
 from qsuperpose import fock, qfunctions, superposed, verification
@@ -46,20 +48,18 @@ from qsuperpose.verification import (
 def direct_sums(form, spec):
     """Sums of Q, Q x, Q x^2 and Q y^2 times dx dy, term by term, over the
     2-d trapezoid grid of the one rule: x = mean + sigma_x t, y = sigma_y t
-    for t on the spec's grid, with the mean and widths read off the
-    exponent.  Q(x + iy) is evaluated from its exponent
-    -quad (x^2 + y^2) + squeeze (x^2 - y^2) + 2 linear x grouped by x and y:
-    grouped by |alpha|^2 and Re(alpha^2) instead, the rounding of the
-    cancelling y^2 terms grows like eps quad y^2 ~ eps/(1 - b) on these boxes
-    and alone exceeds 1e-12 as b -> 1."""
-    cx, cy = form.quad - form.squeeze, form.quad + form.squeeze
+    for t on the spec's grid, with the widths read off the exponent.  Q(x +
+    iy) is written out from the form's three fields and its prefactor,
+    uncentred as prefactor exp(-cx x^2 + 2 cx mean x - cy y^2); each axis
+    keeps its own coefficient, so nothing cancels as b -> 1."""
+    cx, cy = form.cx, form.cy
     t = np.linspace(-spec.extent, spec.extent, spec.nodes)
     w = np.ones(spec.nodes)
     w[0] = w[-1] = 0.5
-    ax = form.linear / cx + t / np.sqrt(2 * cx)
+    ax = form.mean + t / np.sqrt(2 * cx)
     ay = t / np.sqrt(2 * cy)
     x, y = ax[:, None], ay[None, :]
-    q = form.prefactor * np.exp(-cx * x**2 + 2 * form.linear * x - cy * y**2)
+    q = form.prefactor * np.exp(-cx * x**2 + 2 * cx * form.mean * x - cy * y**2)
     terms = w[:, None] * w[None, :] * q * (ax[1] - ax[0]) * (ay[1] - ay[0])
     return terms.sum(), (terms * x).sum(), (terms * x**2).sum(), (terms * y**2).sum()
 
@@ -99,6 +99,50 @@ def test_one_rule_holds_over_the_stable_domain(a, b):
     assert abs(quad.mean_photon - closed.mean_photon) <= tol
 
 
+#: the phase points of verify's transform row
+TRANSFORM_POINTS = [
+    complex(re, im) for re in np.linspace(-1.2, 1.2, 5) for im in np.linspace(-1.2, 1.2, 5)
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(0.0, 20.0), b=st.floats(0.0, 1 - 1.1e-16))
+# in the |alpha|^2, Re(alpha^2) basis u + v cancelled here: the moments and
+# the normalization read 5.5e-10, 3.5e-6 and 3.2e-2 off, the transform
+# 1.0e-9, 7.2e-6 and 3.7e-2 of Q(0)
+@example(a=0.0, b=1 - 1e-8)
+@example(a=5.0, b=1 - 1e-12)
+@example(a=0.0, b=1 - 1.1e-16)
+def test_every_phase_space_sum_holds_up_to_threshold(a, b):
+    p = ScaledParams(a, b)
+    # the uncentred factors carry exponents up to cx a^2 <= 4a^2/3, each
+    # rounded to about eps of itself
+    norm_tol = 1e-13 + 4 * np.finfo(float).eps * a * a
+    for kind in Q_KINDS:
+        assert abs(plane_sums(gaussian_form(p, kind))[0] - 1.0) <= norm_tol
+    closed, quad = superposed_moments(p), moments_via_qfunction(p)
+    gap = max(abs(x - y) for x, y in zip(dataclasses.astuple(closed), dataclasses.astuple(quad)))
+    assert gap <= 1e-12 * (1.0 + closed.mean_photon)
+    squeezed = gaussian_form(p, "squeezed")
+    for alpha in TRANSFORM_POINTS:
+        got = q_from_char_fn(alpha, p, "squeezed")
+        assert abs(got - squeezed(alpha)) <= 1e-13 * squeezed(0j)
+    superposed_q = gaussian_form(p, "superposed")
+    for z in verification.KERNEL_POINTS:
+        want = superposed_q(a + z)
+        assert abs(superpose_q_numeric(a + z, p) - want) <= 1e-12 * want
+
+
+@settings(max_examples=200, deadline=None)
+@given(b=st.floats(0.0, 1 - 1.1e-16))
+def test_char_fn_axes_are_the_fourier_partners_of_the_q_axes(b):
+    # written apart, so the transform row compares two derivations
+    p = ScaledParams(0.0, b)
+    form, (px, py) = gaussian_form(p, "squeezed"), _char_gauss_coeffs(p)
+    assert abs(form.cx * py - 1.0) <= 1e-15
+    assert abs(form.cy * px - 1.0) <= 1e-15
+
+
 def test_normalization_check_refuses_an_overflowing_drive():
     # a = 27: the x factor overflows at its peak; the check read inf
     with warnings.catch_warnings():
@@ -116,15 +160,15 @@ def test_kernel_check_refuses_an_underflowing_closed_form():
 
 def direct_transform(alpha, params, kind, spec):
     """The char-fn transform as one 2-d trapezoid sum of phi(z) exp(conj(z)
-    alpha - z conj(alpha)) over z = x + iy, with x = t/sqrt(a1 - a2) and
-    y = t/sqrt(a1 + a2) for t on the spec's grid, term by term; and the
+    alpha - z conj(alpha)) over z = x + iy, with x = t/sqrt(px) and
+    y = t/sqrt(py) for t on the spec's grid, term by term; and the
     edge-to-peak ratio of |phi| on that box.  For the coherent kind
-    (a1, a2) = (1, 0): the unscaled square box."""
-    a1, a2 = _char_gauss_coeffs(params) if kind == "squeezed" else (1.0, 0.0)
+    (px, py) = (1, 1): the unscaled square box."""
+    px, py = _char_gauss_coeffs(params) if kind == "squeezed" else (1.0, 1.0)
     t = np.linspace(-spec.extent, spec.extent, spec.nodes)
     w = np.ones(spec.nodes)
     w[0] = w[-1] = 0.5
-    x, y = t / np.sqrt(a1 - a2), t / np.sqrt(a1 + a2)
+    x, y = t / np.sqrt(px), t / np.sqrt(py)
     z = x[:, None] + 1j * y[None, :]
     phi = char_fn_antinormal(z, params, kind)
     kernel = np.exp(np.conj(z) * alpha - z * np.conj(alpha))
@@ -183,31 +227,38 @@ def test_charfn_check_catches_a_wrong_imaginary_axis(monkeypatch, params_ref):
     assert not check_charfn_transform(params_ref).passed
 
 
-def mutate_forms(monkeypatch, **change):
-    """Serve verify's quadratures a closed form with ``change`` applied."""
+def mutate_forms(monkeypatch, change):
+    """Serve verify's quadratures the closed form that ``change`` makes of
+    the true one."""
 
     def mutated(params, kind):
-        form = gaussian_form(params, kind)
-        return dataclasses.replace(
-            form, **{k: f(getattr(form, k)) for k, f in change.items()}
-        )
+        return change(gaussian_form(params, kind))
 
     for module in (verification, superposed):
         monkeypatch.setattr(module, "gaussian_form", mutated)
 
 
+def scaled_prefactor(form):
+    """A copy of ``form`` whose derived prefactor is 1e-5 too large."""
+    wrong = copy.copy(form)
+    object.__setattr__(wrong, "prefactor", form.prefactor * (1 + 1e-5))
+    return wrong
+
+
 def test_normalization_check_catches_a_wrong_prefactor(monkeypatch, params_ref):
     assert check_q_normalization(params_ref).passed
-    mutate_forms(monkeypatch, prefactor=lambda c: c * (1 + 1e-5))
+    mutate_forms(monkeypatch, scaled_prefactor)
     res = check_q_normalization(params_ref)
     assert not res.passed
     assert res.max_deviation == pytest.approx(1e-5, rel=1e-3)
 
 
 def test_pair_variance_check_catches_a_flipped_squeeze(monkeypatch, params_ref):
+    # cx and cy swapped flips the squeeze: still normalized, but narrow
+    # along y, not x
     mom = moments_via_qfunction(params_ref)
     assert check_pair_variance_quadrature(params_ref, mom).passed
-    mutate_forms(monkeypatch, squeeze=lambda c: -c)
+    mutate_forms(monkeypatch, lambda f: dataclasses.replace(f, cx=f.cy, cy=f.cx))
     mom = moments_via_qfunction(params_ref)
     assert not check_pair_variance_quadrature(params_ref, mom).passed
 
