@@ -11,8 +11,9 @@ Conventions: Fock levels 0..N-1, annihilation matrix entries
 a[n-1, n] = sqrt(n).  The master equation is written once, as a
 :class:`Generator` of the drive K (H = iK), a jump matrix A in place of a,
 and kappa: L rho = K rho - rho K + kappa (A rho A^T - {A^T A, rho}/2).
-Its matrix action, four dense products, certifies every solution and steps
-:func:`propagate`; the steady-state solve builds its system from a separate
+Its matrix action, four dense products, certifies every solution and
+builds the Krylov space on which :func:`propagate` applies its RK4 steps as
+one polynomial; the steady-state solve builds its system from a separate
 COO assembly on the symmetric subspace.
 
 Solver strategy: the steady state is solved in the frame D(delta) S(r) of
@@ -71,6 +72,13 @@ INTERIOR_TOL = 1e-9
 #: kappa = 0 generators on 8..58 levels, where the zero matrix leaves a block
 #: exactly singular to LAPACK
 RCOND_FLOOR = 1e-10
+#: most Arnoldi vectors in one leg of :func:`propagate`; 120 lab states of
+#: N = TRUNC_CAP levels take 38 MB, far inside ARRAY_BYTES_CAP
+KRYLOV_CAP = 120
+#: vectors between two checks of a leg's error estimate
+KRYLOV_CHECK = 10
+#: largest accepted error estimate of a leg of :func:`propagate`
+KRYLOV_TOL = 1e-13
 
 _EXPECT_KINDS = (
     "a",
@@ -476,12 +484,84 @@ def _solve_lu(gen: Generator) -> np.ndarray:
     )
 
 
-def _rk4_step(gen: Generator, rho: np.ndarray, h: float) -> np.ndarray:
-    k1 = gen(rho)
-    k2 = gen(rho + 0.5 * h * k1)
-    k3 = gen(rho + 0.5 * h * k2)
-    k4 = gen(rho + h * k3)
-    return rho + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+def _rk4_power(hess: np.ndarray, dt: float, steps: int, rem: float) -> np.ndarray:
+    """T(dt H)^steps T(rem H) for the square matrix H = hess, with T(z) =
+    1 + z + z^2/2 + z^3/6 + z^4/24: classical RK4's steps of size dt and
+    then one of size rem (none for rem = 0) on dx/dt = H x, the power by
+    repeated squaring."""
+    ident = np.identity(len(hess))
+
+    def taylor(h):
+        z = h * hess
+        return ident + z @ (ident + z @ (ident + z @ (ident + z / 4) / 3) / 2)
+
+    out, power = taylor(rem) if rem else ident, taylor(dt)
+    while steps:
+        if steps & 1:
+            out = out @ power
+        steps >>= 1
+        if steps:
+            power = power @ power
+    return out
+
+
+def _krylov_leg(gen: Generator, rho: np.ndarray, dt: float, steps: int, rem: float):
+    """(state, steps', rem'): RK4's steps of size dt, then one of size rem,
+    applied to rho as beta V p(H) e1 on the Krylov space of rho, with
+    nothing left, (steps', rem') = (0, 0); or, where KRYLOV_CAP vectors do
+    not certify them all, only the first k full steps, the largest of steps
+    (if rem > 0), steps // 2, steps // 4, ... that they certify, with
+    (steps - k, rem) left.
+
+    Arnoldi builds the orthonormal basis V of rho, L rho, L^2 rho, ... with
+    the generator's action, by classical Gram-Schmidt reorthogonalized once,
+    and the Hessenberg matrix H = V^T L V; p(H) is :func:`_rk4_power` and
+    beta = |rho|.  Every KRYLOV_CHECK vectors and at the cap, Saad's
+    estimate beta h_{m+1,m} |e_m^T p(H) e1| of the error (Saad, SIAM J.
+    Numer. Anal. 29, 1992) must be at most KRYLOV_TOL; a basis that breaks
+    down, h_{m+1,m} = 0, spans an invariant space and is exact.  The basis
+    grows by doubling, up to KRYLOV_CAP vectors.  A leg whose basis
+    certifies not even one step is a :class:`StepError`."""
+    cap = KRYLOV_CAP
+    beta = np.linalg.norm(rho)
+    basis = np.empty((min(KRYLOV_CHECK, cap), rho.size))
+    basis[0] = rho.ravel() / beta
+    hess = np.zeros((cap + 1, cap))
+
+    def certified(m, steps, rem):
+        p = _rk4_power(hess[:m, :m], dt, steps, rem)[:, 0]
+        # a non-finite p passes, and propagate refuses it as diverged
+        if not beta * hess[m, m - 1] * abs(p[-1]) > KRYLOV_TOL:
+            return beta * (p @ basis[:m]).reshape(rho.shape)
+        return None
+
+    for j in range(cap):
+        w = gen(basis[j].reshape(rho.shape)).ravel()
+        for _ in range(2):
+            coef = basis[: j + 1] @ w
+            w -= coef @ basis[: j + 1]
+            hess[: j + 1, j] += coef
+        m = j + 1
+        hess[m, j] = np.linalg.norm(w)
+        if hess[m, j] == 0.0 or m % KRYLOV_CHECK == 0 or m == cap:
+            out = certified(m, steps, rem)
+            if out is not None:
+                return out, 0, 0.0
+        if m < cap:
+            if m == len(basis):
+                more = np.empty((min(m, cap - m), rho.size))
+                basis = np.concatenate([basis, more])
+            basis[m] = w / hess[m, j]
+    first = steps if rem else steps // 2
+    while first:
+        out = certified(cap, first, 0.0)
+        if out is not None:
+            return out, steps - first, rem
+        first //= 2
+    raise StepError(
+        f"one RK4 step (dt={dt}) misses the Krylov error bound {KRYLOV_TOL} "
+        f"on {cap} vectors"
+    )
 
 
 def _lab_truncation(config: CavityConfig, trunc) -> int:
@@ -545,11 +625,19 @@ def propagate(
     """Master-equation state at time t, starting from vacuum.
 
     Fixed-step RK4 with step dt = 0.2/(kappa*N), well inside the stability
-    region of the fastest decaying coherence and small enough that the
-    integration error cannot push the state's zero eigenvalues below the
-    positivity tolerance.  Each step applies the lab :class:`Generator` to
-    the dense rho, the action that certifies the steady state.  t is in the
-    same time units as 1/kappa.
+    region of the fastest decaying coherence, and one last step for the
+    remainder of t.  For the linear, time-independent lab
+    :class:`Generator` each RK4 step is the polynomial T(dt L) of
+    :func:`_rk4_power`, so all steps are one polynomial in L applied to the
+    vacuum.  :func:`_krylov_leg` applies it on the vacuum's Krylov space,
+    built with the action that certifies the steady state; where that space
+    reaches its cap, it applies the first part of the steps, and the next
+    leg builds its space from the state they reach.  The state must still
+    pass the :class:`DensityMatrix` checks: at small explicit truncations
+    the steps' error can push an eigenvalue below the -1e-10 positivity
+    tolerance (kappa = 1, trunc = 12, a = 0.8, b = 0, t = 0.2 reaches
+    -2.7e-10), a :class:`SolveError`.  t is in the same time units as
+    1/kappa.
     """
     if not finite("t", t) or t < 0:
         raise StepError(f"time must be non-negative, got {t}")
@@ -559,10 +647,11 @@ def propagate(
     rho = np.zeros((dim, dim))
     rho[0, 0] = 1.0
     n_full, rem = divmod(t, dt)
-    for _ in range(int(n_full)):
-        rho = _rk4_step(gen, rho, dt)
-    if rem > 1e-15 * max(t, 1.0):
-        rho = _rk4_step(gen, rho, rem)
+    if not rem > 1e-15 * max(t, 1.0):
+        rem = 0.0
+    steps = int(n_full)
+    while steps or rem:
+        rho, steps, rem = _krylov_leg(gen, rho, dt, steps, rem)
     if not np.all(np.isfinite(rho)):
         raise StepError(f"master-equation integration diverged (dt={dt})")
     return DensityMatrix(dim=dim, elements=_finalize(rho))

@@ -135,7 +135,7 @@ def char_fn_antinormal(z, params: ScaledParams, kind: str):
         out = np.exp(-(z.real**2 + z.imag**2) + params.a * (z - z.conj()))
     else:
         px, py = _char_gauss_coeffs(params)
-        out = np.exp(-px * z.real**2 - py * z.imag**2)
+        out = np.exp(-px * z.real**2 - py * z.imag**2).astype(complex)
     return complex(out) if out.ndim == 0 else out
 
 

@@ -14,6 +14,7 @@ from qsuperpose import (
     DomainError,
     ScaledParams,
     SolveError,
+    StepError,
     TruncationError,
     default_truncation,
     expect,
@@ -79,6 +80,32 @@ def sparse_steady_state(gen):
     x = splu(sp.csc_matrix((vals, (rows, cols)), shape=(size, size))).solve(rhs)
     rho = x[index]
     assert np.abs(gen(rho)).max() <= 1e-9 * np.abs(rho).max()
+    return rho / np.trace(rho)
+
+
+def rk4_reference(config, t, dim):
+    """The fixed-step RK4 loop that :func:`propagate`'s Krylov legs
+    reproduce: from vacuum, floor(t/dt) steps of dt = 0.2/(kappa N) and one
+    step of the remainder above 1e-15 max(t, 1), each with the lab
+    generator's action, then made Hermitian and of unit trace."""
+    gen = fock.generator(config, ladder(dim))
+    dt = 0.2 / (config.kappa * dim)
+    rho = np.zeros((dim, dim))
+    rho[0, 0] = 1.0
+
+    def step(rho, h):
+        k1 = gen(rho)
+        k2 = gen(rho + 0.5 * h * k1)
+        k3 = gen(rho + 0.5 * h * k2)
+        k4 = gen(rho + h * k3)
+        return rho + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    n_full, rem = divmod(t, dt)
+    for _ in range(int(n_full)):
+        rho = step(rho, dt)
+    if rem > 1e-15 * max(t, 1.0):
+        rho = step(rho, rem)
+    rho = 0.5 * (rho + rho.T)
     return rho / np.trace(rho)
 
 
@@ -896,6 +923,92 @@ class TestPropagation:
         direct = steady_state(REF_CONFIG, trunc=24)
         for which in ("a", "a2", "adag_a"):
             assert abs(expect(rho, which) - expect(direct, which)) < 1e-8
+
+
+class TestKrylovPropagation:
+    """propagate applies all its RK4 steps as one polynomial on the Krylov
+    space of the vacuum; the step-by-step loop of rk4_reference is the
+    reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kappa=st.floats(0.5, 2.0),
+        a=st.floats(0.0, 1.5),
+        b=st.floats(0.0, 0.7),
+        dim=st.integers(8, 40),
+        when=st.sampled_from(("zero", "within_one_step", "whole_steps", "any")),
+        frac=st.floats(0.0, 1.0),
+    )
+    def test_matches_the_step_by_step_loop(self, kappa, a, b, dim, when, frac):
+        config = CavityConfig(kappa, a * kappa / 2, b * kappa / 2)
+        dt = 0.2 / (kappa * dim)
+        t = {
+            "zero": 0.0,
+            "within_one_step": frac * dt,
+            "whole_steps": int(frac * 8 / (kappa * dt)) * dt,
+            "any": frac * 8 / kappa,
+        }[when]
+        want = rk4_reference(config, t, dim)
+        try:
+            got = propagate(config, t, trunc=dim).elements
+        except SolveError:
+            # refused only where the loop's state is not positive either
+            assert np.linalg.eigvalsh(want)[0] < -1e-10
+            return
+        except TruncationError:
+            with pytest.raises(TruncationError):
+                DensityMatrix(dim, want)
+            return
+        assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "eps1, eps2, dim, t, eigmin",
+        ((0.4, 0.0, 12, 0.2, -2.7e-10), (0.4, 0.15, 8, 0.05, -2.2e-10)),
+    )
+    def test_steps_can_break_positivity_at_small_truncations(
+        self, eps1, eps2, dim, t, eigmin
+    ):
+        # dt = 0.2/(kappa N) does not keep every eigenvalue above -1e-10
+        config = CavityConfig(1.0, eps1, eps2)
+        assert np.linalg.eigvalsh(rk4_reference(config, t, dim))[0] == pytest.approx(
+            eigmin, rel=0.05
+        )
+        with pytest.raises(SolveError, match="negative eigenvalue"):
+            propagate(config, t, trunc=dim)
+
+    def test_one_krylov_space_at_the_default_truncation(self, monkeypatch):
+        # kappa t = 4 at N = 40 is 800 RK4 steps, 3200 generator actions
+        # one step at a time, and one leg of at most KRYLOV_CAP vectors
+        calls = []
+        action = Generator.__call__
+        monkeypatch.setattr(
+            Generator, "__call__", lambda gen, rho: calls.append(1) or action(gen, rho)
+        )
+        rho = propagate(REF_CONFIG, 4.0)
+        assert rho.dim == 40 and len(calls) <= fock.KRYLOV_CAP
+        monkeypatch.undo()
+        assert np.abs(rho.elements - rk4_reference(REF_CONFIG, 4.0, 40)).max() <= 1e-12
+
+    def test_legs_split_at_the_cap_give_the_same_state(self, monkeypatch):
+        legs = []
+        leg = fock._krylov_leg
+
+        def counted(gen, rho, dt, steps, rem):
+            legs.append(steps)
+            return leg(gen, rho, dt, steps, rem)
+
+        monkeypatch.setattr(fock, "KRYLOV_CAP", 12)
+        monkeypatch.setattr(fock, "_krylov_leg", counted)
+        got = propagate(REF_CONFIG, 0.7, trunc=16).elements
+        assert len(legs) > 2
+        assert np.abs(got - rk4_reference(REF_CONFIG, 0.7, 16)).max() <= 1e-12
+
+    @pytest.mark.parametrize("t", (0.7, 0.01))
+    def test_a_cap_that_misses_one_step_is_a_step_error(self, t, monkeypatch):
+        # three vectors cannot hold one step, a polynomial of degree 4
+        monkeypatch.setattr(fock, "KRYLOV_CAP", 3)
+        with pytest.raises(StepError, match="one RK4 step"):
+            propagate(REF_CONFIG, t, trunc=16)
 
 
 class TestSuperpositionOracle:

@@ -134,7 +134,11 @@ class TestCharFn:
     def test_magnitude_bounded_by_one(self, params_ref):
         zs = np.array(SAMPLE_POINTS)
         for kind in ("coherent", "squeezed"):
-            assert np.all(np.abs(char_fn_antinormal(zs, params_ref, kind)) <= 1.0 + 1e-15)
+            vals = char_fn_antinormal(zs, params_ref, kind)
+            assert np.all(np.abs(vals) <= 1.0 + 1e-15)
+            # complex for both kinds, from an array or a scalar
+            assert vals.dtype == np.complex128
+            assert np.asarray(char_fn_antinormal(zs[1], params_ref, kind)).dtype == np.complex128
 
     def test_bad_kind(self, params_ref):
         with pytest.raises(DomainError):
