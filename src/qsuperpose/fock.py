@@ -10,11 +10,14 @@ is meant to check, and nothing here needs more than numpy.
 Conventions: Fock levels 0..N-1, annihilation matrix entries
 a[n-1, n] = sqrt(n).  The master equation is written once, as a
 :class:`Generator` of the drive K (H = iK), a jump matrix A in place of a,
-and kappa: L rho = K rho - rho K + kappa (A rho A^T - {A^T A, rho}/2).
-Its matrix action, four dense products, certifies every solution and
-builds the Krylov space on which :func:`propagate` applies its RK4 steps as
-one polynomial; the steady-state solve builds its system from a separate
-COO assembly on the symmetric subspace.
+and kappa: L rho = K rho - rho K + kappa (A rho A^T - {A^T A, rho}/2).  A is
+tridiagonal, so :func:`generator` writes A^2, A^T A and K from its three
+diagonals in O(N) and fills each N x N operator once.  Its matrix action,
+four dense products, certifies the frame solution and builds the Krylov
+space on which :func:`propagate` applies its RK4 steps as one polynomial;
+the lab certificate takes the same operators to the factors of the mapped
+state (:meth:`Generator.factored`), and the steady-state solve builds its
+system from a separate COO assembly on the symmetric subspace.
 
 Solver strategy: the steady state is solved in the frame D(delta) S(r) of
 :func:`frame`, where it is thermal with nbar depending on b only, so
@@ -29,7 +32,8 @@ block row, each built from the generator's triples when it is needed, and
 only the eliminated upper blocks are kept.  Mapped to the lab basis,
 rho = U rho_f U^T with U[n, k] = <n|D S|k>, it must pass the lab tail check
 and an independent certificate: |(L_lab rho)_mn| <= 1e-9 max|rho| on the
-interior rows m, n <= N-3, exact rows of the untruncated master equation.
+interior rows m, n <= N-3, exact rows of the untruncated master equation,
+computed from U and rho_f in O(N^2 n_f).
 Any (delta, r) gives the same state once n_f is adequate, so the frame is
 no input to the answer; a wrong frame or too small an n_f misses that bound
 and raises SolveError.  Sizes follow the package's one rule
@@ -126,22 +130,39 @@ class Generator:
     """L rho = (K - kappa A^T A/2) rho - rho (K + kappa A^T A/2)
     + kappa A rho A^T for the drive K (H = iK) and the real jump matrix A,
     both square numpy arrays.  The two side operators, left = K - kappa
-    A^T A/2 and right = K + kappa A^T A/2, are formed once, at construction."""
+    A^T A/2 and right = K + kappa A^T A/2, are formed at construction
+    unless both are given, as :func:`generator` gives them."""
 
     drive: np.ndarray
     jump: np.ndarray
     kappa: float
-    left: np.ndarray = field(init=False, repr=False)
-    right: np.ndarray = field(init=False, repr=False)
+    left: np.ndarray | None = field(default=None, repr=False)
+    right: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        half = 0.5 * self.kappa * (self.jump.T @ self.jump)
-        object.__setattr__(self, "left", self.drive - half)
-        object.__setattr__(self, "right", self.drive + half)
+        if self.left is None or self.right is None:
+            half = 0.5 * self.kappa * (self.jump.T @ self.jump)
+            object.__setattr__(self, "left", self.drive - half)
+            object.__setattr__(self, "right", self.drive + half)
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         a = self.jump
         return self.left @ rho - rho @ self.right + self.kappa * (a @ rho @ a.T)
+
+    def factored(self, basis: np.ndarray, core: np.ndarray) -> np.ndarray:
+        """L(U C U^T) for U = basis (N x k) and C = core (k x k), from the
+        factors in O(N^2 k): one product of [left U, U, A U] with
+        [C U^T; -C (right^T U)^T; kappa C (A U)^T], never forming U C U^T."""
+        jumped = self.jump.dot(basis)
+        outer = np.concatenate((self.left.dot(basis), basis, jumped), axis=1)
+        inner = np.concatenate(
+            (
+                core.dot(basis.T),
+                (-core).dot(self.right.T.dot(basis).T),
+                (self.kappa * core).dot(jumped.T),
+            )
+        )
+        return outer.dot(inner)
 
     def symmetric(self):
         """L on the symmetric subspace as COO triples (rows, cols, vals),
@@ -159,13 +180,111 @@ class Generator:
         return tuple(np.concatenate(parts) for parts in zip(*terms))
 
 
+# The jump A is tridiagonal, with lower, main and upper diagonals l, d and u
+# (entry i at [i+1, i], [i, i] and [i, i+1], zero past the corner).  Then
+# A^2 - A^T^2 and A^T A are pentadiagonal, and entry i of each of their
+# diagonals is a sum of products of the entries of A near row i: l_i, d_i,
+# u_i, l_{i+1}, d_{i+1}, u_{i+1}, u_{i-1}, m_i = d_i + d_{i+1} and the
+# constant 1, numbered in this order.
+_L, _D, _U, _L1, _D1, _U1, _UP, _M, _ONE = range(9)
+#: entry i of the diagonals that the generator combines, as sums of
+#: products, each written as the dense product would sum it: the diagonals
+#: 1, 0, -1 of A, then l - u (of A^T - A), the diagonals 2 and 1 of A^2 -
+#: A^T^2 and the diagonals 0, 1, 2 of A^T A
+_SUMS = (
+    {(_U, _ONE): 1},
+    {(_D, _ONE): 1},
+    {(_L, _ONE): 1},
+    {(_L, _ONE): 1, (_U, _ONE): -1},
+    {(_U, _U1): 1, (_L, _L1): -1},
+    {(_U, _M): 1, (_L, _M): -1},
+    {(_UP, _UP): 1, (_D, _D): 1, (_L, _L): 1},
+    {(_D, _U): 1, (_L, _D1): 1},
+    {(_L, _U1): 1},
+)
+
+
+def _sum_rows():
+    """(first, second, rows): the products near[first] * near[second] and
+    the coefficients rows that sum them into the entries of _SUMS."""
+    pairs = list(dict.fromkeys(pair for terms in _SUMS for pair in terms))
+    rows = np.zeros((len(_SUMS), len(pairs)))
+    for row, terms in zip(rows, _SUMS):
+        for pair, sign in terms.items():
+            row[pairs.index(pair)] = sign
+    return (*np.array(pairs).T, rows)
+
+
+def _band_rows() -> np.ndarray:
+    """The coefficients on the weighted sums of _SUMS (weights 1, 1, 1,
+    eps1, eps2/2, eps2/2, kappa/2, kappa/2, kappa/2) of entry i of the
+    diagonals 2, 1, 0, -1, -2 of A, K, left and right, in 4 blocks of 5
+    rows: K = eps1 (A^T - A) + (eps2/2) (A^2 - A^T^2) is antisymmetric,
+    A^T A symmetric, and left, right = K -/+ (kappa/2) A^T A."""
+    jump, drive, half = np.zeros((3, 5, len(_SUMS)))
+    jump[1:4, :3] = np.identity(3)
+    drive[0, 4] = 1
+    drive[1, [3, 5]] = 1
+    drive[3:] = -drive[1::-1]
+    half[[0, 4], 8] = half[[1, 3], 7] = half[2, 6] = 1
+    return np.concatenate([jump, drive, drive - half, drive + half])
+
+
+_FIRST, _SECOND, _SUM_ROWS = _sum_rows()
+_BAND_ROWS = _band_rows()
+
+
+def _pentadiagonal(band: np.ndarray) -> np.ndarray:
+    """The n x n matrices whose diagonals 2, 1, 0, -1, -2 are the rows of
+    band[k] (k, 5, n): entry i of diagonal p at [i, i+p] for p >= 0 and at
+    [i-p, i] for p < 0, zero past the corner.  In the flat matrix diagonal p
+    runs in steps of n + 1 from [0, p] or [-p, 0]; its entries past the
+    corner fall beyond the matrix or, for p = 2, on [n-1, 0], which a lower
+    diagonal written later overwrites where it lies in the band (n <= 3)."""
+    k, _, n = band.shape
+    out = np.zeros((k, n * (n + 2)))
+    for row, start in enumerate((2, 1, 0, n, 2 * n)):
+        out[:, start : start + n * (n + 1) : n + 1] = band[:, row]
+    return out[:, : n * n].reshape(k, n, n)
+
+
+def _band_generator(config: CavityConfig, lower, main, upper) -> Generator:
+    """The generator of config whose jump A has the lower, main and upper
+    diagonals lower, main (an array or one number) and upper, from the sums
+    of products of _SUMS in O(N): A, K and the side operators are each
+    filled once."""
+    n = len(upper) + 1
+    near = np.zeros((9, n))  # the entries near row i, in the order of _L..._ONE
+    near[0, :-1], near[1], near[2, :-1] = lower, main, upper
+    near[3:6, :-1] = near[:3, 1:]
+    near[6, 1:] = upper
+    near[7] = near[1] + near[4]
+    near[8] = 1.0
+    sums = _SUM_ROWS.dot(near[_FIRST] * near[_SECOND])
+    e1, e2, h = config.eps1, 0.5 * config.eps2, 0.5 * config.kappa
+    sums *= np.array([[1.0], [1.0], [1.0], [e1], [e2], [e2], [h], [h], [h]])
+    # coefficients of +-1 only: each entry sums the weighted terms as the
+    # dense construction does, whether or not the product fuses them
+    jump, drive, left, right = _pentadiagonal(_BAND_ROWS.dot(sums).reshape(4, 5, n))
+    return Generator(drive, jump, config.kappa, left, right)
+
+
 def generator(config: CavityConfig, jump) -> Generator:
-    """The generator of config with the real matrix jump A in place of a:
-    K = eps1 (A^T - A) + (eps2/2) (A^2 - A^T^2)."""
+    """The generator of config with the real tridiagonal matrix jump A in
+    place of a: K = eps1 (A^T - A) + (eps2/2) (A^2 - A^T^2).  A^2 and A^T A
+    are pentadiagonal, so :func:`_band_generator` writes them from A's
+    three diagonals in O(N), with no N^3 product.  A jump with an entry off
+    its three diagonals is a :class:`DomainError`."""
     a = np.asarray(jump, dtype=float)
-    square = a @ a
-    drive = config.eps1 * (a.T - a) + 0.5 * config.eps2 * (square - square.T)
-    return Generator(drive, a, config.kappa)
+    lo, dg, up = a.diagonal(-1), a.diagonal(), a.diagonal(1)
+    if np.count_nonzero(a) > sum(map(np.count_nonzero, (lo, dg, up))):
+        raise DomainError("the jump matrix must be tridiagonal")
+    return _band_generator(config, lo, dg, up)
+
+
+def lab_generator(config: CavityConfig, dim: int) -> Generator:
+    """The generator of config on dim lab Fock levels, whose jump is a."""
+    return _band_generator(config, 0.0, 0.0, np.sqrt(np.arange(1.0, dim)))
 
 
 def frame(config: CavityConfig) -> tuple[float, float]:
@@ -179,8 +298,8 @@ def frame_generator(config: CavityConfig, dim: int) -> Generator:
     """The generator in the frame of :func:`frame` on dim levels: a replaced by
     A = cosh r b - sinh r b^dag + delta, with b the frame's ladder matrix."""
     delta, r = frame(config)
-    jump = math.cosh(r) * ladder(dim) - math.sinh(r) * ladder(dim).T
-    return generator(config, jump + delta * np.eye(dim))
+    root = np.sqrt(np.arange(1.0, dim))
+    return _band_generator(config, -math.sinh(r) * root, delta, math.cosh(r) * root)
 
 
 def frame_basis(delta: float, r: float, dim: int, frame_dim: int) -> np.ndarray:
@@ -200,31 +319,41 @@ def frame_basis(delta: float, r: float, dim: int, frame_dim: int) -> np.ndarray:
     the first is the three-term recurrence of the frame vacuum, column 0.
     Each runs only where its last term shrinks what it carries: the first
     fills the rows on and below the diagonal (n >= k), the second the columns
-    above it, shell by shell in s = max(n, k).  Against scipy's expm of the
-    padded generators the columns agree to 2e-14 at b = 0.89, N = 194,
-    n_f = 29.  Run over the whole matrix, the second loses 8e-12 there and
-    2e-8 at n_f = 40; raising column 0 by B^dag = cosh r (a^dag - delta) +
-    sinh r (a - delta), one column at a time, loses 3e-3 there."""
+    above it, shell by shell in s = max(n, k); each row below the n_f x n_f
+    square takes the first whole, as one product with a constant step.
+    Against scipy's expm of the padded generators the columns agree to
+    1.2e-14 at a = 2.2, b = 0.89, N = 194, n_f = 29.  Run over the whole
+    matrix, the second loses 8e-12 there and 2e-8 at n_f = 40; raising
+    column 0 by B^dag = cosh r (a^dag - delta) + sinh r (a - delta), one
+    column at a time, loses 3e-3 there."""
     ch, t = math.cosh(r), math.tanh(r)
     mu = delta * (1.0 + t)
     root = np.sqrt(np.arange(max(dim, frame_dim) + 1.0))
     out = np.zeros((dim, frame_dim))
     out[0, 0] = math.exp(-0.5 * delta * mu) / math.sqrt(ch)
-    for s in range(1, max(dim, frame_dim)):
-        if s < frame_dim:  # column s above the diagonal
-            n = min(s, dim)
-            col = -delta / ch * out[:n, s - 1]
-            col[1:] += root[1:n] / ch * out[: n - 1, s - 1]
-            if s > 1:
-                col += t * root[s - 1] * out[:n, s - 2]
-            out[:n, s] = col / root[s]
+    for s in range(1, frame_dim):
+        n = min(s, dim)  # column s above the diagonal
+        col = -delta / ch * out[:n, s - 1]
+        col[1:] += root[1:n] / ch * out[: n - 1, s - 1]
+        if s > 1:
+            col += t * root[s - 1] * out[:n, s - 2]
+        out[:n, s] = col / root[s]
         if s < dim:  # row s, on and left of the diagonal
-            k = min(s + 1, frame_dim)
-            row = mu * out[s - 1, :k]
-            row[1:] += root[1:k] / ch * out[s - 1, : k - 1]
+            row = mu * out[s - 1, : s + 1]
+            row[1:] += root[1 : s + 1] / ch * out[s - 1, :s]
             if s > 1:
-                row -= t * root[s - 1] * out[s - 2, :k]
-            out[s, :k] = row / root[s]
+                row -= t * root[s - 1] * out[s - 2, : s + 1]
+            out[s, : s + 1] = row / root[s]
+    # each row below the square at once: row s-1 times the constant step
+    # mu I + diag(sqrt(k)/cosh r, 1), held transposed for a matrix-vector
+    # product
+    step = mu * np.identity(frame_dim)
+    step.flat[frame_dim :: frame_dim + 1] = root[1:frame_dim] / ch
+    for s in range(frame_dim, dim):
+        row = step.dot(out[s - 1])
+        row -= t * root[s - 1] * out[s - 2]
+        row /= root[s]
+        out[s] = row
     return out
 
 
@@ -300,8 +429,11 @@ class DensityMatrix:
     numbers (else :class:`DomainError`) and enforces hermiticity (1e-12), unit trace
     (1e-10), positive semidefiniteness (eigenvalues above -1e-10), and
     truncation adequacy (population of the top 10% of levels below 1e-8,
-    else :class:`TruncationError`).  The stored array is a read-only copy,
-    of at least float64: the oracle's states stay real, complex input complex.
+    else :class:`TruncationError`).  Positivity is proved by one Cholesky
+    factorization (:func:`_proved_positive`); where that proves nothing, the
+    smallest eigenvalue from eigvalsh must be at least -1e-10.  The stored
+    array is a read-only copy, of at least float64: the oracle's states stay
+    real, complex input complex.
     """
 
     dim: int
@@ -319,12 +451,36 @@ class DensityMatrix:
             raise SolveError("density matrix is not Hermitian")
         if abs(np.trace(arr) - 1.0) > 1e-10:
             raise SolveError(f"trace {np.trace(arr)} is not 1")
-        eigmin = np.linalg.eigvalsh(arr)[0]
-        if eigmin < -1e-10:
-            raise SolveError(f"negative eigenvalue {eigmin:.3e}")
+        if not _proved_positive(arr):
+            eigmin = np.linalg.eigvalsh(arr)[0]
+            if eigmin < -1e-10:
+                raise SolveError(f"negative eigenvalue {eigmin:.3e}")
         _check_tail(np.diag(arr))
         arr.setflags(write=False)
         object.__setattr__(self, "elements", arr)
+
+
+def _proved_positive(arr: np.ndarray) -> bool:
+    """True when one Cholesky factorization proves every eigenvalue of the
+    Hermitian arr (its lower triangle, which eigvalsh reads too) above
+    -1e-10; False proves nothing.  A Cholesky factorization of an n x n M
+    that runs to completion is exact for some M + E with ||E||_2 <= (n+1)
+    sqrt(n) (eps/2) ||M||_F (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Thm 10.3, and tr M <= sqrt(n) ||M||_F), and m =
+    2 (n+1) n eps ||arr||_F is more than 4 sqrt(n) times that.  So a
+    completed factorization of arr + (1e-10 - m) I proves lambda_min(arr) >
+    -m - (1e-10 - m) = -1e-10; where m >= 1e-10 none is tried."""
+    dim = len(arr)
+    margin = 2 * (dim + 1) * dim * np.finfo(float).eps * np.linalg.norm(arr)
+    if not margin < 1e-10:
+        return False
+    shifted = arr.copy()
+    shifted.flat[:: dim + 1] += 1e-10 - margin
+    try:
+        np.linalg.cholesky(shifted)
+    except LinAlgError:
+        return False
+    return True
 
 
 def _finalize(rho: np.ndarray) -> np.ndarray:
@@ -593,7 +749,8 @@ def steady_state_in_frame(
     """Steady state on dim lab Fock levels, solved by :func:`_solve_lu` on
     frame_dim levels of the frame of :func:`frame` and mapped back as
     rho = U rho_f U^T with U = :func:`frame_basis`; it must pass the lab tail
-    check, the interior residual bound INTERIOR_TOL of the lab generator and
+    check, the interior residual bound INTERIOR_TOL of the lab generator,
+    taken from U and rho_f by :meth:`Generator.factored` in O(N^2 n_f), and
     the :class:`DensityMatrix` checks.  dim is a count from 8 to 2 TRUNC_CAP,
     room for the doubling check, and frame_dim a count from 8 to the
     :func:`frame_cap` of the frame solve, else :class:`DomainError`."""
@@ -605,10 +762,12 @@ def steady_state_in_frame(
 def _frame_solve(config: CavityConfig, dim: int, frame_dim: int) -> DensityMatrix:
     rho_f = _solve_lu(frame_generator(config, frame_dim))
     basis = frame_basis(*frame(config), dim, frame_dim)
-    rho = _finalize(basis @ rho_f @ basis.T)
+    rho = basis @ rho_f @ basis.T
+    core = rho_f / np.trace(rho)  # rho = U core U^T once normalized
+    rho = _finalize(rho)
     _check_tail(np.diag(rho))  # a lab cutoff too low is a TruncationError
     # rows m, n <= N-3 are exact rows of the untruncated master equation
-    image = generator(config, ladder(dim))(rho)[: dim - 2, : dim - 2]
+    image = lab_generator(config, dim).factored(basis, core)[: dim - 2, : dim - 2]
     residual = np.abs(image).max() / np.abs(rho).max()
     if not residual <= INTERIOR_TOL:
         raise SolveError(
@@ -624,26 +783,25 @@ def propagate(
 ) -> DensityMatrix:
     """Master-equation state at time t, starting from vacuum.
 
-    Fixed-step RK4 with step dt = 0.2/(kappa*N), well inside the stability
-    region of the fastest decaying coherence, and one last step for the
-    remainder of t.  For the linear, time-independent lab
+    Fixed-step RK4 with step dt = 0.2/(kappa max(N, 40)), well inside the
+    stability region of the fastest decaying coherence, and one last step
+    for the remainder of t.  For the linear, time-independent lab
     :class:`Generator` each RK4 step is the polynomial T(dt L) of
     :func:`_rk4_power`, so all steps are one polynomial in L applied to the
     vacuum.  :func:`_krylov_leg` applies it on the vacuum's Krylov space,
-    built with the action that certifies the steady state; where that space
+    built with the action that certifies the frame solution; where that space
     reaches its cap, it applies the first part of the steps, and the next
     leg builds its space from the state they reach.  The state must still
-    pass the :class:`DensityMatrix` checks: at small explicit truncations
-    the steps' error can push an eigenvalue below the -1e-10 positivity
-    tolerance (kappa = 1, trunc = 12, a = 0.8, b = 0, t = 0.2 reaches
-    -2.7e-10), a :class:`SolveError`.  t is in the same time units as
-    1/kappa.
+    pass the :class:`DensityMatrix` checks.  Below N = 40 the step stays
+    that of N = 40: 0.2/(kappa N) pushed an eigenvalue below the -1e-10
+    positivity floor (kappa = 1, trunc = 12, a = 0.8, b = 0, t = 0.2 reached
+    -2.7e-10; now -2.2e-12).  t is in the same time units as 1/kappa.
     """
     if not finite("t", t) or t < 0:
         raise StepError(f"time must be non-negative, got {t}")
     dim = _lab_truncation(config, trunc)
-    dt = 0.2 / (config.kappa * dim)
-    gen = generator(config, ladder(dim))
+    dt = 0.2 / (config.kappa * max(dim, 40))
+    gen = lab_generator(config, dim)
     rho = np.zeros((dim, dim))
     rho[0, 0] = 1.0
     n_full, rem = divmod(t, dt)

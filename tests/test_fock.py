@@ -85,11 +85,11 @@ def sparse_steady_state(gen):
 
 def rk4_reference(config, t, dim):
     """The fixed-step RK4 loop that :func:`propagate`'s Krylov legs
-    reproduce: from vacuum, floor(t/dt) steps of dt = 0.2/(kappa N) and one
-    step of the remainder above 1e-15 max(t, 1), each with the lab
+    reproduce: from vacuum, floor(t/dt) steps of dt = 0.2/(kappa max(N, 40))
+    and one step of the remainder above 1e-15 max(t, 1), each with the lab
     generator's action, then made Hermitian and of unit trace."""
     gen = fock.generator(config, ladder(dim))
-    dt = 0.2 / (config.kappa * dim)
+    dt = 0.2 / (config.kappa * max(dim, 40))
     rho = np.zeros((dim, dim))
     rho[0, 0] = 1.0
 
@@ -164,6 +164,60 @@ class TestOperators:
         assert np.abs(gen.drive - want).max() == 0.0
         assert np.array_equal(gen.jump, ladder(dim))
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kappa=st.floats(0.5, 2.0),
+        a=st.floats(0.0, 2.2),
+        b=st.floats(0.0, 0.89),
+        dim=st.integers(8, 388),
+        jump=st.sampled_from(("lab", "frame", "flipped_frame")),
+    )
+    @example(kappa=1.0, a=2.2, b=0.89, dim=388, jump="lab")
+    @example(kappa=0.5, a=2.2, b=0.89, dim=388, jump="flipped_frame")
+    def test_generator_matches_the_dense_construction(self, kappa, a, b, dim, jump):
+        # the band algebra of A^2 and A^T A against dense products: within
+        # 1e-15 of each operator's largest entry, and bit for bit on the lab
+        # ladder, whose every entry is a single product
+        config = CavityConfig(kappa, a * kappa / 2, b * kappa / 2)
+        am = ladder(dim)
+        if jump != "lab":
+            delta, r = fock.frame(config)
+            r = -r if jump == "flipped_frame" else r
+            am = np.cosh(r) * am - np.sinh(r) * am.T + delta * np.eye(dim)
+        square = am @ am
+        drive = config.eps1 * (am.T - am) + 0.5 * config.eps2 * (square - square.T)
+        want = Generator(drive, am, kappa)
+        got = fock.generator(config, am)
+        for name in ("drive", "jump", "left", "right"):
+            x, y = getattr(got, name), getattr(want, name)
+            if jump == "lab":
+                assert np.array_equal(x, y)
+            assert np.abs(x - y).max() <= 1e-15 * np.abs(y).max()
+        if jump == "lab":
+            lab = fock.lab_generator(config, dim)
+            assert all(
+                np.array_equal(getattr(lab, name), getattr(want, name))
+                for name in ("drive", "jump", "left", "right")
+            )
+
+    @pytest.mark.parametrize("dim", (1, 2, 3, 4, 5, 9))
+    def test_pentadiagonal_fill_at_every_size(self, dim):
+        # entries past the corner land beyond the matrix or are overwritten,
+        # down to the sizes where the band covers the whole matrix
+        band = np.random.default_rng(dim).standard_normal((2, 5, dim))
+        want = np.zeros((2, dim, dim))
+        for row, p in enumerate((2, 1, 0, -1, -2)):
+            band[:, row, dim - abs(p) :] = 0.0
+            for i in range(dim - abs(p)):
+                want[:, i + max(-p, 0), i + max(p, 0)] = band[:, row, i]
+        assert np.array_equal(fock._pentadiagonal(band), want)
+
+    def test_jump_off_the_band_is_refused(self):
+        am = ladder(12)
+        am[0, 3] = 0.1
+        with pytest.raises(DomainError, match="tridiagonal"):
+            fock.generator(REF_CONFIG, am)
+
 
 class TestSymmetricSubspace:
     """Every drive is real, so the generator commutes with transposition and
@@ -237,7 +291,7 @@ class TestSymmetricSubspace:
     def test_propagate_matches_full_vector_rk4(self):
         config, dim, t = REF_CONFIG, 16, 1.3
         lind = lab_kron(config, dim)
-        dt = 0.2 / (config.kappa * dim)
+        dt = 0.2 / (config.kappa * max(dim, 40))
         x = np.zeros(dim * dim, dtype=complex)
         x[0] = 1.0
         n_full, rem = divmod(t, dt)
@@ -423,6 +477,55 @@ class TestFrame:
         monkeypatch.setattr(fock, "frame_truncation", lambda c: true_trunc(c) // 2)
         with pytest.raises(TruncationError):
             steady_state(self.EDGE, trunc=40)
+
+    @pytest.mark.parametrize(
+        "kappa,a,b",
+        ((1.0, 2.2, 0.89), (0.5, 0.3, 0.85), (2.0, 1.9, 0.4), (1.3, 0.0, 0.8)),
+    )
+    def test_factored_certificate_is_the_dense_action(self, kappa, a, b):
+        # L(U C U^T) from the factors against the lab generator applied to
+        # U C U^T, for the solved core (|L rho| at the certificate's scale)
+        # and for a core that is no steady state
+        config = CavityConfig(kappa, a * kappa / 2, b * kappa / 2)
+        dim, frame_dim = default_truncation(config), frame_truncation(config)
+        basis = fock.frame_basis(*fock.frame(config), dim, frame_dim)
+        solved = fock._solve_lu(fock.frame_generator(config, frame_dim))
+        other = np.random.default_rng(5).standard_normal((frame_dim, frame_dim))
+        lab = fock.generator(config, ladder(dim))
+        for core in (solved, other + other.T):
+            rho = basis @ core @ basis.T
+            want = lab(rho)[: dim - 2, : dim - 2]
+            got = fock.lab_generator(config, dim).factored(basis, core)
+            scale = np.abs(lab.left).max() * np.abs(rho).max()
+            assert np.abs(got[: dim - 2, : dim - 2] - want).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("mutation", ("no_jump_block", "column_0", "column_1"))
+    def test_a_broken_certificate_is_refused(self, mutation, monkeypatch):
+        # the factored certificate must read every block and every column:
+        # dropping its kappa A U block, or scaling one basis column by
+        # 1 + 1e-6, leaves a state that misses the interior bound
+        config = TestBlockSolve.CORNER
+        steady_state(config)
+        if mutation == "no_jump_block":
+            factored = Generator.factored
+
+            def without_jump(gen, basis, core):
+                zero = np.zeros_like(gen.jump)
+                bare = Generator(gen.drive, zero, gen.kappa, gen.left, gen.right)
+                return factored(bare, basis, core)
+
+            monkeypatch.setattr(Generator, "factored", without_jump)
+        else:
+            true_basis, column = fock.frame_basis, int(mutation[-1])
+
+            def scaled(*args):
+                basis = true_basis(*args)
+                basis[:, column] *= 1 + 1e-6
+                return basis
+
+            monkeypatch.setattr(fock, "frame_basis", scaled)
+        with pytest.raises(SolveError, match="interior residual"):
+            steady_state(config)
 
     @settings(max_examples=15, deadline=None)
     @given(kappa=st.floats(0.5, 2.0), a=st.floats(0.0, 2.2), b=st.floats(0.0, 0.89))
@@ -730,6 +833,58 @@ class TestDensityMatrixValidation:
         with pytest.raises(SolveError):
             DensityMatrix(8, bad)
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        dim=st.integers(1, 60),
+        kind=st.sampled_from((float, complex)),
+        eigmin=st.sampled_from((0.0, 1e-12, -1e-12, -0.99e-10, -1.01e-10, -1e-8)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # a Frobenius norm of about 1400: the Cholesky margin 2 (n+1) n eps
+    # ||rho||_F reaches 2.3e-9, so nothing is factorized
+    @example(dim=60, kind=float, eigmin=-999.0, seed=0)
+    def test_positivity_is_the_eigenvalue_rule(self, dim, kind, eigmin, seed):
+        # a unit-trace Hermitian matrix with its smallest eigenvalue set:
+        # refused exactly when eigvalsh reads below -1e-10, with eigvalsh's
+        # value in the message; an accepted one may still fail the tail check
+        rng = np.random.default_rng(seed)
+        rest = rng.uniform(0.1, 1.0, dim - 1)
+        values = np.concatenate([[eigmin], rest * (1 - eigmin) / rest.sum()])
+        if dim == 1:
+            values = np.ones(1)
+        shape = (dim, dim)
+        z = rng.standard_normal(shape)
+        if kind is complex:
+            z = z + 1j * rng.standard_normal(shape)
+        q = np.linalg.qr(z)[0]
+        arr = (q * values) @ q.conj().T
+        arr = 0.5 * (arr + arr.conj().T)
+        margin = 2 * (dim + 1) * dim * np.finfo(float).eps * np.linalg.norm(arr)
+        assert (margin >= 1e-10) == (eigmin == -999.0)
+        low = np.linalg.eigvalsh(arr)[0]
+        if low < -1e-10:
+            with pytest.raises(SolveError) as err:
+                DensityMatrix(dim, arr)
+            assert str(err.value) == f"negative eigenvalue {low:.3e}"
+        else:
+            try:
+                DensityMatrix(dim, arr)
+            except TruncationError:
+                pass
+
+    def test_oracle_states_are_proved_positive_by_cholesky(self, monkeypatch):
+        # every state the oracle returns is certified by the factorization
+        # alone: eigvalsh never runs
+        def refuse(arr):
+            pytest.fail("eigvalsh ran")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        steady_state(REF_CONFIG)
+        steady_state(TestBlockSolve.CORNER)
+        fock.steady_state_in_frame(TestBlockSolve.CORNER, 388, 58)
+        propagate(REF_CONFIG, 1.0)
+        propagate(CavityConfig(1.0, 0.4, 0.15), 0.05, trunc=8)
+
     def test_tail_mass_rejected(self):
         bad = np.zeros((10, 10), dtype=complex)
         bad[0, 0] = 0.5
@@ -941,7 +1096,7 @@ class TestKrylovPropagation:
     )
     def test_matches_the_step_by_step_loop(self, kappa, a, b, dim, when, frac):
         config = CavityConfig(kappa, a * kappa / 2, b * kappa / 2)
-        dt = 0.2 / (kappa * dim)
+        dt = 0.2 / (kappa * max(dim, 40))
         t = {
             "zero": 0.0,
             "within_one_step": frac * dt,
@@ -962,19 +1117,17 @@ class TestKrylovPropagation:
         assert np.abs(got - want).max() <= 1e-12
 
     @pytest.mark.parametrize(
-        "eps1, eps2, dim, t, eigmin",
-        ((0.4, 0.0, 12, 0.2, -2.7e-10), (0.4, 0.15, 8, 0.05, -2.2e-10)),
+        "eps1, eps2, dim, t", ((0.4, 0.0, 12, 0.2), (0.4, 0.15, 8, 0.05))
     )
-    def test_steps_can_break_positivity_at_small_truncations(
-        self, eps1, eps2, dim, t, eigmin
-    ):
-        # dt = 0.2/(kappa N) does not keep every eigenvalue above -1e-10
+    def test_small_truncations_take_the_default_step(self, eps1, eps2, dim, t):
+        # a step of 0.2/(kappa N) pushed these states' smallest eigenvalues
+        # to -2.7e-10 and -2.2e-10, below the positivity floor; steps no
+        # longer than at N = 40 leave -2.2e-12 and -8.5e-14
         config = CavityConfig(1.0, eps1, eps2)
-        assert np.linalg.eigvalsh(rk4_reference(config, t, dim))[0] == pytest.approx(
-            eigmin, rel=0.05
-        )
-        with pytest.raises(SolveError, match="negative eigenvalue"):
-            propagate(config, t, trunc=dim)
+        want = rk4_reference(config, t, dim)
+        assert np.linalg.eigvalsh(want)[0] > -1e-11
+        got = propagate(config, t, trunc=dim).elements
+        assert np.abs(got - want).max() <= 1e-12
 
     def test_one_krylov_space_at_the_default_truncation(self, monkeypatch):
         # kappa t = 4 at N = 40 is 800 RK4 steps, 3200 generator actions
