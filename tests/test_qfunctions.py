@@ -3,11 +3,12 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsuperpose import (
@@ -215,10 +216,22 @@ class TestSuperpositionIntegral:
                 QuadratureSpec(nodes=nodes)
         assert isinstance(QuadratureSpec(nodes=32.0).nodes, int)
 
+    def test_memory_at_128_nodes(self, params_ref):
+        # one complex nodes^3 array alone is 33.6 MB here; the streamed sum
+        # holds two blocks of _KERNEL_ROWS * nodes^2 values (6.2 MB peak)
+        spec = QuadratureSpec(nodes=128)
+        tracemalloc.start()
+        try:
+            superpose_q_numeric(0.5 + 0.2j, params_ref, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
+
     def test_kernel_refuses_an_over_cap_spec(self, params_ref, monkeypatch):
-        # the smallest node count whose complex nodes^3 kernel array exceeds
-        # the byte cap: the kernel refuses it before it places a grid, while
-        # the transform, which builds only 1-d arrays, runs on it
+        # the smallest node count whose nodes^3 complex values per call
+        # exceed the byte cap: the kernel refuses it before it places a grid,
+        # while the transform, which builds only 1-d arrays, runs on it
         nodes = next(n for n in itertools.count(8) if 16 * n**3 > ARRAY_BYTES_CAP)
         spec = QuadratureSpec(nodes=nodes)
         want = q_coherent(0.1, params_ref)
@@ -316,15 +329,26 @@ class TestSuperpositionSum:
         boundary[1:-1, 1:-1, 1:-1, 1:-1] = False
         return terms.sum(), e.real.max(), e.real[boundary].max(), abs(terms).sum()
 
+    # n crosses two block boundaries of the streamed sum and ends in a
+    # partial block
     @settings(max_examples=60, deadline=None)
     @given(
-        n=st.integers(8, 16),
+        n=st.integers(8, 2 * qfunctions._KERNEL_ROWS + 3),
         a=st.floats(0.0, 3.0),
         b=st.floats(0.0, 0.95),
         centres=st.lists(st.floats(-3.0, 4.0), min_size=4, max_size=4),
         halves=st.lists(st.floats(0.5, 10.0), min_size=4, max_size=4),
         d_re=st.floats(-2.0, 2.0),
         d_im=st.floats(-2.0, 2.0),
+    )
+    @example(
+        n=2 * qfunctions._KERNEL_ROWS + 3,
+        a=0.6,
+        b=0.4,
+        centres=[0.5, 0.0, -0.2, 0.3],
+        halves=[4.0] * 4,
+        d_re=0.1,
+        d_im=0.2,
     )
     def test_any_axes_match_direct_sum(self, n, a, b, centres, halves, d_re, d_im):
         u, v = squeeze_coeffs(ScaledParams(a, b))
