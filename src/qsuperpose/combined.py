@@ -12,6 +12,7 @@ superposition of :mod:`qsuperpose.superposed`.
 Times are measured in units of 1/kappa throughout (tau = kappa * t).
 """
 
+import math
 from dataclasses import astuple, dataclass
 from typing import TYPE_CHECKING
 
@@ -95,20 +96,51 @@ def _moment_system(params: ScaledParams):
     return m, c
 
 
-def _rk4_map(m: "np.ndarray", c: "np.ndarray", h: float) -> "np.ndarray":
-    """One RK4 step of dy/dtau = M y + c as the affine map y -> P y + q, in
-    the augmented form [[P, q], [0, 1]] acting on (y, 1): for a linear
-    autonomous system the step is the degree-4 Taylor polynomial of
-    exp(h B), B = [[M, c], [0, 0]]."""
+def rk4_split(t: float, dt: float) -> tuple[int, float]:
+    """(steps, rem): time t as whole RK4 steps of dt and a remainder, kept
+    only above 1e-15 max(t, 1) (else 0.0).  StepError unless t is finite
+    and non-negative, dt finite and positive, and t/dt within the float
+    range."""
+    if not finite("t", t) or t < 0:
+        raise StepError(f"time must be non-negative, got {t}")
+    if not finite("dt", dt) or dt <= 0:
+        raise StepError(f"step must be positive, got {dt}")
+    n_full, rem = divmod(t, dt)
+    if not math.isfinite(n_full):
+        raise StepError(f"t/dt is beyond the float range: t={t}, dt={dt}")
+    return int(n_full), rem if rem > 1e-15 * max(t, 1.0) else 0.0
+
+
+def rk4_apply(
+    m: "np.ndarray", y: "np.ndarray", dt: float, steps: int, rem: float
+) -> "np.ndarray":
+    """T(rem M) T(dt M)^steps y for the square matrix M = m, with T(z) = 1 +
+    z + z^2/2 + z^3/6 + z^4/24 summed term by term: classical RK4's steps of
+    size dt and then one of size rem (none for rem = 0) on dy/dt = M y.  For
+    a linear, time-independent system every step is that polynomial, so the
+    steps are one power of T(dt M), applied by repeated squaring with one
+    matrix-vector product per set bit of steps.  A diverging step overflows
+    its powers to inf and nan, which the caller refuses."""
     import numpy as np
 
-    aug = np.zeros((6, 6))
-    aug[:5, :5], aug[:5, 5] = m, c
-    step, term = np.identity(6), np.identity(6)
-    for k in range(1, 5):
-        term = term @ (h * aug) / k
-        step += term
-    return step
+    def taylor(h):
+        step = term = np.identity(len(m))
+        for k in range(1, 5):
+            term = term @ (h * m) / k
+            step = step + term
+        return step
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = taylor(dt)
+        while steps:
+            if steps & 1:
+                y = power @ y
+            steps >>= 1
+            if steps:
+                power = power @ power
+        if rem:
+            y = taylor(rem) @ y
+    return y
 
 
 def evolve_moments(params: ScaledParams, t: float, dt: float = DEFAULT_DT) -> MomentSet:
@@ -116,33 +148,21 @@ def evolve_moments(params: ScaledParams, t: float, dt: float = DEFAULT_DT) -> Mo
 
     t and dt are in units of 1/kappa.  Classic fixed-step RK4; the system is
     linear with eigenvalues bounded by kappa(1+b), so the default step is far
-    inside the stability region.  Each step is the same affine map, so the
-    floor(t/dt) full steps are applied as one power of it, by repeated
-    squaring, before the remainder step.  <a^dag> and <a^dag^2> are
+    inside the stability region.  :func:`rk4_apply` takes the steps on the
+    augmented system [[M, c], [0, 0]] acting on (y, 1), on which every step
+    is the same matrix polynomial.  <a^dag> and <a^dag^2> are
     propagated as independent components and checked against <a> and <a^2>
     instead of being assumed equal.
     """
     import numpy as np
 
-    if not finite("t", t) or t < 0:
-        raise StepError(f"time must be non-negative, got {t}")
-    if not finite("dt", dt) or dt <= 0:
-        raise StepError(f"step must be positive, got {dt}")
+    steps, rem = rk4_split(t, dt)
     m, c = _moment_system(params)
+    aug = np.zeros((6, 6))
+    aug[:5, :5], aug[:5, 5] = m, c
     y = np.zeros(6)
     y[5] = 1.0
-    n_full, rem = divmod(t, dt)
-    power, steps = _rk4_map(m, c, dt), int(n_full)
-    # a diverging step overflows its powers; the check below reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        while steps:
-            if steps & 1:
-                y = power @ y
-            steps >>= 1
-            if steps:
-                power = power @ power
-        if rem > 1e-15 * max(t, 1.0):
-            y = _rk4_map(m, c, rem) @ y
+    y = rk4_apply(aug, y, dt, steps, rem)
     if not np.all(np.isfinite(y)) or np.abs(y).max() > 1e12:
         raise StepError(f"moment integration diverged (dt={dt})")
     if not (abs(y[1] - y[0]) < 1e-10 and abs(y[3] - y[2]) < 1e-10):

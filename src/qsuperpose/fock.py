@@ -13,11 +13,12 @@ a[n-1, n] = sqrt(n).  The master equation is written once, as a
 and kappa: L rho = K rho - rho K + kappa (A rho A^T - {A^T A, rho}/2).  A is
 tridiagonal, so :func:`generator` writes A^2, A^T A and K from its three
 diagonals in O(N) and fills each N x N operator once.  Its matrix action,
-four dense products, certifies the frame solution and builds the Krylov
-space on which :func:`propagate` applies its RK4 steps as one polynomial;
-the lab certificate takes the same operators to the factors of the mapped
-state (:meth:`Generator.factored`), and the steady-state solve builds its
-system from a separate COO assembly on the symmetric subspace.
+four dense products, gives the frame solve's residuals and certifies its
+solution, and it builds the Krylov space on which :func:`propagate` applies
+its RK4 steps as one polynomial; the lab certificate takes the same
+operators to the factors of the mapped state (:meth:`Generator.factored`),
+and the steady-state solve builds its system from a separate COO assembly
+on the symmetric subspace.
 
 Solver strategy: the steady state is solved in the frame D(delta) S(r) of
 :func:`frame`, where it is thermal with nbar depending on b only, so
@@ -51,9 +52,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError, solve
 
-from .combined import MomentSet
+from .combined import MomentSet, rk4_apply, rk4_split
 from .errors import DomainError, SolveError, StepError, TruncationError
-from .params import CavityConfig, array_cap, as_count, finite, phase_point, scale
+from .params import CavityConfig, array_cap, as_count, phase_point, scale
 
 #: cap on the lab truncation, automatic or explicit
 TRUNC_CAP = 200
@@ -248,11 +249,12 @@ def _pentadiagonal(band: np.ndarray) -> np.ndarray:
     return out[:, : n * n].reshape(k, n, n)
 
 
-def _band_generator(config: CavityConfig, lower, main, upper) -> Generator:
-    """The generator of config whose jump A has the lower, main and upper
-    diagonals lower, main (an array or one number) and upper, from the sums
-    of products of _SUMS in O(N): A, K and the side operators are each
-    filled once."""
+def generator(config: CavityConfig, lower, main, upper) -> Generator:
+    """The generator of config whose real tridiagonal jump A has the lower,
+    main and upper diagonals lower, main (an array or one number) and upper,
+    in place of a: K = eps1 (A^T - A) + (eps2/2) (A^2 - A^T^2).  A^2 and
+    A^T A are pentadiagonal, so A, K and the side operators are each filled
+    once from the sums of products of _SUMS in O(N), with no N^3 product."""
     n = len(upper) + 1
     near = np.zeros((9, n))  # the entries near row i, in the order of _L..._ONE
     near[0, :-1], near[1], near[2, :-1] = lower, main, upper
@@ -269,22 +271,9 @@ def _band_generator(config: CavityConfig, lower, main, upper) -> Generator:
     return Generator(drive, jump, config.kappa, left, right)
 
 
-def generator(config: CavityConfig, jump) -> Generator:
-    """The generator of config with the real tridiagonal matrix jump A in
-    place of a: K = eps1 (A^T - A) + (eps2/2) (A^2 - A^T^2).  A^2 and A^T A
-    are pentadiagonal, so :func:`_band_generator` writes them from A's
-    three diagonals in O(N), with no N^3 product.  A jump with an entry off
-    its three diagonals is a :class:`DomainError`."""
-    a = np.asarray(jump, dtype=float)
-    lo, dg, up = a.diagonal(-1), a.diagonal(), a.diagonal(1)
-    if np.count_nonzero(a) > sum(map(np.count_nonzero, (lo, dg, up))):
-        raise DomainError("the jump matrix must be tridiagonal")
-    return _band_generator(config, lo, dg, up)
-
-
 def lab_generator(config: CavityConfig, dim: int) -> Generator:
     """The generator of config on dim lab Fock levels, whose jump is a."""
-    return _band_generator(config, 0.0, 0.0, np.sqrt(np.arange(1.0, dim)))
+    return generator(config, 0.0, 0.0, np.sqrt(np.arange(1.0, dim)))
 
 
 def frame(config: CavityConfig) -> tuple[float, float]:
@@ -299,7 +288,7 @@ def frame_generator(config: CavityConfig, dim: int) -> Generator:
     A = cosh r b - sinh r b^dag + delta, with b the frame's ladder matrix."""
     delta, r = frame(config)
     root = np.sqrt(np.arange(1.0, dim))
-    return _band_generator(config, -math.sinh(r) * root, delta, math.cosh(r) * root)
+    return generator(config, -math.sinh(r) * root, delta, math.cosh(r) * root)
 
 
 def frame_basis(delta: float, r: float, dim: int, frame_dim: int) -> np.ndarray:
@@ -540,13 +529,6 @@ class _Pinned:
         band[self.rows[part] - start, self.cols[part] - left] = self.vals[part]
         return np.split(band, [start - left, stop - left], axis=1)
 
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """A x, summed row by row from the triples."""
-        heads = np.flatnonzero(np.diff(self.rows, prepend=-1))
-        out = np.zeros(len(x), np.result_type(self.vals, x))
-        out[self.rows[heads]] = np.add.reduceat(self.vals * x[self.cols], heads)
-        return out
-
 
 def _schur(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """D'_j = D_j - L_j C_{j-1}: block row j's diagonal block once block row
@@ -602,12 +584,21 @@ def _solve_lu(gen: Generator) -> np.ndarray:
     its largest population there.  max|r| / (max|A| max|y, g|) estimates the
     reciprocal condition of A from the probe's solution y and its forward
     elimination g (a nearly singular block blows up g, and back substitution
-    can cancel that in y), and y must meet |A y - r| <= 1e-8 max|r|, with
-    A y summed from the triples (unique steady states give <= 1e-10).  Then
-    gen applied to the solution x[index] must meet |L x| <= 1e-9 max|x|, at
-    once or after one step of iterative refinement, which reuses the kept
-    blocks; the state comes back normalized."""
+    can cancel that in y), and y must meet |A y - r| <= 1e-8 max|r|
+    (unique steady states give <= 1e-10).  Then gen applied to the solution
+    x[index] must meet |L x| <= 1e-9 max|x|, at once or after one step of
+    iterative refinement, which reuses the kept blocks; the state comes back
+    normalized.  Both residuals take A x from gen's matrix action, rows
+    m <= n of gen(x[index]) with row (0,0) read as x_00, independent of the
+    triples that the elimination reads."""
     system, index = _Pinned.of(gen), _fold_index(len(gen.jump))
+    rows = np.triu_indices(len(gen.jump))
+
+    def pinned(x):  # A x
+        out = gen(x[index])[rows]
+        out[0] = x[0]
+        return out
+
     probe = _probe(system.bounds[-1])
     rhs = np.zeros((probe.size, 2), system.vals.dtype)
     rhs[0, 0], rhs[:, 1] = 1.0, probe
@@ -622,7 +613,7 @@ def _solve_lu(gen: Generator) -> np.ndarray:
         x, y = solution.T
         peak = max(np.abs(y).max(), np.abs(forward[:, 1]).max())
         rcond = np.abs(probe).max() / (np.abs(system.vals).max() * peak)
-        probe_residual = np.abs(system @ y - probe).max() / np.abs(probe).max()
+        probe_residual = np.abs(pinned(y) - probe).max() / np.abs(probe).max()
     if not (rcond > RCOND_FLOOR and probe_residual <= 1e-8):
         raise SolveError(
             f"steady state not unique: reciprocal condition {rcond:.2e}, "
@@ -634,32 +625,11 @@ def _solve_lu(gen: Generator) -> np.ndarray:
         if np.all(np.isfinite(rho)) and residual <= 1e-9 * np.abs(rho).max():
             return _finalize(rho)
         if not refined:  # one refinement step
-            x = x + _sweep(system, rhs[:, 0] - system @ x, uppers)[0]
+            x = x + _sweep(system, rhs[:, 0] - pinned(x), uppers)[0]
     raise SolveError(
         "LU solution misses the residual bound |L x| <= 1e-9 max|x| "
         "after one step of iterative refinement"
     )
-
-
-def _rk4_power(hess: np.ndarray, dt: float, steps: int, rem: float) -> np.ndarray:
-    """T(dt H)^steps T(rem H) for the square matrix H = hess, with T(z) =
-    1 + z + z^2/2 + z^3/6 + z^4/24: classical RK4's steps of size dt and
-    then one of size rem (none for rem = 0) on dx/dt = H x, the power by
-    repeated squaring."""
-    ident = np.identity(len(hess))
-
-    def taylor(h):
-        z = h * hess
-        return ident + z @ (ident + z @ (ident + z @ (ident + z / 4) / 3) / 2)
-
-    out, power = taylor(rem) if rem else ident, taylor(dt)
-    while steps:
-        if steps & 1:
-            out = out @ power
-        steps >>= 1
-        if steps:
-            power = power @ power
-    return out
 
 
 def _krylov_leg(gen: Generator, rho: np.ndarray, dt: float, steps: int, rem: float):
@@ -672,13 +642,14 @@ def _krylov_leg(gen: Generator, rho: np.ndarray, dt: float, steps: int, rem: flo
 
     Arnoldi builds the orthonormal basis V of rho, L rho, L^2 rho, ... with
     the generator's action, by classical Gram-Schmidt reorthogonalized once,
-    and the Hessenberg matrix H = V^T L V; p(H) is :func:`_rk4_power` and
-    beta = |rho|.  Every KRYLOV_CHECK vectors and at the cap, Saad's
-    estimate beta h_{m+1,m} |e_m^T p(H) e1| of the error (Saad, SIAM J.
-    Numer. Anal. 29, 1992) must be at most KRYLOV_TOL; a basis that breaks
-    down, h_{m+1,m} = 0, spans an invariant space and is exact.  The basis
-    grows by doubling, up to KRYLOV_CAP vectors.  A leg whose basis
-    certifies not even one step is a :class:`StepError`."""
+    and the Hessenberg matrix H = V^T L V; p(H) e1 is
+    :func:`~qsuperpose.combined.rk4_apply` on H and e1, and beta = |rho|.
+    Every KRYLOV_CHECK vectors and at the cap, Saad's estimate beta
+    h_{m+1,m} |e_m^T p(H) e1| of the error (Saad, SIAM J. Numer. Anal. 29,
+    1992) must be at most KRYLOV_TOL; a basis that breaks down, h_{m+1,m} =
+    0, spans an invariant space and is exact.  The basis grows by doubling,
+    up to KRYLOV_CAP vectors.  A leg whose basis certifies not even one
+    step is a :class:`StepError`."""
     cap = KRYLOV_CAP
     beta = np.linalg.norm(rho)
     basis = np.empty((min(KRYLOV_CHECK, cap), rho.size))
@@ -686,7 +657,7 @@ def _krylov_leg(gen: Generator, rho: np.ndarray, dt: float, steps: int, rem: flo
     hess = np.zeros((cap + 1, cap))
 
     def certified(m, steps, rem):
-        p = _rk4_power(hess[:m, :m], dt, steps, rem)[:, 0]
+        p = rk4_apply(hess[:m, :m], np.eye(1, m)[0], dt, steps, rem)
         # a non-finite p passes, and propagate refuses it as diverged
         if not beta * hess[m, m - 1] * abs(p[-1]) > KRYLOV_TOL:
             return beta * (p @ basis[:m]).reshape(rho.shape)
@@ -786,10 +757,11 @@ def propagate(
 
     Fixed-step RK4 with step dt = 0.2/(kappa max(N, 40)), well inside the
     stability region of the fastest decaying coherence, and one last step
-    for the remainder of t.  For the linear, time-independent lab
-    :class:`Generator` each RK4 step is the polynomial T(dt L) of
-    :func:`_rk4_power`, so all steps are one polynomial in L applied to the
-    vacuum.  :func:`_krylov_leg` applies it on the vacuum's Krylov space,
+    for the remainder of t, as :func:`~qsuperpose.combined.rk4_split` counts
+    them.  For the linear, time-independent lab :class:`Generator` each RK4
+    step is the polynomial T(dt L) of :func:`~qsuperpose.combined.rk4_apply`,
+    so all steps are one polynomial in L applied to the vacuum.
+    :func:`_krylov_leg` applies it on the vacuum's Krylov space,
     built with the action that certifies the frame solution; where that space
     reaches its cap, it applies the first part of the steps, and the next
     leg builds its space from the state they reach.  The state must still
@@ -798,17 +770,12 @@ def propagate(
     positivity floor (kappa = 1, trunc = 12, a = 0.8, b = 0, t = 0.2 reached
     -2.7e-10; now -2.2e-12).  t is in the same time units as 1/kappa.
     """
-    if not finite("t", t) or t < 0:
-        raise StepError(f"time must be non-negative, got {t}")
     dim = _lab_truncation(config, trunc)
     dt = 0.2 / (config.kappa * max(dim, 40))
+    steps, rem = rk4_split(t, dt)
     gen = lab_generator(config, dim)
     rho = np.zeros((dim, dim))
     rho[0, 0] = 1.0
-    n_full, rem = divmod(t, dt)
-    if not rem > 1e-15 * max(t, 1.0):
-        rem = 0.0
-    steps = int(n_full)
     while steps or rem:
         rho, steps, rem = _krylov_leg(gen, rho, dt, steps, rem)
     if not np.all(np.isfinite(rho)):

@@ -39,10 +39,11 @@ if TYPE_CHECKING:
 
 Q_KINDS = ("coherent", "squeezed", "superposed")
 #: bytes allowed for the largest complex array a size can make the package
-#: build: the n x n grid of q_grid, the n^3 complex values the superposition
-#: kernel forms per call (streamed a few n^2 at a time, so they bound its work
-#: rather than its memory), and the kept blocks of the Fock oracle's frame
-#: solve, at most 16 n_f^3 bytes; :func:`array_cap` turns it into each cap on n
+#: build: one axis of a 1-d phase-space sum, the n x n grid of q_grid, the
+#: n^3 complex values the superposition kernel forms per call (streamed a few
+#: n^2 at a time, so they bound its work rather than its memory), and the
+#: kept blocks of the Fock oracle's frame solve, at most 16 n_f^3 bytes;
+#: :func:`array_cap` turns it into each cap on n
 ARRAY_BYTES_CAP = 2**28
 
 
@@ -103,7 +104,8 @@ def as_count(name: str, value, lo: int | None = None, hi: int | None = None) -> 
 
 def array_cap(k: int) -> int:
     """The largest n whose complex n^k array, 16 n^k bytes, fits
-    :data:`ARRAY_BYTES_CAP`: 4096 for the n x n grid of q_grid (k = 2), 256
+    :data:`ARRAY_BYTES_CAP`: 16,777,216 for the one axis of a 1-d
+    phase-space sum (k = 1), 4096 for the n x n grid of q_grid (k = 2), 256
     for the n^3 values the superposition kernel forms per call and the frame
     solve's kept blocks (k = 3)."""
     n = round((ARRAY_BYTES_CAP / 16) ** (1 / k))

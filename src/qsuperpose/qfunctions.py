@@ -62,8 +62,10 @@ class QuadratureSpec:
     standard deviations about the peak for the superposition kernel
     (:func:`_kernel_axes`) and for the closed-form Q's normalization and
     moments (:func:`plane_sums`).  So ``extent`` is a constant: below about
-    7.4 (kernel) or 5.3 (transform) every box is refused.  ``rtol`` is the
-    kernel's expected agreement with the closed form.
+    7.4 (kernel) or 5.3 (transform) every box is refused.  ``nodes`` is a
+    count from 8 to ``array_cap(1)`` = 16,777,216, the longest complex axis
+    within ARRAY_BYTES_CAP.  ``rtol`` is the kernel's expected agreement
+    with the closed form.
     """
 
     nodes: int = 48
@@ -71,7 +73,8 @@ class QuadratureSpec:
     rtol: ClassVar[float] = 1e-3
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", as_count("nodes", self.nodes, 8))
+        nodes = as_count("nodes", self.nodes, 8, array_cap(1))
+        object.__setattr__(self, "nodes", nodes)
 
     def grid(self) -> tuple[np.ndarray, np.ndarray, float]:
         x = np.linspace(-self.extent, self.extent, self.nodes)

@@ -14,7 +14,14 @@ from dataclasses import asdict, dataclass
 
 from .combined import MomentSet, checked_variances
 from .errors import DomainError
-from .params import CavityConfig, ScaledParams, as_count, gaussian_form, scale
+from .params import (
+    CavityConfig,
+    ScaledParams,
+    array_cap,
+    as_count,
+    gaussian_form,
+    scale,
+)
 
 #: coherent-state quadrature variance of a single beam
 SINGLE_BEAM_BASELINE = 1.0
@@ -53,13 +60,13 @@ def moments_via_qfunction(params: ScaledParams, n: int = 48) -> MomentSet:
     With alpha = x + iy, the sums of Q x, Q x^2 and Q y^2 are the
     :func:`~qsuperpose.qfunctions.plane_sums` on ``QuadratureSpec(nodes=n)``:
     each axis is n nodes over its own 8 standard deviations about its mean.
-    An n that is no integer >= 16 raises :class:`DomainError` before
-    anything is evaluated, and so does a drive at which the closed form
-    overflows.
+    An n that is no integer from 16 to ``array_cap(1)`` raises
+    :class:`DomainError` before anything is evaluated, and so does a drive
+    at which the closed form overflows.
     """
     from .qfunctions import QuadratureSpec, plane_sums
 
-    n = as_count("n", n, 16)
+    n = as_count("n", n, 16, array_cap(1))
     form = gaussian_form(params, "superposed")
     _, amp, x2, y2 = plane_sums(form, QuadratureSpec(nodes=n))
     return MomentSet(mean_amp=amp, mean_sq=x2 - y2, mean_photon=x2 + y2 - 1.0)

@@ -117,6 +117,9 @@ class TestEvolveMoments:
             evolve_moments(params_ref, 1.0, dt=-0.1)
         with pytest.raises(StepError):
             evolve_moments(params_ref, -1.0)
+        # a step count beyond the float range, not an untyped OverflowError
+        with pytest.raises(StepError, match="beyond the float range"):
+            evolve_moments(params_ref, 1e300, dt=1e-10)
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -168,7 +168,7 @@ def _unchecked_spec(nodes):
 #: refusal, floor, cap, the first thing it builds as (owner, attribute))
 SIZES = {
     "QuadratureSpec-nodes": (
-        lambda n: QuadratureSpec(nodes=n), "nodes", 8, None, None
+        lambda n: QuadratureSpec(nodes=n), "nodes", 8, 2**24, None
     ),
     "superpose_q_numeric-nodes": (
         lambda n: superpose_q_numeric(0j, P_REF, _unchecked_spec(n)),
@@ -180,7 +180,7 @@ SIZES = {
     ),
     "moments_via_qfunction-n": (
         lambda n: moments_via_qfunction(P_REF, n=n),
-        "n", 16, None, (superposed, "gaussian_form"),
+        "n", 16, 2**24, (superposed, "gaussian_form"),
     ),
     "steady_state-trunc": (
         lambda n: steady_state(C_REF, n),
@@ -188,7 +188,7 @@ SIZES = {
     ),
     "propagate-trunc": (
         lambda n: propagate(C_REF, 1.0, n),
-        "truncation", 8, 200, (fock, "generator"),
+        "truncation", 8, 200, (fock, "lab_generator"),
     ),
     "superposition_oracle-trunc": (
         lambda n: superposition_oracle(C_REF, n),
@@ -246,7 +246,7 @@ class TestSizeRule:
 
     def test_caps_come_from_the_byte_budget(self):
         # the largest n whose complex n^k array, 16 n^k bytes, fits
-        for k, cap in ((2, 4096), (3, 256)):
+        for k, cap in ((1, 2**24), (2, 4096), (3, 256)):
             assert array_cap(k) == cap
             assert 16 * cap**k <= ARRAY_BYTES_CAP < 16 * (cap + 1) ** k
         assert fock.frame_cap() == array_cap(3)
