@@ -11,8 +11,9 @@ Conventions: Fock levels 0..N-1, annihilation matrix entries
 a[n-1, n] = sqrt(n).  The master equation is written once, as a
 :class:`Generator` of the drive K (H = iK), a jump matrix A in place of a,
 and kappa: L rho = K rho - rho K + kappa (A rho A^T - {A^T A, rho}/2).  A is
-tridiagonal, so :func:`generator` writes A^2, A^T A and K from its three
-diagonals in O(N) and fills each N x N operator once.  Its matrix action,
+tridiagonal, so :func:`generator` writes the diagonals of A^2, A^T A and K
+as formulas of its three diagonals, in O(N), and fills the four N x N
+operators at once.  Its matrix action,
 four dense products, gives the frame solve's residuals and certifies its
 solution, and it builds the Krylov space on which :func:`propagate` applies
 its RK4 steps as one polynomial; the lab certificate takes the same
@@ -60,6 +61,8 @@ from .params import CavityConfig, array_cap, as_count, phase_point, scale
 TRUNC_CAP = 200
 #: acceptable population in the top 10% of Fock levels
 TAIL_TOL = 1e-8
+#: tolerated distance of a density matrix's trace from 1
+TRACE_TOL = 1e-10
 #: tolerated missing norm of a truncated coherent vector
 COHERENT_TAIL_TOL = 1e-10
 #: smallest frame truncation
@@ -181,60 +184,6 @@ class Generator:
         return tuple(np.concatenate(parts) for parts in zip(*terms))
 
 
-# The jump A is tridiagonal, with lower, main and upper diagonals l, d and u
-# (entry i at [i+1, i], [i, i] and [i, i+1], zero past the corner).  Then
-# A^2 - A^T^2 and A^T A are pentadiagonal, and entry i of each of their
-# diagonals is a sum of products of the entries of A near row i: l_i, d_i,
-# u_i, l_{i+1}, d_{i+1}, u_{i+1}, u_{i-1}, m_i = d_i + d_{i+1} and the
-# constant 1, numbered in this order.
-_L, _D, _U, _L1, _D1, _U1, _UP, _M, _ONE = range(9)
-#: entry i of the diagonals that the generator combines, as sums of
-#: products, each written as the dense product would sum it: the diagonals
-#: 1, 0, -1 of A, then l - u (of A^T - A), the diagonals 2 and 1 of A^2 -
-#: A^T^2 and the diagonals 0, 1, 2 of A^T A
-_SUMS = (
-    {(_U, _ONE): 1},
-    {(_D, _ONE): 1},
-    {(_L, _ONE): 1},
-    {(_L, _ONE): 1, (_U, _ONE): -1},
-    {(_U, _U1): 1, (_L, _L1): -1},
-    {(_U, _M): 1, (_L, _M): -1},
-    {(_UP, _UP): 1, (_D, _D): 1, (_L, _L): 1},
-    {(_D, _U): 1, (_L, _D1): 1},
-    {(_L, _U1): 1},
-)
-
-
-def _sum_rows():
-    """(first, second, rows): the products near[first] * near[second] and
-    the coefficients rows that sum them into the entries of _SUMS."""
-    pairs = list(dict.fromkeys(pair for terms in _SUMS for pair in terms))
-    rows = np.zeros((len(_SUMS), len(pairs)))
-    for row, terms in zip(rows, _SUMS):
-        for pair, sign in terms.items():
-            row[pairs.index(pair)] = sign
-    return (*np.array(pairs).T, rows)
-
-
-def _band_rows() -> np.ndarray:
-    """The coefficients on the weighted sums of _SUMS (weights 1, 1, 1,
-    eps1, eps2/2, eps2/2, kappa/2, kappa/2, kappa/2) of entry i of the
-    diagonals 2, 1, 0, -1, -2 of A, K, left and right, in 4 blocks of 5
-    rows: K = eps1 (A^T - A) + (eps2/2) (A^2 - A^T^2) is antisymmetric,
-    A^T A symmetric, and left, right = K -/+ (kappa/2) A^T A."""
-    jump, drive, half = np.zeros((3, 5, len(_SUMS)))
-    jump[1:4, :3] = np.identity(3)
-    drive[0, 4] = 1
-    drive[1, [3, 5]] = 1
-    drive[3:] = -drive[1::-1]
-    half[[0, 4], 8] = half[[1, 3], 7] = half[2, 6] = 1
-    return np.concatenate([jump, drive, drive - half, drive + half])
-
-
-_FIRST, _SECOND, _SUM_ROWS = _sum_rows()
-_BAND_ROWS = _band_rows()
-
-
 def _pentadiagonal(band: np.ndarray) -> np.ndarray:
     """The n x n matrices whose diagonals 2, 1, 0, -1, -2 are the rows of
     band[k] (k, 5, n): entry i of diagonal p at [i, i+p] for p >= 0 and at
@@ -252,22 +201,31 @@ def _pentadiagonal(band: np.ndarray) -> np.ndarray:
 def generator(config: CavityConfig, lower, main, upper) -> Generator:
     """The generator of config whose real tridiagonal jump A has the lower,
     main and upper diagonals lower, main (an array or one number) and upper,
-    in place of a: K = eps1 (A^T - A) + (eps2/2) (A^2 - A^T^2).  A^2 and
-    A^T A are pentadiagonal, so A, K and the side operators are each filled
-    once from the sums of products of _SUMS in O(N), with no N^3 product."""
+    in place of a: K = eps1 (A^T - A) + (eps2/2) (A^2 - A^T^2).  With l, d
+    and u the entries of those diagonals at [i+1, i], [i, i] and [i, i+1],
+    zero past the corner, A^2 - A^T^2 and A^T A are pentadiagonal.  Entry i
+    of diagonals 2 and 1 of A^2 - A^T^2 is u_i u_{i+1} - l_i l_{i+1} and
+    u_i m_i - l_i m_i with m_i = d_i + d_{i+1}; A^T A has l_i u_{i+1},
+    d_i u_i + l_i d_{i+1} and u_{i-1}^2 + d_i^2 + l_i^2 on its diagonals
+    2, 1 and 0, summed in this order, as the dense product sums them.  K is
+    antisymmetric and A^T A symmetric, so A, K and the side operators
+    K -/+ (kappa/2) A^T A are filled from their diagonals at once in O(N),
+    with no N^3 product."""
     n = len(upper) + 1
-    near = np.zeros((9, n))  # the entries near row i, in the order of _L..._ONE
-    near[0, :-1], near[1], near[2, :-1] = lower, main, upper
-    near[3:6, :-1] = near[:3, 1:]
-    near[6, 1:] = upper
-    near[7] = near[1] + near[4]
-    near[8] = 1.0
-    sums = _SUM_ROWS.dot(near[_FIRST] * near[_SECOND])
+    pad = np.zeros((3, n + 2))  # l, d and u with a zero on either end
+    pad[0, 1:n], pad[1, 1:-1], pad[2, 1:n] = lower, main, upper
+    (l, d, u), (l1, d1, u1), up = pad[:, 1:-1], pad[:, 2:], pad[2, :-2]
     e1, e2, h = config.eps1, 0.5 * config.eps2, 0.5 * config.kappa
-    sums *= np.array([[1.0], [1.0], [1.0], [e1], [e2], [e2], [h], [h], [h]])
-    # coefficients of +-1 only: each entry sums the weighted terms as the
-    # dense construction does, whether or not the product fuses them
-    jump, drive, left, right = _pentadiagonal(_BAND_ROWS.dot(sums).reshape(4, 5, n))
+    m = d + d1
+    band = np.zeros((4, 5, n))  # diagonals 2, 1, 0, -1, -2 of A, K, left, right
+    band[0, 1:4] = u, d, l
+    band[1, 0] = e2 * (u * u1 - l * l1)
+    band[1, 1] = e1 * (l - u) + e2 * (u * m - l * m)
+    band[1, 3:] = -band[1, 1::-1]
+    ata = np.array([l * u1, d * u + l * d1, up * up + d * d + l * l])
+    half = h * ata[[0, 1, 2, 1, 0]]
+    band[2], band[3] = band[1] - half, band[1] + half
+    jump, drive, left, right = _pentadiagonal(band)
     return Generator(drive, jump, config.kappa, left, right)
 
 
@@ -416,10 +374,11 @@ class DensityMatrix:
     """Validated density operator on the truncated Fock space.
 
     Construction reads dim as an integer of at least 1 and the elements as
-    numbers (else :class:`DomainError`) and enforces hermiticity (1e-12), unit trace
-    (1e-10), positive semidefiniteness (eigenvalues above -1e-10), and
-    truncation adequacy (population of the top 10% of levels below 1e-8,
-    else :class:`TruncationError`).  Positivity is proved by one Cholesky
+    finite numbers (else :class:`DomainError`, before any other check) and
+    enforces hermiticity (1e-12), unit trace (TRACE_TOL = 1e-10), positive
+    semidefiniteness (eigenvalues above -1e-10), and truncation adequacy
+    (population of the top 10% of levels below 1e-8, else
+    :class:`TruncationError`).  Positivity is proved by one Cholesky
     factorization (:func:`_proved_positive`); where that proves nothing, the
     smallest eigenvalue from eigvalsh must be at least -1e-10.  The stored
     array is a read-only copy, of at least float64: the oracle's states stay
@@ -437,9 +396,11 @@ class DensityMatrix:
         arr = arr.astype(np.result_type(arr, float), copy=False)
         if arr.shape != (self.dim, self.dim):
             raise DomainError(f"elements must be {self.dim}x{self.dim}")
+        if not np.isfinite(arr).all():
+            raise DomainError("elements must be finite numbers")
         if np.abs(arr - arr.conj().T).max() > 1e-12:
             raise SolveError("density matrix is not Hermitian")
-        if abs(np.trace(arr) - 1.0) > 1e-10:
+        if abs(np.trace(arr) - 1.0) > TRACE_TOL:
             raise SolveError(f"trace {np.trace(arr)} is not 1")
         if not _proved_positive(arr):
             eigmin = np.linalg.eigvalsh(arr)[0]
@@ -647,20 +608,25 @@ def _krylov_leg(gen: Generator, rho: np.ndarray, dt: float, steps: int, rem: flo
     Every KRYLOV_CHECK vectors and at the cap, Saad's estimate beta
     h_{m+1,m} |e_m^T p(H) e1| of the error (Saad, SIAM J. Numer. Anal. 29,
     1992) must be at most KRYLOV_TOL; a basis that breaks down, h_{m+1,m} =
-    0, spans an invariant space and is exact.  The basis grows by doubling,
-    up to KRYLOV_CAP vectors.  A leg whose basis certifies not even one
-    step is a :class:`StepError`."""
+    0, spans an invariant space and is exact.  The state must also keep
+    rho's trace within TRACE_TOL, as RK4 on the trace-preserving L does:
+    far past the relaxation time T(dt H)^steps annihilates a small space
+    that lacks the steady state, and Saad's estimate of that zero is zero
+    too.  The basis is allocated once, for KRYLOV_CAP vectors.  A leg whose
+    basis certifies not even one step is a :class:`StepError`."""
     cap = KRYLOV_CAP
-    beta = np.linalg.norm(rho)
-    basis = np.empty((min(KRYLOV_CHECK, cap), rho.size))
+    beta, trace = np.linalg.norm(rho), np.trace(rho)
+    basis = np.empty((cap, rho.size))  # pages never written take no memory
     basis[0] = rho.ravel() / beta
     hess = np.zeros((cap + 1, cap))
 
     def certified(m, steps, rem):
         p = rk4_apply(hess[:m, :m], np.eye(1, m)[0], dt, steps, rem)
+        out = beta * (p @ basis[:m]).reshape(rho.shape)
         # a non-finite p passes, and propagate refuses it as diverged
-        if not beta * hess[m, m - 1] * abs(p[-1]) > KRYLOV_TOL:
-            return beta * (p @ basis[:m]).reshape(rho.shape)
+        error = beta * hess[m, m - 1] * abs(p[-1])
+        if not (error > KRYLOV_TOL or abs(np.trace(out) - trace) > TRACE_TOL):
+            return out
         return None
 
     for j in range(cap):
@@ -676,9 +642,6 @@ def _krylov_leg(gen: Generator, rho: np.ndarray, dt: float, steps: int, rem: flo
             if out is not None:
                 return out, 0, 0.0
         if m < cap:
-            if m == len(basis):
-                more = np.empty((min(m, cap - m), rho.size))
-                basis = np.concatenate([basis, more])
             basis[m] = w / hess[m, j]
     first = steps if rem else steps // 2
     while first:
@@ -764,7 +727,8 @@ def propagate(
     :func:`_krylov_leg` applies it on the vacuum's Krylov space,
     built with the action that certifies the frame solution; where that space
     reaches its cap, it applies the first part of the steps, and the next
-    leg builds its space from the state they reach.  The state must still
+    leg builds its space from the state they reach.  A leg's state keeps
+    its input's trace within TRACE_TOL, and the final state must still
     pass the :class:`DensityMatrix` checks.  Below N = 40 the step stays
     that of N = 40: 0.2/(kappa N) pushed an eigenvalue below the -1e-10
     positivity floor (kappa = 1, trunc = 12, a = 0.8, b = 0, t = 0.2 reached
