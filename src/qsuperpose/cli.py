@@ -25,10 +25,14 @@ from pathlib import Path
 
 from .combined import coherent_term, quad_variance_single, steady_moments_combined
 from .errors import DomainError, NumericsError, ValidationError
-from .params import CavityConfig, Q_KINDS, scale
+from .params import ARRAY_BYTES_CAP, CavityConfig, Q_KINDS, as_count, scale
 from .superposed import output_report
 
 SWEEP_PARAMS = ("kappa", "eps1", "eps2")
+#: the most points a sweep takes: its rows are all built before any is
+#: written, and one JSON row peaks near 4.8 KB, so 8 KiB a row keeps a
+#: sweep inside ARRAY_BYTES_CAP
+SWEEP_CAP = ARRAY_BYTES_CAP // 8192
 
 
 def _round9(x: float) -> float:
@@ -116,9 +120,7 @@ def _parse_sweep(text: str) -> tuple[str, float, float, int]:
         raise DomainError(f"bad sweep specification {text!r}: {exc}") from None
     if param not in SWEEP_PARAMS:
         raise DomainError(f"sweep parameter must be one of {SWEEP_PARAMS}")
-    if steps < 2:
-        raise DomainError(f"sweeps need at least 2 steps, got {steps}")
-    return param, start, stop, steps
+    return param, start, stop, as_count("steps", steps, 2, SWEEP_CAP)
 
 
 def _linspace(start: float, stop: float, steps: int) -> list[float]:
@@ -192,8 +194,16 @@ def _run_verify(args: argparse.Namespace) -> int:
     return 0 if n_fail == 0 else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are :class:`DomainError`, so that
+    :func:`main` reports them as one JSON line too; subparsers share it."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsuperpose",
         description="Statistics and squeezing of superposed coherent and "
         "squeezed cavity light.",
@@ -250,10 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
         try:
+            args = build_parser().parse_args(argv)
             return args.run(args)
         except ValidationError as exc:
             _print_error(exc)

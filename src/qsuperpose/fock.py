@@ -269,8 +269,9 @@ def frame_basis(delta: float, r: float, dim: int, frame_dim: int) -> np.ndarray:
     above it, shell by shell in s = max(n, k).  Each takes its first two
     terms as one product with a constant step: mu I + diag(sqrt(k)/cosh r,
     -1) times row s-1, -delta/cosh r I + diag(sqrt(n)/cosh r, -1) times
-    column s-1 (diag(v, -1) the subdiagonal).  A shell takes a leading slice
-    of each step, and each row below the n_f x n_f square the whole row step.
+    column s-1 (diag(v, -1) the subdiagonal).  One loop over s < max(N, n_f)
+    fills column s while s < n_f and row s while s < N, each from a leading
+    slice of its step.
     Against scipy's expm of the padded generators the columns agree to
     1.4e-14 at a = 2.2, b = 0.89, N = 194, n_f = 29.  Run over the whole
     matrix, the second loses 8e-12 there and 2e-8 at n_f = 40; raising
@@ -286,22 +287,19 @@ def frame_basis(delta: float, r: float, dim: int, frame_dim: int) -> np.ndarray:
     m = min(dim, frame_dim)
     col_step = -delta / ch * np.identity(m)
     col_step.flat[m :: m + 1] = root[1:m] / ch
-    for s in range(1, frame_dim):
-        n = min(s, dim)  # column s above the diagonal
-        col = col_step[:n, :n].dot(out[:n, s - 1])
-        if s > 1:
-            col += t * root[s - 1] * out[:n, s - 2]
-        out[:n, s] = col / root[s]
-        if s < dim:  # row s, on and left of the diagonal
+    # each slice stops at the end of its axis: column s has min(s, N) rows
+    # above the diagonal, row s min(s + 1, n_f) entries on and left of it
+    for s in range(1, max(dim, frame_dim)):
+        if s < frame_dim:
+            col = col_step[:s, :s].dot(out[:s, s - 1])
+            if s > 1:
+                col += t * root[s - 1] * out[:s, s - 2]
+            out[:s, s] = col / root[s]
+        if s < dim:
             row = step[: s + 1, : s + 1].dot(out[s - 1, : s + 1])
             if s > 1:
                 row -= t * root[s - 1] * out[s - 2, : s + 1]
             out[s, : s + 1] = row / root[s]
-    for s in range(frame_dim, dim):  # each row below the square
-        row = step.dot(out[s - 1])
-        row -= t * root[s - 1] * out[s - 2]
-        row /= root[s]
-        out[s] = row
     return out
 
 
@@ -497,31 +495,28 @@ def _schur(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray
     return diag - lower @ upper
 
 
-def _sweep(system: _Pinned, rhs: np.ndarray, uppers: list):
+def _sweep(system: _Pinned, rhs: np.ndarray):
     """(x, g): x solves system x = rhs by block LU, the block Thomas
     algorithm (Golub & Van Loan, Matrix Computations, ch. 4), and g is
-    rhs after forward elimination.
+    rhs after forward elimination; rhs is one right-hand side, or several
+    as columns.
 
     Forward elimination builds each block row j from the triples when it
-    needs it and takes g_j = D'_j^-1 (r_j - L_j g_{j-1}), with D'_j from
-    :func:`_schur` and C_j = D'_j^-1 U_j, both in one LAPACK solve with
+    needs it and takes C_j = D'_j^-1 U_j and g_j = D'_j^-1 (r_j - L_j
+    g_{j-1}), with D'_j from :func:`_schur`, in one LAPACK solve with
     partial pivoting; back substitution gives x_j = g_j - C_j x_{j+1}.  The
-    C_j are the only blocks kept: the first call, with columns of right-hand
-    sides, appends them to uppers, and a later call with the same uppers
-    reuses them."""
-    parts = []
+    C_j are kept for that back substitution only: each call eliminates
+    afresh."""
+    uppers, parts = [], []
     for j in range(len(system.bounds) - 1):
         lower, diag, upper = system.band(j)
         r = rhs[system.bounds[j] : system.bounds[j + 1]]
         if j:
             diag = _schur(diag, lower, uppers[j - 1])
             r = r - lower @ parts[-1]
-        if j == len(uppers):
-            both = solve(diag, np.column_stack([upper, r]))
-            uppers.append(both[:, : upper.shape[1]])
-            parts.append(both[:, upper.shape[1] :])
-        else:
-            parts.append(solve(diag, r))
+        both = solve(diag, np.column_stack([upper, r]))
+        uppers.append(both[:, : upper.shape[1]])
+        parts.append(both[:, upper.shape[1] :].reshape(r.shape))
     forward = np.concatenate(parts)
     for j in range(len(parts) - 2, -1, -1):
         parts[j] = parts[j] - uppers[j] @ parts[j + 1]
@@ -548,8 +543,8 @@ def _solve_lu(gen: Generator) -> np.ndarray:
     can cancel that in y), and y must meet |A y - r| <= 1e-8 max|r|
     (unique steady states give <= 1e-10).  Then gen applied to the solution
     x[index] must meet |L x| <= 1e-9 max|x|, at once or after one step of
-    iterative refinement, which reuses the kept blocks; the state comes back
-    normalized.  Both residuals take A x from gen's matrix action, rows
+    iterative refinement, a fresh sweep on the pinned residual; the state
+    comes back normalized.  Both residuals take A x from gen's matrix action, rows
     m <= n of gen(x[index]) with row (0,0) read as x_00, independent of the
     triples that the elimination reads."""
     system, index = _Pinned.of(gen), _fold_index(len(gen.jump))
@@ -563,12 +558,11 @@ def _solve_lu(gen: Generator) -> np.ndarray:
     probe = _probe(system.bounds[-1])
     rhs = np.zeros((probe.size, 2), system.vals.dtype)
     rhs[0, 0], rhs[:, 1] = 1.0, probe
-    uppers = []
     # the probe's solution overflows on a singular system that the
     # elimination still carried through; the certificate then refuses it
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            solution, forward = _sweep(system, rhs, uppers)
+            solution, forward = _sweep(system, rhs)
         except LinAlgError as exc:  # an exactly singular block
             raise SolveError(f"steady state not unique: {exc}") from None
         x, y = solution.T
@@ -586,7 +580,7 @@ def _solve_lu(gen: Generator) -> np.ndarray:
         if np.all(np.isfinite(rho)) and residual <= 1e-9 * np.abs(rho).max():
             return _finalize(rho)
         if not refined:  # one refinement step
-            x = x + _sweep(system, rhs[:, 0] - pinned(x), uppers)[0]
+            x = x + _sweep(system, rhs[:, 0] - pinned(x))[0]
     raise SolveError(
         "LU solution misses the residual bound |L x| <= 1e-9 max|x| "
         "after one step of iterative refinement"

@@ -153,6 +153,25 @@ class TestSweep:
         assert error["error"] == "DomainError"
         assert "bad sweep specification" in error["message"]
 
+    def test_steps_read_by_the_size_rule(self, capsys, monkeypatch, tmp_path):
+        # a sweep builds all its rows before it writes any: one step above
+        # the cap is refused before the grid of points is made
+        cap = cli.SWEEP_CAP
+        assert cap == 32768
+        monkeypatch.setattr(cli, "_linspace", None)
+        assert main(["sweep", "--sweep", f"eps2:0:0.4:{cap + 1}"]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error == {
+            "error": "DomainError",
+            "message": f"steps must be from 2 to {cap} (the cap), got {cap + 1}",
+        }
+        # the cap itself runs, here with each row cut to its sweep column
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "report_payload", lambda c: {"eps2": c.eps2})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--sweep", f"eps2:0:0.4:{cap}", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == cap + 1
+
 
 class TestQGrid:
     def test_csv_output(self, tmp_path):
@@ -313,6 +332,35 @@ class TestVerify:
         rows = list(csv.DictReader(io.StringIO(out.read_text())))
         assert len(rows) == 13
         assert {r["passed"] for r in rows} == {"True"}
+
+
+class TestArgumentErrors:
+    """argparse's own errors are DomainErrors: exit 2 with one JSON line on
+    stderr, like every other invalid input."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        (
+            (["report", "--kappa", "abc"], "argument --kappa: invalid float value"),
+            (["qgrid", "--grid-n", "1e3"], "argument --grid-n: invalid int value"),
+            (["qgrid", "--kind", "husimi"], "argument --kind: invalid choice"),
+            (["sweep"], "the following arguments are required: --sweep"),
+            ([], "the following arguments are required: command"),
+        ),
+    )
+    def test_one_json_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "DomainError"
+        assert error["message"].startswith(message)
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["sweep", "--help"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qsuperpose sweep")
 
 
 #: run in a fresh interpreter: which modules do report, qgrid and verify load?
