@@ -13,13 +13,12 @@ a[n-1, n] = sqrt(n).  The master equation is written once, as a
 and kappa: L rho = K rho - rho K + kappa (A rho A^T - {A^T A, rho}/2).  A is
 tridiagonal, so :func:`generator` writes the diagonals of A^2, A^T A and K
 as formulas of its three diagonals, in O(N), and fills the four N x N
-operators at once.  Its matrix action,
-four dense products, gives the frame solve's residuals and certifies its
-solution, and it builds the Krylov space on which :func:`propagate` applies
-its RK4 steps as one polynomial; the lab certificate takes the same
-operators to the factors of the mapped state (:meth:`Generator.factored`),
-and the steady-state solve builds its system from a separate COO assembly
-on the symmetric subspace.
+operators at once.  Its matrix action, four dense products, gives the
+frame solve's residuals and certifies its solution, and it builds the
+Krylov space on which :func:`propagate` applies its RK4 steps as one
+polynomial; the lab certificate takes the same operators to the factors of
+the mapped state (:meth:`Generator.factored`), and the steady-state solve
+writes its block rows straight from them (:func:`_block_rows`).
 
 Solver strategy: the steady state is solved in the frame D(delta) S(r) of
 :func:`frame`, where it is thermal with nbar depending on b only, so
@@ -28,14 +27,15 @@ There A = cosh r b - sinh r b^dag + delta; every drive is real, so L is real
 and commutes with transposition, L(rho^T) = (L rho)^T, and the unique steady
 state is real symmetric: one certified block LU solve on its n_f(n_f+1)/2
 unknowns rho_mn, m <= n, finds it (:func:`_solve_lu`).  Ordered row-major
-by m, an unknown couples only to those of m - 2..m + 2, so the rows of two
-consecutive m form a block tridiagonal system; it is eliminated block row by
-block row, each built from the generator's triples when it is needed, and
-only the eliminated upper blocks are kept.  Mapped to the lab basis,
-rho = U rho_f U^T with U[n, k] = <n|D S|k>, it must pass the lab tail check
-and an independent certificate: |(L_lab rho)_mn| <= 1e-9 max|rho| on the
-interior rows m, n <= N-3, exact rows of the untruncated master equation,
-computed from U and rho_f in O(N^2 n_f).
+by m, an unknown couples only to those of m - 2..m + 2, the operators'
+bandwidth, so the rows of two consecutive m form a block tridiagonal
+system; it is eliminated block row by block row, each built from the
+generator's operators when it is needed, and only the eliminated upper
+blocks are kept.  Mapped to the lab basis, rho = U rho_f U^T with U[n, k] =
+<n|D S|k>, it must pass the lab tail check and an independent certificate:
+|(L_lab rho)_mn| <= 1e-9 max|rho| on the interior rows m, n <= N-3, exact
+rows of the untruncated master equation, computed from U and rho_f in
+O(N^2 n_f).
 Any (delta, r) gives the same state once n_f is adequate, so the frame is
 no input to the answer; a wrong frame or too small an n_f misses that bound
 and raises SolveError.  Sizes follow the package's one rule
@@ -74,11 +74,11 @@ FRAME_TAIL_TOL = 1e-12
 INTERIOR_TOL = 1e-9
 #: smallest accepted reciprocal condition estimate of the pinned generator on
 #: the symmetric subspace, from the block solve and its fixed probe:
-#: 9.6e-4..0.012 for the frame systems of the lab reach (n_f and 2 n_f =
-#: 16..58, kappa = 0.5..2, a <= 2.2, b <= 0.89), 1.1e-6..3.1e-3 on the n_f =
-#: 30..219 levels of b = 0.9..0.998, 1.4e-20..1.6e-13 for the singular
-#: kappa = 0 generators on 8..58 levels, where the zero matrix leaves a block
-#: exactly singular to LAPACK
+#: 3.2e-4..0.013 for the frame systems of the lab reach (n_f and 2 n_f =
+#: 16..58, kappa = 0.5..2, a <= 2.2, b <= 0.89; 316 systems), 1.1e-6..3.1e-3
+#: on the n_f = 30..219 levels of b = 0.9..0.998, 2.8e-22..4.1e-14 for the
+#: singular kappa = 0 generators on 8..58 levels (2278 random drives), where
+#: the zero matrix leaves a block exactly singular to LAPACK
 RCOND_FLOOR = 1e-10
 #: most Arnoldi vectors in one leg of :func:`propagate`; 120 lab states of
 #: N = TRUNC_CAP levels take 38 MB, far inside ARRAY_BYTES_CAP
@@ -113,41 +113,18 @@ def _fold_index(dim: int) -> np.ndarray:
     return index
 
 
-def _entries(x: np.ndarray):
-    """(row, col, value) of the nonzero entries of x."""
-    row, col = np.nonzero(x)
-    return row, col, x[row, col]
-
-
-def _folded_kron(x, y, index: np.ndarray):
-    """Entries (row, col, value) of kron(x, y), the vectorized rho -> x rho y^T,
-    for x and y given by their entries, in rows (i,j), i <= j, column (k,l)
-    folded onto index[k, l], unsummed."""
-    (i, k, u), (j, l, v) = x, y
-    i, k, u = i[:, None], k[:, None], u[:, None]
-    keep = np.broadcast_to(i <= j, (i.size, j.size))
-    return index[i, j][keep], index[k, l][keep], (u * v)[keep]
-
-
 @dataclass(frozen=True)
 class Generator:
-    """L rho = (K - kappa A^T A/2) rho - rho (K + kappa A^T A/2)
-    + kappa A rho A^T for the drive K (H = iK) and the real jump matrix A,
-    both square numpy arrays.  The two side operators, left = K - kappa
-    A^T A/2 and right = K + kappa A^T A/2, are formed at construction
-    unless both are given, as :func:`generator` gives them."""
+    """L rho = left rho - rho right + kappa A rho A^T for the drive K
+    (H = iK), the real jump matrix A and the side operators left = K -
+    kappa A^T A/2 and right = K + kappa A^T A/2, all square numpy arrays, as
+    :func:`generator` forms them."""
 
     drive: np.ndarray
     jump: np.ndarray
     kappa: float
-    left: np.ndarray | None = field(default=None, repr=False)
-    right: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.left is None or self.right is None:
-            half = 0.5 * self.kappa * (self.jump.T @ self.jump)
-            object.__setattr__(self, "left", self.drive - half)
-            object.__setattr__(self, "right", self.drive + half)
+    left: np.ndarray = field(repr=False)
+    right: np.ndarray = field(repr=False)
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         a = self.jump
@@ -167,21 +144,6 @@ class Generator:
             )
         )
         return outer.dot(inner)
-
-    def symmetric(self):
-        """L on the symmetric subspace as COO triples (rows, cols, vals),
-        unsummed: rows (m,n), m <= n, and columns folded by
-        :func:`_fold_index`, from its terms left rho, -rho right and
-        kappa A rho A^T."""
-        a = self.jump
-        index = _fold_index(len(a))
-        ident = _entries(np.identity(len(a)))
-        terms = (
-            _folded_kron(_entries(self.left), ident, index),
-            _folded_kron(ident, _entries(-self.right.T), index),
-            _folded_kron(_entries(self.kappa * a), _entries(a), index),
-        )
-        return tuple(np.concatenate(parts) for parts in zip(*terms))
 
 
 def _pentadiagonal(band: np.ndarray) -> np.ndarray:
@@ -350,8 +312,9 @@ def frame_truncation(config: CavityConfig) -> int:
 def frame_cap() -> int:
     """The largest frame truncation n whose block solve fits ARRAY_BYTES_CAP
     at 16 n^3 bytes, ``array_cap(3)`` = 256.  The kept blocks C_j of n
-    levels take (2/3) 8 n^3 bytes in float64 (twice that complex), the block
-    rows built on the way O(n^2)."""
+    levels take (2/3) 8 n^3 bytes in float64 (twice that complex), the
+    temporaries of each block row built on the way O(span window n^2), span
+    = 2 and window = 3 span levels for the oracle's generators."""
     return array_cap(3)
 
 
@@ -437,56 +400,50 @@ def _finalize(rho: np.ndarray) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-@dataclass(frozen=True)
-class _Pinned:
-    """The system of the frame solve: :meth:`Generator.symmetric` with its
-    (0,0) row replaced by x_00 = 1, as COO triples (duplicates summed,
-    sorted by row, then column) cut into block rows.
+def _block_rows(gen: Generator):
+    """The block rows (L_j, D_j, U_j) of the frame solve's system, each built
+    when the caller reaches it.
 
-    With the unknowns row-major by m, row (m,n) couples only to the
-    unknowns (k,l) with |k - m| <= span, the band of the side operators and
-    of A (2 for the oracle's generators, whose drive holds A^2), even after
-    (l,k) is folded onto (k,l).  So the rows of span consecutive m form a
-    block row coupled only to its two neighbours: bounds[j] is the first
-    unknown of block row j, and cuts[j] its first triple."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    bounds: np.ndarray
-    cuts: np.ndarray
-
-    @classmethod
-    def of(cls, gen: Generator) -> "_Pinned":
-        dim = len(gen.jump)
-        rows, cols, vals = gen.symmetric()
-        keep = rows > 0
-        rows = np.concatenate([[0], rows[keep]])
-        cols = np.concatenate([[0], cols[keep]])
-        vals = np.concatenate([np.ones(1, vals.dtype), vals[keep]])
-        # first[m] is the unknown (m,m); first[dim] their number
-        first = np.concatenate([[0], np.cumsum(np.arange(dim, 0, -1))])
-        key = rows * first[-1] + cols
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        heads = np.flatnonzero(np.diff(key, prepend=-1))
-        rows, cols = np.divmod(key[heads], first[-1])
-        vals = np.add.reduceat(vals[order], heads)
-        level = np.repeat(np.arange(dim), np.arange(dim, 0, -1))  # m of each
-        span = max(1, np.abs(level[rows] - level[cols]).max())
-        bounds = first[np.r_[0:dim:span, dim]]
-        return cls(rows, cols, vals, bounds, np.searchsorted(rows, bounds))
-
-    def band(self, j: int):
-        """Block row j, dense, as (L_j, D_j, U_j): its couplings to the
-        unknowns of block rows j-1, j and j+1."""
-        start, stop = self.bounds[j], self.bounds[j + 1]
-        left = self.bounds[max(j - 1, 0)]
-        right = self.bounds[min(j + 2, len(self.bounds) - 1)]
-        part = slice(self.cuts[j], self.cuts[j + 1])
-        band = np.zeros((stop - start, right - left), self.vals.dtype)
-        band[self.rows[part] - start, self.cols[part] - left] = self.vals[part]
-        return np.split(band, [start - left, stop - left], axis=1)
+    The system is gen on the symmetric subspace.  Its unknowns are x_kl =
+    rho_kl = rho_lk, k <= l, row-major by k; its rows are the rows (m,n),
+    m <= n, of L rho, with row (0,0) replaced by x_00 = 1.  The coefficient
+    of rho[k,l] in (L rho)[m,n] is left[m,k] [n = l] - [m = k] right[l,n] +
+    kappa A[m,k] A[n,l], and column (k,l) adds that of rho[l,k] for k < l.
+    Where left, right and A have bandwidth span, row (m,n) couples only to
+    rho[k,l] and rho[l,k] with k = m-span..m+span.  So the rows of span
+    consecutive m, block row j, couple only to the unknowns of block rows
+    j-1, j and j+1, its window.  Block row j is one product, T[m,k,n,l] = sum_t
+    X_t[m,k] Y_t[n,l] with X = (kappa A, left, -I) and Y = (A, I, right^T),
+    for m in the block, k in the window, and n and l from the block's and
+    the window's first level on.  Then rho[l,k] is added to column (k,l)
+    from T's swapped window, and rows n >= m and columns l >= k are taken.
+    T holds at most 3 span^2 n^2 entries."""
+    a = gen.jump
+    dim = len(a)
+    r, c = np.nonzero((gen.left != 0) | (gen.right != 0) | (a != 0))
+    span = np.abs(r - c).max(initial=1)  # the bandwidth, at least 1
+    first = [0, *np.cumsum(np.arange(dim, 0, -1)).tolist()]  # of (m,m)
+    ident = np.identity(dim)
+    x = np.stack((gen.kappa * a, gen.left, -ident))
+    y = np.stack((a, ident, gen.right.T))
+    later = np.triu(np.ones((3 * span, 3 * span)), 1)[:, None]  # k < l
+    for m0 in range(0, dim, span):
+        m1, lo, hi = min(m0 + span, dim), max(m0 - span, 0), min(m0 + 2 * span, dim)
+        t = x[:, m0:m1, lo:hi].reshape(3, -1).T @ y[:, m0:, lo:].reshape(3, -1)
+        t = t.reshape(m1 - m0, hi - lo, dim - m0, dim - lo)
+        window = t[..., : hi - lo]
+        window += window.transpose(0, 3, 2, 1) * later[: hi - lo, :, : hi - lo]
+        row = [f - first[m0] for f in first[m0 : m1 + 1]]
+        col = [f - first[lo] for f in first[lo : hi + 1]]
+        band = np.empty((row[-1], col[-1]), t.dtype)
+        for i in range(m1 - m0):
+            for k in range(hi - lo):
+                band[row[i] : row[i + 1], col[k] : col[k + 1]] = t[i, k, i:, k:]
+        if not m0:
+            band[0] = 0.0
+            band[0, 0] = 1.0
+        start, stop = col[m0 - lo], col[m1 - lo]
+        yield band[:, :start], band[:, start:stop], band[:, stop:]
 
 
 def _schur(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -495,24 +452,26 @@ def _schur(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray
     return diag - lower @ upper
 
 
-def _sweep(system: _Pinned, rhs: np.ndarray):
-    """(x, g): x solves system x = rhs by block LU, the block Thomas
-    algorithm (Golub & Van Loan, Matrix Computations, ch. 4), and g is
-    rhs after forward elimination; rhs is one right-hand side, or several
-    as columns.
+def _sweep(gen: Generator, rhs: np.ndarray):
+    """(x, g, largest): x solves A x = rhs for the system A of
+    :func:`_block_rows` by block LU, the block Thomas algorithm (Golub & Van
+    Loan, Matrix Computations, ch. 4), g is rhs after forward elimination,
+    and largest is max|A|, over the block rows it builds; rhs is one
+    right-hand side, or several as columns.
 
-    Forward elimination builds each block row j from the triples when it
-    needs it and takes C_j = D'_j^-1 U_j and g_j = D'_j^-1 (r_j - L_j
-    g_{j-1}), with D'_j from :func:`_schur`, in one LAPACK solve with
-    partial pivoting; back substitution gives x_j = g_j - C_j x_{j+1}.  The
-    C_j are kept for that back substitution only: each call eliminates
-    afresh."""
-    uppers, parts = [], []
-    for j in range(len(system.bounds) - 1):
-        lower, diag, upper = system.band(j)
-        r = rhs[system.bounds[j] : system.bounds[j + 1]]
-        if j:
-            diag = _schur(diag, lower, uppers[j - 1])
+    Forward elimination builds each block row j when it reaches it and takes
+    C_j = D'_j^-1 U_j and g_j = D'_j^-1 (r_j - L_j g_{j-1}), with D'_j from
+    :func:`_schur`, in one LAPACK solve with partial pivoting; back
+    substitution gives x_j = g_j - C_j x_{j+1}.  The C_j are kept for that
+    back substitution only: each call eliminates afresh."""
+    uppers, parts, largest, start = [], [], 0.0, 0
+    for blocks in _block_rows(gen):
+        lower, diag, upper = blocks
+        largest = max(largest, *(np.abs(b).max(initial=0.0) for b in blocks))
+        r = rhs[start : start + len(diag)]
+        start += len(diag)
+        if parts:
+            diag = _schur(diag, lower, uppers[-1])
             r = r - lower @ parts[-1]
         both = solve(diag, np.column_stack([upper, r]))
         uppers.append(both[:, : upper.shape[1]])
@@ -520,7 +479,7 @@ def _sweep(system: _Pinned, rhs: np.ndarray):
     forward = np.concatenate(parts)
     for j in range(len(parts) - 2, -1, -1):
         parts[j] = parts[j] - uppers[j] @ parts[j + 1]
-    return np.concatenate(parts), forward
+    return np.concatenate(parts), forward, largest
 
 
 def _probe(size: int) -> np.ndarray:
@@ -533,41 +492,41 @@ def _probe(size: int) -> np.ndarray:
 def _solve_lu(gen: Generator) -> np.ndarray:
     """Steady state of gen, in its dtype, by block LU on the symmetric subspace.
 
-    :func:`_sweep` solves the system A of :class:`_Pinned` for the state and
+    :func:`_sweep` solves the system A of :func:`_block_rows` for the state and
     the fixed probe r of :func:`_probe` together; an exactly singular block
     is refused.  Pinning x_00 = 1 in place of the trace row keeps A block
     tridiagonal and holds while rho_00 > 0: the frame's thermal state has
     its largest population there.  max|r| / (max|A| max|y, g|) estimates the
     reciprocal condition of A from the probe's solution y and its forward
     elimination g (a nearly singular block blows up g, and back substitution
-    can cancel that in y), and y must meet |A y - r| <= 1e-8 max|r|
-    (unique steady states give <= 1e-10).  Then gen applied to the solution
-    x[index] must meet |L x| <= 1e-9 max|x|, at once or after one step of
-    iterative refinement, a fresh sweep on the pinned residual; the state
-    comes back normalized.  Both residuals take A x from gen's matrix action, rows
-    m <= n of gen(x[index]) with row (0,0) read as x_00, independent of the
-    triples that the elimination reads."""
-    system, index = _Pinned.of(gen), _fold_index(len(gen.jump))
-    rows = np.triu_indices(len(gen.jump))
+    can cancel that in y), max|A| the largest entry of the block rows that
+    the sweep builds, and y must meet |A y - r| <= 1e-8 max|r| (unique
+    steady states give <= 1e-10).  Then gen applied to the solution x[index]
+    must meet |L x| <= 1e-9 max|x|, at once or after one step of iterative
+    refinement, a fresh sweep on the pinned residual; the state comes back
+    normalized.  Both residuals take A x from gen's matrix action, rows m <=
+    n of gen(x[index]) with row (0,0) read as x_00, independent of the block
+    rows that the elimination reads."""
+    index, rows = _fold_index(len(gen.jump)), np.triu_indices(len(gen.jump))
 
     def pinned(x):  # A x
         out = gen(x[index])[rows]
         out[0] = x[0]
         return out
 
-    probe = _probe(system.bounds[-1])
-    rhs = np.zeros((probe.size, 2), system.vals.dtype)
+    probe = _probe(rows[0].size)
+    rhs = np.zeros((probe.size, 2))
     rhs[0, 0], rhs[:, 1] = 1.0, probe
     # the probe's solution overflows on a singular system that the
     # elimination still carried through; the certificate then refuses it
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            solution, forward = _sweep(system, rhs)
+            solution, forward, largest = _sweep(gen, rhs)
         except LinAlgError as exc:  # an exactly singular block
             raise SolveError(f"steady state not unique: {exc}") from None
         x, y = solution.T
         peak = max(np.abs(y).max(), np.abs(forward[:, 1]).max())
-        rcond = np.abs(probe).max() / (np.abs(system.vals).max() * peak)
+        rcond = np.abs(probe).max() / (largest * peak)
         probe_residual = np.abs(pinned(y) - probe).max() / np.abs(probe).max()
     if not (rcond > RCOND_FLOOR and probe_residual <= 1e-8):
         raise SolveError(
@@ -580,7 +539,7 @@ def _solve_lu(gen: Generator) -> np.ndarray:
         if np.all(np.isfinite(rho)) and residual <= 1e-9 * np.abs(rho).max():
             return _finalize(rho)
         if not refined:  # one refinement step
-            x = x + _sweep(system, rhs[:, 0] - pinned(x))[0]
+            x = x + _sweep(gen, rhs[:, 0] - pinned(x))[0]
     raise SolveError(
         "LU solution misses the residual bound |L x| <= 1e-9 max|x| "
         "after one step of iterative refinement"

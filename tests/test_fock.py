@@ -52,32 +52,41 @@ def recording_solve(solves, spoil=0.0):
     size."""
     sweep = fock._sweep
 
-    def solve(system, rhs):
+    def solve(gen, rhs):
         solves.append(rhs.ndim)
-        x, forward = sweep(system, rhs)
+        x, forward, largest = sweep(gen, rhs)
         if rhs.ndim == 2:
             x[:, 0] += spoil * np.random.default_rng(1).standard_normal(len(x))
-        return x, forward
+        return x, forward, largest
 
     return solve
 
 
 def sparse_steady_state(gen):
-    """The steady state of gen, in its dtype, by scipy's sparse LU of its
-    symmetric-subspace triples, the (0,0) row replaced by the trace row: a
-    reference for the block solve and for lab systems far beyond it (18915
-    unknowns at N = 194)."""
+    """The steady state of gen, in its dtype, by scipy's sparse LU: rows
+    (m,n), m <= n, of the vectorized generator kron(left, I) - kron(I,
+    right^T) + kappa kron(A, A), with each column (n,m) folded onto (m,n) by
+    a sparse 0/1 expansion and the (0,0) row replaced by the trace row.  A
+    reference for the block solve that shares none of its assembly, and for
+    lab systems far beyond it (18915 unknowns at N = 194)."""
     dim = len(gen.jump)
-    index = fock._fold_index(dim)
-    rows, cols, vals = gen.symmetric()
-    keep = rows > 0
-    rows = np.concatenate([np.zeros(dim, dtype=int), rows[keep]])
-    cols = np.concatenate([np.diag(index), cols[keep]])
-    vals = np.concatenate([np.ones(dim), vals[keep]])
-    size = index[-1, -1] + 1
-    rhs = np.zeros(size, vals.dtype)
+    ident = sp.identity(dim)
+    lind = sp.kron(gen.left, ident) - sp.kron(ident, gen.right.T)
+    lind = (lind + gen.kappa * sp.kron(gen.jump, gen.jump)).tocsr()
+    m, n = np.triu_indices(dim)
+    index = np.empty((dim, dim), dtype=int)
+    index[n, m] = index[m, n] = np.arange(m.size)
+    expand = sp.csr_matrix(
+        (np.ones(dim * dim), (np.arange(dim * dim), index.ravel())),
+        shape=(dim * dim, m.size),
+    )
+    trace = sp.csr_matrix(
+        (np.ones(dim), (np.zeros(dim, dtype=int), np.diag(index))), shape=(1, m.size)
+    )
+    system = sp.vstack([trace, lind[m[1:] * dim + n[1:]] @ expand]).tocsc()
+    rhs = np.zeros(m.size, system.dtype)
     rhs[0] = 1.0
-    x = splu(sp.csc_matrix((vals, (rows, cols)), shape=(size, size))).solve(rhs)
+    x = splu(system).solve(rhs)
     rho = x[index]
     assert np.abs(gen(rho)).max() <= 1e-9 * np.abs(rho).max()
     return rho / np.trace(rho)
@@ -120,12 +129,52 @@ def hamiltonian(config, am):
     return 1j * config.eps1 * (am.T - am) + 0.5j * config.eps2 * (am @ am - am.T @ am.T)
 
 
+def with_sides(drive, jump, kappa):
+    """The Generator of drive K and jump A, its side operators K -/+
+    (kappa/2) A^T A formed from the dense product."""
+    half = 0.5 * kappa * (jump.T @ jump)
+    return Generator(drive, jump, kappa, drive - half, drive + half)
+
+
 def dense_generator(config, am):
     """The generator of config with the real jump am, its drive and side
     operators formed from dense products."""
     square = am @ am
     drive = config.eps1 * (am.T - am) + 0.5 * config.eps2 * (square - square.T)
-    return Generator(drive, am, config.kappa)
+    return with_sides(drive, am, config.kappa)
+
+
+def assembled(gen):
+    """The frame solve's system, dense, from the block rows of
+    ``fock._block_rows``."""
+    size = len(gen.jump) * (len(gen.jump) + 1) // 2
+    out, start = np.zeros((size, size), np.result_type(gen.left, gen.right)), 0
+    for lower, diag, upper in fock._block_rows(gen):
+        stop = start + len(diag)
+        cols = slice(start - lower.shape[1], stop + upper.shape[1])
+        out[start:stop, cols] = np.hstack((lower, diag, upper))
+        start = stop
+    assert start == size
+    return out
+
+
+def unfolded_rows(gen, block_rows):
+    """The block rows of ``block_rows(gen)`` with rho[l,k]'s coefficient,
+    left[m,l] [n = k] - [m = l] right[k,n] + kappa A[m,l] A[n,k], taken out
+    of each column (k,l), k < l, of every row but the pinned (0,0)."""
+    m, n = np.triu_indices(len(gen.jump))
+    a, start = gen.jump, 0
+    for lower, diag, upper in block_rows(gen):
+        stop = start + len(diag)
+        rm, rn = m[start:stop, None], n[start:stop, None]
+        cols = slice(start - lower.shape[1], stop + upper.shape[1])
+        k, l = m[cols], n[cols]
+        swapped = gen.left[rm, l] * (rn == k) - (rm == l) * gen.right[k, rn]
+        swapped = (swapped + gen.kappa * a[rm, l] * a[rn, k]) * (k < l)
+        swapped[(rm + rn)[:, 0] == 0] = 0.0
+        band = np.hstack((lower, diag, upper)) - swapped
+        yield np.split(band, [lower.shape[1], stop - start + lower.shape[1]], axis=1)
+        start = stop
 
 
 def kron_generator(h, am, kappa):
@@ -148,7 +197,7 @@ def hamiltonian_only(drive, dim, dtype=float):
     the reals or the complex numbers: every function of H is stationary."""
     k = -1j * hamiltonian(drive, ladder(dim))
     k = k.real if dtype is float else k
-    return Generator(k, np.zeros((dim, dim)), 0.0)
+    return with_sides(k, np.zeros((dim, dim)), 0.0)
 
 
 class TestOperators:
@@ -293,7 +342,7 @@ class TestSymmetricSubspace:
         rng = np.random.default_rng(seed)
         if jump == "dense":
             drive, am = rng.standard_normal((2, dim, dim))
-            gen, h = Generator(drive, am, kappa), 1j * drive
+            gen, h = with_sides(drive, am, kappa), 1j * drive
         else:
             am = ladder(dim)
             if jump != "lab":
@@ -306,16 +355,17 @@ class TestSymmetricSubspace:
         rho = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         want = (lind @ rho.ravel()).reshape(dim, dim)
         assert np.abs(gen(rho) - want).max() <= 1e-13 * np.abs(want).max()
-        # the assembly: rows (m,n), m <= n, of the dense generator with each
-        # column (n,m) folded onto (m,n) by the 0/1 expansion E
+        # the block rows: rows (m,n), m <= n, of the dense generator with
+        # each column (n,m) folded onto (m,n) by the 0/1 expansion E, and the
+        # (0,0) row pinned to x_00 = 1
         m, n = np.triu_indices(dim)
         expand = np.zeros((dim * dim, m.size))
         expand[m * dim + n, np.arange(m.size)] = 1.0
         expand[n * dim + m, np.arange(m.size)] = 1.0
         want = lind[m * dim + n] @ expand
-        rows, cols, vals = gen.symmetric()
-        got = sp.coo_matrix((vals, (rows, cols)), shape=want.shape).toarray()
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        got = assembled(gen)
+        assert np.array_equal(got[0], np.eye(1, m.size)[0])
+        assert np.abs(got[1:] - want[1:]).max() <= 1e-13 * np.abs(want).max()
 
     def test_propagate_matches_full_vector_rk4(self):
         config, dim, t = REF_CONFIG, 16, 1.3
@@ -339,7 +389,7 @@ class TestSymmetricSubspace:
 
 class TestBlockSolve:
     """_solve_lu eliminates the pinned symmetric-subspace system block row
-    by block row, building each from the generator's triples: its answer
+    by block row, building each from the generator's operators: its answer
     must be the sparse reference's, and a broken elimination is refused,
     never returned."""
 
@@ -362,35 +412,42 @@ class TestBlockSolve:
             gen = fock.frame_generator(config, dim)
         else:
             gen = fock.lab_generator(config, dim)
-        gen = Generator(gen.drive.astype(dtype), gen.jump.astype(dtype), kappa)
+        gen = with_sides(gen.drive.astype(dtype), gen.jump.astype(dtype), kappa)
         rho = fock._solve_lu(gen)
         assert rho.dtype == np.dtype(dtype)
         assert np.abs(rho - sparse_steady_state(gen)).max() <= 1e-12
 
     @pytest.mark.parametrize("dim", (16, 29, 58))
     @pytest.mark.parametrize(
-        "mutation", ("no_schur_update", "shifted_lower", "shifted_upper")
+        "mutation",
+        ("no_schur_update", "shifted_lower", "shifted_upper", "dropped_fold"),
     )
     def test_broken_elimination_is_refused(self, mutation, dim, monkeypatch):
-        # dropping L_j C_{j-1} from D_j, or moving one coupling block of
-        # block row 1 a column over, solves another system: the probe
-        # residual, from the generator's action, or the residual bound of the
-        # generator refuses what comes out
+        # dropping L_j C_{j-1} from D_j, moving one coupling block of block
+        # row 1 a column over, or leaving rho[l,k]'s coefficient out of
+        # column (k,l), solves another system: the probe residual, from the
+        # generator's action, or the residual bound of the generator refuses
+        # what comes out
         gen = fock.frame_generator(self.CORNER, dim)
         fock._solve_lu(gen)
+        block_rows = fock._block_rows
         if mutation == "no_schur_update":
             monkeypatch.setattr(fock, "_schur", lambda diag, lower, upper: diag)
+        elif mutation == "dropped_fold":
+            monkeypatch.setattr(
+                fock, "_block_rows", lambda gen: unfolded_rows(gen, block_rows)
+            )
         else:
-            band = fock._Pinned.band
             which = 0 if mutation == "shifted_lower" else 2
 
-            def shifted(system, j):
-                blocks = band(system, j)
-                if j == 1:
-                    blocks[which] = np.roll(blocks[which], 1, axis=1)
-                return blocks
+            def shifted(gen):
+                for j, blocks in enumerate(block_rows(gen)):
+                    blocks = list(blocks)
+                    if j == 1:
+                        blocks[which] = np.roll(blocks[which], 1, axis=1)
+                    yield blocks
 
-            monkeypatch.setattr(fock._Pinned, "band", shifted)
+            monkeypatch.setattr(fock, "_block_rows", shifted)
         with pytest.raises(SolveError):
             fock._solve_lu(gen)
 
@@ -466,9 +523,8 @@ class TestFrame:
         for sign in (1, -1):
             c, s = np.cosh(sign * r), np.sinh(sign * r)
             am = c * ladder(dim) - s * ladder(dim).T + delta * np.eye(dim)
-            system = fock._Pinned.of(fock.generator(config, *diagonals(am)))
-            blocks = range(len(system.bounds) - 1)
-            got = np.concatenate([system.band(j)[1].diagonal() for j in blocks])
+            rows = fock._block_rows(fock.generator(config, *diagonals(am)))
+            got = np.concatenate([diag.diagonal() for _, diag, _ in rows])
             edge = (m == dim - 1).astype(float) + (n == dim - 1)
             want = -kappa / 2 * (c * c * (m + n) + s * s * (m + n + 2 - dim * edge))
             want -= kappa * c * s * (m + 1) * (n == m + 1)
@@ -643,7 +699,7 @@ class TestSteadyState:
         dim = 16
         am = ladder(dim)
         k = 0.3 * (np.exp(0.5j) * am.T - np.exp(-0.5j) * am)
-        gen = Generator(k, am, 1.0)
+        gen = with_sides(k, am, 1.0)
         # steady_state factorizes the frame generator, here on 16 levels
         assert fock.frame_truncation(REF_CONFIG) == dim
         monkeypatch.setattr(fock, "frame_generator", lambda config, n: gen)
@@ -676,7 +732,7 @@ class TestSteadyState:
         dim = 16
         if generator == "zero":
             zero = np.zeros((dim, dim), dtype=complex)
-            gen = Generator(zero, zero, 0.0)
+            gen = with_sides(zero, zero, 0.0)
         elif generator == "hamiltonian_only":
             gen = hamiltonian_only(REF_CONFIG, dim, complex)
         else:  # the same generator over the reals
@@ -711,7 +767,7 @@ class TestSteadyState:
         # exactly singular; no case relies on the probe residual alone
         if kind == "zero":
             zero = np.zeros((dim, dim), dtype=complex)
-            gen = Generator(zero, zero, 0.0)
+            gen = with_sides(zero, zero, 0.0)
         else:
             drive = CavityConfig(2.5, eps1, eps2)  # kappa plays no part
             gen = hamiltonian_only(drive, dim, complex if kind == "complex" else float)
