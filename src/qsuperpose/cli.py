@@ -177,11 +177,12 @@ def _run_verify(args: argparse.Namespace) -> int:
     trunc = _auto_or(args.trunc, int, "truncation must be an integer")
     results = run_verification(config, trunc=trunc, tol=args.tol)
     width = max(len(r.name) for r in results) + 2
-    lines = [f"{'check':<{width}}{'max_dev':<15}{'tol':<15}status"]
+    lines = [f"{'check':<{width}}{'max_dev':<15}{'tol':<15}{'status':<8}note"]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         lines.append(
-            f"{r.name:<{width}}{r.max_deviation:<15.9g}{r.tolerance:<15.9g}{status}"
+            f"{r.name:<{width}}{r.max_deviation:<15.9g}{r.tolerance:<15.9g}"
+            f"{status:<8}{r.note}".rstrip()
         )
     n_fail = sum(not r.passed for r in results)
     lines.append(f"{len(results) - n_fail}/{len(results)} checks passed")

@@ -22,7 +22,9 @@ writes its block rows straight from them (:func:`_block_rows`).
 
 Solver strategy: the steady state is solved in the frame D(delta) S(r) of
 :func:`frame`, where it is thermal with nbar depending on b only, so
-n_f = 16..29 frame levels hold it where the lab basis needs N = 40..194.
+n_f = 16..29 frame levels hold it, and N = 16..136 lab levels its
+Gaussian photon-number tail (:func:`_tail_truncation`) where the lab rule
+of the oracle's reach asks N = 40..200.
 There A = cosh r b - sinh r b^dag + delta; every drive is real, so L is real
 and commutes with transposition, L(rho^T) = (L rho)^T, and the unique steady
 state is real symmetric: one certified block LU solve on its n_f(n_f+1)/2
@@ -266,8 +268,11 @@ def frame_basis(delta: float, r: float, dim: int, frame_dim: int) -> np.ndarray:
 
 
 def default_truncation(config: CavityConfig) -> int:
-    """Automatic Fock cutoff: 40 for moderate drives (b < 0.7, a <= 1),
-    growing as 40/(1-b^2) (or 40*a^2) beyond, capped at 200.
+    """The lab rule that sets the oracle's reach and :func:`propagate`'s
+    cutoff: 40 for moderate drives (b < 0.7, a <= 1), growing as 40/(1-b^2)
+    (or 40*a^2) beyond, capped at 200.  :func:`steady_state` solves on at
+    most this many levels, and on fewer where :func:`_tail_truncation`
+    bounds the tail.
 
     The squeezed-state Fock tail is heavy.  Measured with the frame solver
     (lab N and frame n_f doubled together): at b = 0.8 a cutoff of 40 leaves
@@ -285,6 +290,45 @@ def default_truncation(config: CavityConfig) -> int:
             f"automatic truncation {n} exceeds the cap {TRUNC_CAP} "
             f"for (a={p.a}, b={p.b}); this regime is out of the oracle's reach"
         )
+    return n
+
+
+def _tail_truncation(config: CavityConfig) -> int:
+    """The fewest lab levels N, at least FRAME_MIN, whose tail-check window,
+    the top ceil(0.1 N) levels, starts at or above a photon number M that
+    the steady state reaches with probability at most TAIL_TOL/100.
+
+    The lab steady state is Gaussian: mean delta of :func:`frame`, quadrature
+    variances 1/(2(1+b)) and 1/(2(1-b)), or Nx = -b/(2(1+b)) and Np =
+    b/(2(1-b)) above the vacuum's 1/2.  With mu = 1 - e^s, the cumulant
+    generating function of its photon number (from the Gaussian-state
+    generating function, Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)),
+
+        K(s) = -ln(1 + mu Nx)/2 - ln(1 + mu Np)/2 - mu delta^2/(1 + mu Nx),
+
+    is finite for 0 < s < ln((2-b)/b), and P(n >= M) <= exp(K(s) - s M)
+    there (Chernoff; Boucheron, Lugosi & Massart, Concentration
+    Inequalities, 2013), so each such s gives M = (K(s) -
+    ln(TAIL_TOL/100))/s.  The smallest over 31 evenly spaced s below that
+    end, capped at 8 (the best s lies beyond 8 only where M < 4), sets N
+    within one level of the exact minimum over the oracle's reach.  N never
+    enters the answer: the tail check, the interior certificate and the
+    :class:`DensityMatrix` checks still judge the state, so a bound too low
+    is a TruncationError, never a wrong state."""
+    b = scale(config).b
+    delta = frame(config)[0]
+    n_x, n_p = -b / (2.0 * (1.0 + b)), b / (2.0 * (1.0 - b))
+    end = min(math.log(2.0 - b) - math.log(b), 8.0) if b else 8.0
+    s = end * np.arange(1, 32) / 32
+    mu = -np.expm1(s)
+    cumulant = (
+        -0.5 * (np.log1p(mu * n_x) + np.log1p(mu * n_p))
+        - mu * delta * delta / (1.0 + mu * n_x)
+    )
+    m = float(((cumulant - math.log(TAIL_TOL / 100)) / s).min())
+    n = max(FRAME_MIN, math.ceil(m))
+    while n - math.ceil(0.1 * n) < m:
+        n += 1
     return n
 
 
@@ -619,8 +663,11 @@ def _lab_truncation(config: CavityConfig, trunc) -> int:
 def steady_state(config: CavityConfig, trunc: int | None = None) -> DensityMatrix:
     """Steady state of the driven damped cavity on trunc lab Fock levels.
 
-    trunc=None uses :func:`default_truncation`; any other trunc must be an
-    integer from 8 to TRUNC_CAP, else :class:`DomainError`.  The solve runs on
+    trunc=None solves on the fewer of :func:`default_truncation`'s levels,
+    whose TruncationError marks the oracle's reach, and the
+    :func:`_tail_truncation` that the state's Gaussian photon-number tail
+    needs (16..136 inside that reach); any other trunc must be an integer
+    from 8 to TRUNC_CAP, else :class:`DomainError`.  The solve runs on
     :func:`frame_truncation` levels of the frame (see
     :func:`steady_state_in_frame`).  Every call solves: the oracle keeps no
     state between calls.  Raises :class:`SolveError` when the steady state is
@@ -628,6 +675,8 @@ def steady_state(config: CavityConfig, trunc: int | None = None) -> DensityMatri
     it still has significant population near the cutoff.
     """
     dim = _lab_truncation(config, trunc)
+    if trunc is None:
+        dim = min(dim, _tail_truncation(config))
     return _frame_solve(config, dim, frame_truncation(config))
 
 
@@ -685,7 +734,11 @@ def propagate(
     pass the :class:`DensityMatrix` checks.  Below N = 40 the step stays
     that of N = 40: 0.2/(kappa N) pushed an eigenvalue below the -1e-10
     positivity floor (kappa = 1, trunc = 12, a = 0.8, b = 0, t = 0.2 reached
-    -2.7e-10; now -2.2e-12).  t is in the same time units as 1/kappa.
+    -2.7e-10; now -2.2e-12).  So trunc=None takes :func:`default_truncation`'s
+    N, not the fewer levels of :func:`steady_state`'s tail bound: at a = 2.2,
+    b = 0, kappa t = 1, N = 24, 30 and 40 all end on an eigenvalue of
+    -1.4e-10, where the rule's N = 194 passes.  t is in the same time units
+    as 1/kappa.
     """
     dim = _lab_truncation(config, trunc)
     dt = 0.2 / (config.kappa * max(dim, 40))

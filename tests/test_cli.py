@@ -275,6 +275,13 @@ class TestVerify:
         table = capsys.readouterr().out
         assert "13/13 checks passed" in table
         assert "FAIL" not in table
+        # each row's note is printed too: the doubling row names the lab N
+        # that the solve used
+        rows = {line.split()[0]: line for line in table.splitlines()}
+        assert rows["check"].endswith("status  note")
+        doubling = rows["oracle_truncation_doubling"]
+        assert doubling.endswith("PASS    N 22/44, frame 16/32")
+        assert rows["halving_identity"].endswith("PASS")
         results = json.loads(out.read_text())
         assert len(results) == 13
         assert all(r["passed"] for r in results)

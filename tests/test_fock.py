@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -535,8 +537,11 @@ class TestFrame:
     @pytest.mark.parametrize("mutation", ("flipped_r", "scaled_by_0.8", "half_frame"))
     def test_wrong_frame_is_refused(self, mutation, monkeypatch):
         # any frame gives the same state once n_f is adequate; these leave
-        # 28 levels (14 for half_frame) too few for the frame state
-        assert steady_state(self.EDGE).dim == 184
+        # 28 levels (14 for half_frame) too few for the frame state.  On the
+        # lab rule's 184 levels each misses the interior bound; on the 123
+        # that the tail needs, flipped_r is a TruncationError instead and
+        # scaled_by_0.8 misses the bound by 5x only
+        assert default_truncation(self.EDGE) == 184
         true_frame, true_trunc = fock.frame, fock.frame_truncation
 
         def wrong_frame(config):
@@ -548,7 +553,7 @@ class TestFrame:
         else:
             monkeypatch.setattr(fock, "frame", wrong_frame)
         with pytest.raises(SolveError, match="interior residual") as err:
-            steady_state(self.EDGE)
+            steady_state(self.EDGE, trunc=184)
         n_f = 14 if mutation == "half_frame" else 28
         assert f"lab N = 184, frame n_f = {n_f}" in str(err.value)
 
@@ -895,6 +900,58 @@ class TestDefaultTruncation:
     def test_cap_exceeded(self):
         with pytest.raises(TruncationError):
             default_truncation(CavityConfig(1.0, 0.0, 0.45))  # b = 0.9 -> 211
+
+
+class TestTailTruncation:
+    """steady_state with trunc=None solves on the levels that a Chernoff
+    bound on its Gaussian photon-number tail asks, at most
+    default_truncation's, whose TruncationError still marks the reach."""
+
+    @pytest.mark.parametrize(
+        "a,b,want",
+        (
+            (0.0, 0.0, 16),
+            (0.6, 0.4, 22),
+            (2.2, 0.0, 30),
+            (0.2, 0.81, 75),
+            (1.0, 0.884, 123),
+            (2.2, 0.89, 130),
+        ),
+    )
+    def test_solved_levels(self, a, b, want):
+        # the rule asks 40, 40, 194, 117, 184 and 194 levels here
+        assert steady_state(CavityConfig(1.0, a / 2, b / 2)).dim == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kappa=st.floats(0.5, 2.0),
+        a=st.floats(0.0, 2.236),
+        b=st.floats(0.0, 0.894) | st.floats(0.0, 1e-300),
+    )
+    # a subnormal b puts the end of the bound's range, ln((2-b)/b), past
+    # the float range
+    @example(kappa=1.0, a=1.0, b=2.2e-313)
+    @example(kappa=1.0, a=2.2, b=0.0)
+    @example(kappa=1.0, a=2.236, b=0.894)
+    def test_the_tail_levels_hold_the_state(self, kappa, a, b):
+        config = CavityConfig(kappa, a * kappa / 2, b * kappa / 2)
+        rule = default_truncation(config)
+        rho = steady_state(config)
+        assert fock.FRAME_MIN <= rho.dim <= rule
+        top = rho.elements.diagonal()[rho.dim - math.ceil(0.1 * rho.dim) :]
+        assert top.sum() <= fock.TAIL_TOL / 10
+        got, want = fock.moments(rho), fock.moments(steady_state(config, rule))
+        gap = max(abs(x - y) for x, y in zip(astuple(got), astuple(want)))
+        assert gap <= 1e-10 * (want.mean_photon + 1)
+
+    @pytest.mark.parametrize(
+        "eps1, eps2, t", ((0.3, 0.2, 0.05), (1.1, 0.0, 1.0), (0.1, 0.405, 0.05))
+    )
+    def test_propagate_keeps_the_rule(self, eps1, eps2, t):
+        # every N <= 40 takes propagate's step of N = 40, and at (2.2, 0),
+        # kappa t = 1 they end on a negative eigenvalue (see its docstring)
+        config = CavityConfig(1.0, eps1, eps2)
+        assert propagate(config, t).dim == default_truncation(config)
 
 
 class TestDensityMatrixValidation:

@@ -265,11 +265,12 @@ def test_pair_variance_check_catches_a_flipped_squeeze(monkeypatch, params_ref):
 
 def test_doubling_row_names_what_it_doubled():
     # a = 2.2, b = 0.89: the corner of the oracle's reach; the solve
-    # truncates in the frame, so both the lab N and n_f are doubled
+    # truncates in the frame, so both the lab N and n_f are doubled, from
+    # the 130 lab levels that the state's tail asks (the rule asks 194)
     config = CavityConfig(1.0, 1.1, 0.445)
     res = verification.check_truncation_doubling(config, fock.steady_state(config))
     assert res.passed
-    assert res.note == "N 194/388, frame 29/58"
+    assert res.note == "N 130/260, frame 29/58"
 
 
 def test_doubling_row_at_the_truncation_cap():
