@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import warnings
 from dataclasses import replace
@@ -45,12 +46,18 @@ def _f9(x) -> str:
 
 def report_payload(config: CavityConfig) -> dict:
     """Superposed-light report plus the combined-treatment counterparts,
-    so the two procedures can be compared in one document."""
-    rep = output_report(config)
+    so the two procedures can be compared in one document.  A field that
+    overflows the float range, or is no finite number, is a
+    :class:`DomainError` naming it and config: JSON has no infinity."""
     p = scale(config)
+    try:
+        payload = output_report(config).to_dict()
+    except OverflowError:  # a^2 in mean_photon, and in the fields after it
+        raise DomainError(
+            f"mean_photon overflows the float range (a = {p.a:.9g}) for {config}"
+        ) from None
     combined = steady_moments_combined(p)
     vp, vm = quad_variance_single(p)
-    payload = rep.to_dict()
     payload.update(
         {
             "combined_mean_amp": combined.mean_amp,
@@ -62,7 +69,11 @@ def report_payload(config: CavityConfig) -> dict:
             "coherent_mean_photon": p.a**2,
         }
     )
-    return {k: _round9(v) for k, v in payload.items()}
+    payload = {k: _round9(v) for k, v in payload.items()}
+    for name, value in payload.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} is {value}, no finite number, for {config}")
+    return payload
 
 
 def _config(args: argparse.Namespace) -> CavityConfig:
@@ -101,7 +112,7 @@ def _write_rows(args: argparse.Namespace, rows: list[dict]) -> None:
         _emit(args, _rows_to_csv(rows))
     else:
         doc = rows[0] if args.command == "report" else rows
-        _emit(args, json.dumps(doc, indent=2) + "\n")
+        _emit(args, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _run_report(args: argparse.Namespace) -> int:

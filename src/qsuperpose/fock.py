@@ -22,9 +22,9 @@ writes its block rows straight from them (:func:`_block_rows`).
 
 Solver strategy: the steady state is solved in the frame D(delta) S(r) of
 :func:`frame`, where it is thermal with nbar depending on b only, so
-n_f = 16..29 frame levels hold it, and N = 16..136 lab levels its
-Gaussian photon-number tail (:func:`_tail_truncation`) where the lab rule
-of the oracle's reach asks N = 40..200.
+n_f = 8..29 frame levels hold it (8..11 for b <= 0.5), and N = 16..136
+lab levels its Gaussian photon-number tail (:func:`_tail_truncation`)
+where the lab rule of the oracle's reach asks N = 40..200.
 There A = cosh r b - sinh r b^dag + delta; every drive is real, so L is real
 and commutes with transposition, L(rho^T) = (L rho)^T, and the unique steady
 state is real symmetric: one certified block LU solve on its n_f(n_f+1)/2
@@ -67,8 +67,10 @@ TAIL_TOL = 1e-8
 TRACE_TOL = 1e-10
 #: tolerated missing norm of a truncated coherent vector
 COHERENT_TAIL_TOL = 1e-10
-#: smallest frame truncation
-FRAME_MIN = 16
+#: smallest lab truncation that :func:`steady_state` picks by itself
+LAB_MIN = 16
+#: smallest frame truncation, automatic or explicit
+FRAME_MIN = 8
 #: population ratio q^n_f of the frame's thermal state at its cutoff n_f
 FRAME_TAIL_TOL = 1e-12
 #: bound on |(L rho)_mn| / max|rho| over the interior rows m, n <= N-3 of the
@@ -76,8 +78,9 @@ FRAME_TAIL_TOL = 1e-12
 INTERIOR_TOL = 1e-9
 #: smallest accepted reciprocal condition estimate of the pinned generator on
 #: the symmetric subspace, from the block solve and its fixed probe:
-#: 3.2e-4..0.013 for the frame systems of the lab reach (n_f and 2 n_f =
-#: 16..58, kappa = 0.5..2, a <= 2.2, b <= 0.89; 316 systems), 1.1e-6..3.1e-3
+#: 1.4e-4..0.056 for the frame systems of the lab reach (n_f and 2 n_f =
+#: 8..58, kappa = 0.5..2, a <= 2.2, b <= 0.89; 1600 systems, the lowest at
+#: 2 n_f = 56, those on 8..15 levels 9.8e-3..0.056), 1.1e-6..3.1e-3
 #: on the n_f = 30..219 levels of b = 0.9..0.998, 2.8e-22..4.1e-14 for the
 #: singular kappa = 0 generators on 8..58 levels (2278 random drives), where
 #: the zero matrix leaves a block exactly singular to LAPACK
@@ -284,17 +287,22 @@ def default_truncation(config: CavityConfig) -> int:
     p = scale(config)
     if p.b < 0.7 and p.a <= 1.0:
         return 40
-    n = math.ceil(40 * max(1.0 / ((1.0 - p.b) * (1.0 + p.b)), p.a**2))
-    if n > TRUNC_CAP:
-        raise TruncationError(
-            f"automatic truncation {n} exceeds the cap {TRUNC_CAP} "
-            f"for (a={p.a}, b={p.b}); this regime is out of the oracle's reach"
-        )
-    return n
+    # a is compared with the cap before it is squared, which overflows for
+    # a > 1.3e154: beyond sqrt(TRUNC_CAP/40) the rule asks too many levels
+    if p.a > math.sqrt(TRUNC_CAP / 40):
+        n = "40 a^2"
+    else:
+        n = math.ceil(40 * max(1.0 / ((1.0 - p.b) * (1.0 + p.b)), p.a**2))
+        if n <= TRUNC_CAP:
+            return n
+    raise TruncationError(
+        f"automatic truncation {n} exceeds the cap {TRUNC_CAP} "
+        f"for (a={p.a}, b={p.b}); this regime is out of the oracle's reach"
+    )
 
 
 def _tail_truncation(config: CavityConfig) -> int:
-    """The fewest lab levels N, at least FRAME_MIN, whose tail-check window,
+    """The fewest lab levels N, at least LAB_MIN, whose tail-check window,
     the top ceil(0.1 N) levels, starts at or above a photon number M that
     the steady state reaches with probability at most TAIL_TOL/100.
 
@@ -326,7 +334,7 @@ def _tail_truncation(config: CavityConfig) -> int:
         - mu * delta * delta / (1.0 + mu * n_x)
     )
     m = float(((cumulant - math.log(TAIL_TOL / 100)) / s).min())
-    n = max(FRAME_MIN, math.ceil(m))
+    n = max(LAB_MIN, math.ceil(m))
     while n - math.ceil(0.1 * n) < m:
         n += 1
     return n
@@ -337,8 +345,12 @@ def frame_truncation(config: CavityConfig) -> int:
 
     There the steady state is thermal, nbar = (1/sqrt(1-b^2) - 1)/2, with
     populations falling by q = nbar/(1+nbar) per level; n_f is the first
-    level with q^n_f <= FRAME_TAIL_TOL, and at least FRAME_MIN (16..29 for
-    b <= 0.89), else :class:`TruncationError` above :func:`frame_cap`."""
+    level with q^n_f <= FRAME_TAIL_TOL, and at least FRAME_MIN, the smallest
+    explicit frame truncation (8..11 for b <= 0.5, 29 at b = 0.89), else
+    :class:`TruncationError` above :func:`frame_cap`.  The tail alone sets
+    n_f: the interior certificate of :func:`steady_state_in_frame` refuses
+    a frame too small (at a = 0.6, b = 0.4, where n_f = 9, 7 levels read
+    |L rho| = 1.2e-9 max|rho| against INTERIOR_TOL = 1e-9)."""
     p = scale(config)
     root = math.sqrt((1.0 - p.b) * (1.0 + p.b))
     q = (1.0 - root) / (1.0 + root)
@@ -692,7 +704,7 @@ def steady_state_in_frame(
     room for the doubling check, and frame_dim a count from 8 to the
     :func:`frame_cap` of the frame solve, else :class:`DomainError`."""
     dim = as_count("truncation", dim, 8, 2 * TRUNC_CAP)
-    frame_dim = as_count("frame truncation", frame_dim, 8, frame_cap())
+    frame_dim = as_count("frame truncation", frame_dim, FRAME_MIN, frame_cap())
     return _frame_solve(config, dim, frame_dim)
 
 

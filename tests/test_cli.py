@@ -80,6 +80,38 @@ class TestReport:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "StabilityError"
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        (
+            (["report", "--kappa", "1e-300", "--eps1", "0.5"], "mean_photon"),
+            (["report", "--kappa", str(sys.float_info.max), "--eps1", "1e3",
+              "--eps2", "0.5"], "var_plus_out"),
+            (["sweep", "--kappa", "1e-300", "--sweep", "eps1:0.5:0.6:2"],
+             "mean_photon"),
+            (["sweep", "--kappa", str(sys.float_info.max), "--eps1", "1e3",
+              "--sweep", "eps2:0.5:0.25:2", "--format", "json"], "var_plus_out"),
+        ),
+    )
+    def test_overflowing_field_exit_code(self, argv, field, capsys):
+        # a = 1e300 overflows a^2, and kappa var_plus overflows at the
+        # largest kappa: JSON has no infinity, so the field is named with
+        # its config in one JSON line, and nothing is written
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "DomainError"
+        assert error["message"].startswith(field)
+        assert "for CavityConfig(kappa=" in error["message"]
+
+    def test_no_infinity_is_written(self, monkeypatch):
+        # the JSON writer refuses what the payload's own check would miss
+        monkeypatch.setattr(cli, "report_payload", lambda c: {"a": math.inf})
+        with pytest.raises(ValueError, match="JSON compliant"):
+            main(["report"])
+
 
 class TestSweep:
     def test_squeezing_monotone_in_pump(self, capsys):
@@ -280,7 +312,7 @@ class TestVerify:
         rows = {line.split()[0]: line for line in table.splitlines()}
         assert rows["check"].endswith("status  note")
         doubling = rows["oracle_truncation_doubling"]
-        assert doubling.endswith("PASS    N 22/44, frame 16/32")
+        assert doubling.endswith("PASS    N 22/44, frame 9/18")
         assert rows["halving_identity"].endswith("PASS")
         results = json.loads(out.read_text())
         assert len(results) == 13
@@ -318,6 +350,14 @@ class TestVerify:
         assert main(["verify", "--eps2", "0.45"]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "TruncationError"
+
+    def test_overflowing_drive_is_out_of_reach(self, capsys):
+        # a = 4e298: the lab rule compares a with the cap before squaring it
+        argv = ["--kappa", "50", "--eps1", "1e300", "--eps2", "0.49999999999999"]
+        assert main(["verify", *argv]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "TruncationError"
+        assert "exceeds the cap 200" in err["message"]
 
     def test_frame_beyond_the_dense_solve_exit_code(self, capsys, monkeypatch):
         # b = 0.9986 at an explicit lab cutoff asks for n_f = 261 frame
@@ -453,6 +493,7 @@ VERIFY_SMOKE = (
     ["--kappa", "1", "--eps1", "0.1", "--eps2", "0.405"],
     ["--kappa", "1", "--eps1", "0.1", "--eps2", "0.44"],
     ["--kappa", "1", "--eps1", "1.1", "--eps2", "0.445"],
+    ["--kappa", "1", "--eps1", "1.1", "--eps2", "0"],
     ["--trunc", "64"],
 )
 

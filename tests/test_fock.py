@@ -705,11 +705,10 @@ class TestSteadyState:
         am = ladder(dim)
         k = 0.3 * (np.exp(0.5j) * am.T - np.exp(-0.5j) * am)
         gen = with_sides(k, am, 1.0)
-        # steady_state factorizes the frame generator, here on 16 levels
-        assert fock.frame_truncation(REF_CONFIG) == dim
+        # the frame solve factorizes the frame generator, here on 16 levels
         monkeypatch.setattr(fock, "frame_generator", lambda config, n: gen)
         with pytest.raises(SolveError, match="residual bound"):
-            steady_state(REF_CONFIG, trunc=dim)
+            fock.steady_state_in_frame(REF_CONFIG, dim, dim)
 
     def test_tiny_truncation_rejected(self):
         with pytest.raises(DomainError):
@@ -747,11 +746,10 @@ class TestSteadyState:
                 else REF_CONFIG
             )
             gen = hamiltonian_only(drive, dim)
-        # steady_state factorizes the frame generator, here on 16 levels
-        assert fock.frame_truncation(REF_CONFIG) == dim
+        # the frame solve factorizes the frame generator, here on 16 levels
         monkeypatch.setattr(fock, "frame_generator", lambda config, n: gen)
         with pytest.raises(SolveError, match="not unique"):
-            steady_state(REF_CONFIG, trunc=dim)
+            fock.steady_state_in_frame(REF_CONFIG, dim, dim)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -786,8 +784,8 @@ class TestSteadyState:
         second = steady_state(REF_CONFIG, trunc=16)
         assert np.array_equal(first.elements, second.elements)
         assert first.elements is not second.elements
-        assert fock.frame_truncation(REF_CONFIG) == 16
-        gen = hamiltonian_only(REF_CONFIG, 16)
+        assert fock.frame_truncation(REF_CONFIG) == 9
+        gen = hamiltonian_only(REF_CONFIG, 9)
         monkeypatch.setattr(fock, "frame_generator", lambda config, n: gen)
         with pytest.raises(SolveError, match="not unique"):
             steady_state(REF_CONFIG, trunc=16)
@@ -901,6 +899,13 @@ class TestDefaultTruncation:
         with pytest.raises(TruncationError):
             default_truncation(CavityConfig(1.0, 0.0, 0.45))  # b = 0.9 -> 211
 
+    @pytest.mark.parametrize("eps1", (1.125, 1e150, 1e300))
+    def test_large_drive_is_refused_before_it_is_squared(self, eps1):
+        # a = 2.25 asks 203 levels; a = 4e298 would overflow a^2
+        config = CavityConfig(50.0 if eps1 == 1e300 else 1.0, eps1, 0.2)
+        with pytest.raises(TruncationError, match="40 a\\^2 exceeds the cap 200"):
+            default_truncation(config)
+
 
 class TestTailTruncation:
     """steady_state with trunc=None solves on the levels that a Chernoff
@@ -937,7 +942,7 @@ class TestTailTruncation:
         config = CavityConfig(kappa, a * kappa / 2, b * kappa / 2)
         rule = default_truncation(config)
         rho = steady_state(config)
-        assert fock.FRAME_MIN <= rho.dim <= rule
+        assert fock.LAB_MIN <= rho.dim <= rule
         top = rho.elements.diagonal()[rho.dim - math.ceil(0.1 * rho.dim) :]
         assert top.sum() <= fock.TAIL_TOL / 10
         got, want = fock.moments(rho), fock.moments(steady_state(config, rule))
@@ -952,6 +957,68 @@ class TestTailTruncation:
         # kappa t = 1 they end on a negative eigenvalue (see its docstring)
         config = CavityConfig(1.0, eps1, eps2)
         assert propagate(config, t).dim == default_truncation(config)
+
+
+class TestFrameTruncation:
+    """The frame solve runs on the levels that the frame's thermal tail asks,
+    q^n_f <= FRAME_TAIL_TOL, at least FRAME_MIN = 8; the lab N keeps its
+    own floor LAB_MIN = 16."""
+
+    @pytest.mark.parametrize(
+        "a,b,n_f,dim",
+        (
+            (0.0, 0.0, 8, 16),  # q = 0
+            (2.2, 0.0, 8, 30),
+            (2.2, 0.3, 8, 23),
+            (0.6, 0.4, 9, 22),
+            (2.2, 0.5, 11, 29),
+            (0.1, 0.7, 16, 46),
+            (2.2, 0.89, 29, 130),
+        ),
+    )
+    def test_solved_levels(self, a, b, n_f, dim, monkeypatch):
+        config = CavityConfig(1.0, a / 2, b / 2)
+        assert frame_truncation(config) == n_f
+        sizes = []
+        true_generator = fock.frame_generator
+
+        def recording(config, n):
+            sizes.append(n)
+            return true_generator(config, n)
+
+        monkeypatch.setattr(fock, "frame_generator", recording)
+        assert steady_state(config).dim == dim
+        assert sizes == [n_f]
+
+    @settings(max_examples=25, deadline=None)
+    @given(kappa=st.floats(0.5, 2.0), a=st.floats(0.0, 2.2), b=st.floats(0.0, 0.6))
+    @example(kappa=1.0, a=2.2, b=0.5)
+    @example(kappa=1.0, a=0.0, b=0.0)
+    def test_the_tail_levels_hold_the_frame_state(self, kappa, a, b):
+        # the automatic state, on 8..13 frame levels here, against the same
+        # lab N solved on 16 (measured worst cases 3.6e-13 and 1.1e-11 over
+        # 1280 benchmark solves)
+        config = CavityConfig(kappa, a * kappa / 2, b * kappa / 2)
+        rho = steady_state(config)
+        wide = fock.steady_state_in_frame(config, rho.dim, 16)
+        assert np.abs(rho.elements - wide.elements).max() <= 1e-12
+        got, want = fock.moments(rho), fock.moments(wide)
+        assert max(abs(x - y) for x, y in zip(astuple(got), astuple(want))) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "a,b,smaller",
+        ((2.2, 0.5, lambda n: n // 2), (0.6, 0.4, lambda n: 4)),
+        ids=("half", "four"),
+    )
+    def test_too_small_a_frame_is_refused(self, a, b, smaller, monkeypatch):
+        # the interior certificate still judges n_f: 5 levels at (2.2, 0.5)
+        # read |L rho| = 1.06e-5 max|rho|, 4 at (0.6, 0.4) 1.04e-5, against
+        # INTERIOR_TOL = 1e-9
+        config = CavityConfig(1.0, a / 2, b / 2)
+        true_trunc = fock.frame_truncation
+        monkeypatch.setattr(fock, "frame_truncation", lambda c: smaller(true_trunc(c)))
+        with pytest.raises(SolveError, match="interior residual"):
+            steady_state(config)
 
 
 class TestDensityMatrixValidation:

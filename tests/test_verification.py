@@ -278,7 +278,7 @@ def test_doubling_row_at_the_truncation_cap():
     config = CavityConfig(1.0, 0.3, 0.2)
     res = verification.check_truncation_doubling(config, fock.steady_state(config, 200))
     assert res.passed
-    assert res.note == "N 200/400, frame 16/32"
+    assert res.note == "N 200/400, frame 9/18"
 
 
 def test_doubling_beyond_the_dense_solve_is_out_of_reach(monkeypatch):
