@@ -111,21 +111,22 @@ def rk4_split(t: float, dt: float) -> tuple[int, float]:
     return int(n_full), rem if rem > 1e-15 * max(t, 1.0) else 0.0
 
 
-def rk4_apply(
-    m: "np.ndarray", y: "np.ndarray", dt: float, steps: int, rem: float
+def taylor_apply(
+    m: "np.ndarray", y: "np.ndarray", dt: float, steps: int, rem: float, degree: int
 ) -> "np.ndarray":
-    """T(rem M) T(dt M)^steps y for the square matrix M = m, with T(z) = 1 +
-    z + z^2/2 + z^3/6 + z^4/24 summed term by term: classical RK4's steps of
-    size dt and then one of size rem (none for rem = 0) on dy/dt = M y.  For
-    a linear, time-independent system every step is that polynomial, so the
-    steps are one power of T(dt M), applied by repeated squaring with one
-    matrix-vector product per set bit of steps.  A diverging step overflows
-    its powers to inf and nan, which the caller refuses."""
+    """T(rem M) T(dt M)^steps y for the square matrix M = m, with T(z) the
+    Taylor polynomial of exp(z) of the given degree, summed term by term:
+    at degree 4 classical RK4's steps of dt and then one of rem (none for
+    rem = 0) on dy/dt = M y, and at degree 18 with s >= t |M|_1 steps of t/s
+    exp(t M) y to rounding (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).
+    The steps are one power of T(dt M), applied by repeated squaring with
+    one matrix-vector product per set bit of steps.  A diverging step
+    overflows its powers to inf and nan, which the caller refuses."""
     import numpy as np
 
     def taylor(h):
         step = term = np.identity(len(m))
-        for k in range(1, 5):
+        for k in range(1, degree + 1):
             term = term @ (h * m) / k
             step = step + term
         return step
@@ -148,7 +149,7 @@ def evolve_moments(params: ScaledParams, t: float, dt: float = DEFAULT_DT) -> Mo
 
     t and dt are in units of 1/kappa.  Classic fixed-step RK4; the system is
     linear with eigenvalues bounded by kappa(1+b), so the default step is far
-    inside the stability region.  :func:`rk4_apply` takes the steps on the
+    inside the stability region.  :func:`taylor_apply` takes the steps on the
     augmented system [[M, c], [0, 0]] acting on (y, 1), on which every step
     is the same matrix polynomial.  <a^dag> and <a^dag^2> are
     propagated as independent components and checked against <a> and <a^2>
@@ -162,7 +163,7 @@ def evolve_moments(params: ScaledParams, t: float, dt: float = DEFAULT_DT) -> Mo
     aug[:5, :5], aug[:5, 5] = m, c
     y = np.zeros(6)
     y[5] = 1.0
-    y = rk4_apply(aug, y, dt, steps, rem)
+    y = taylor_apply(aug, y, dt, steps, rem, 4)
     if not np.all(np.isfinite(y)) or np.abs(y).max() > 1e12:
         raise StepError(f"moment integration diverged (dt={dt})")
     if not (abs(y[1] - y[0]) < 1e-10 and abs(y[3] - y[2]) < 1e-10):

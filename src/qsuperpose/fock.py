@@ -15,8 +15,8 @@ tridiagonal, so :func:`generator` writes the diagonals of A^2, A^T A and K
 as formulas of its three diagonals, in O(N), and fills the four N x N
 operators at once.  Its matrix action, four dense products, gives the
 frame solve's residuals and certifies its solution, and it builds the
-Krylov space on which :func:`propagate` applies its RK4 steps as one
-polynomial; the lab certificate takes the same operators to the factors of
+Krylov space on which :func:`propagate` applies the exact exponential of
+the generator; the lab certificate takes the same operators to the factors of
 the mapped state (:meth:`Generator.factored`), and the steady-state solve
 writes its block rows straight from them (:func:`_block_rows`).
 
@@ -55,9 +55,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError, solve
 
-from .combined import MomentSet, rk4_apply, rk4_split
+from .combined import MomentSet, taylor_apply
 from .errors import DomainError, SolveError, StepError, TruncationError
-from .params import CavityConfig, array_cap, as_count, phase_point, scale
+from .params import CavityConfig, array_cap, as_count, finite, phase_point, scale
 
 #: cap on the lab truncation, automatic or explicit
 TRUNC_CAP = 200
@@ -107,15 +107,6 @@ _EXPECT_KINDS = (
 def ladder(dim: int) -> np.ndarray:
     """Annihilation operator on the truncated Fock space."""
     return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
-
-
-def _fold_index(dim: int) -> np.ndarray:
-    """index[m, n] = index[n, m]: where (min, max) stands among the row-major
-    upper-triangle unknowns x of the symmetric subspace; x[index] is rho."""
-    m, n = np.triu_indices(dim)
-    index = np.empty((dim, dim), dtype=int)
-    index[n, m] = index[m, n] = np.arange(m.size)
-    return index
 
 
 @dataclass(frozen=True)
@@ -177,21 +168,25 @@ def generator(config: CavityConfig, lower, main, upper) -> Generator:
     2, 1 and 0, summed in this order, as the dense product sums them.  K is
     antisymmetric and A^T A symmetric, so A, K and the side operators
     K -/+ (kappa/2) A^T A are filled from their diagonals at once in O(N),
-    with no N^3 product."""
+    with no N^3 product.  A drive that overflows a diagonal is a
+    :class:`TruncationError`, before any operator is filled."""
     n = len(upper) + 1
     pad = np.zeros((3, n + 2))  # l, d and u with a zero on either end
     pad[0, 1:n], pad[1, 1:-1], pad[2, 1:n] = lower, main, upper
     (l, d, u), (l1, d1, u1), up = pad[:, 1:-1], pad[:, 2:], pad[2, :-2]
     e1, e2, h = config.eps1, 0.5 * config.eps2, 0.5 * config.kappa
-    m = d + d1
     band = np.zeros((4, 5, n))  # diagonals 2, 1, 0, -1, -2 of A, K, left, right
-    band[0, 1:4] = u, d, l
-    band[1, 0] = e2 * (u * u1 - l * l1)
-    band[1, 1] = e1 * (l - u) + e2 * (u * m - l * m)
-    band[1, 3:] = -band[1, 1::-1]
-    ata = np.array([l * u1, d * u + l * d1, up * up + d * d + l * l])
-    half = h * ata[[0, 1, 2, 1, 0]]
-    band[2], band[3] = band[1] - half, band[1] + half
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        m = d + d1
+        band[0, 1:4] = u, d, l
+        band[1, 0] = e2 * (u * u1 - l * l1)
+        band[1, 1] = e1 * (l - u) + e2 * (u * m - l * m)
+        band[1, 3:] = -band[1, 1::-1]
+        ata = np.array([l * u1, d * u + l * d1, up * up + d * d + l * l])
+        half = h * ata[[0, 1, 2, 1, 0]]
+        band[2], band[3] = band[1] - half, band[1] + half
+    if not np.isfinite(band).all():
+        raise TruncationError(f"{config} overflows the generator on {n} levels")
     jump, drive, left, right = _pentadiagonal(band)
     return Generator(drive, jump, config.kappa, left, right)
 
@@ -271,11 +266,11 @@ def frame_basis(delta: float, r: float, dim: int, frame_dim: int) -> np.ndarray:
 
 
 def default_truncation(config: CavityConfig) -> int:
-    """The lab rule that sets the oracle's reach and :func:`propagate`'s
-    cutoff: 40 for moderate drives (b < 0.7, a <= 1), growing as 40/(1-b^2)
-    (or 40*a^2) beyond, capped at 200.  :func:`steady_state` solves on at
-    most this many levels, and on fewer where :func:`_tail_truncation`
-    bounds the tail.
+    """The lab rule that sets the oracle's reach: 40 for moderate drives (b <
+    0.7, a <= 1), growing as 40/(1-b^2) (or 40*a^2) beyond, capped at 200.
+    :func:`steady_state` and :func:`propagate` run on at most this many
+    levels, and on fewer where :func:`_tail_truncation` bounds the tail
+    (:func:`_lab_truncation`).
 
     The squeezed-state Fock tail is heavy.  Measured with the frame solver
     (lab N and frame n_f doubled together): at b = 0.8 a cutoff of 40 leaves
@@ -563,7 +558,10 @@ def _solve_lu(gen: Generator) -> np.ndarray:
     normalized.  Both residuals take A x from gen's matrix action, rows m <=
     n of gen(x[index]) with row (0,0) read as x_00, independent of the block
     rows that the elimination reads."""
-    index, rows = _fold_index(len(gen.jump)), np.triu_indices(len(gen.jump))
+    dim = len(gen.jump)
+    rows = m, n = np.triu_indices(dim)  # the unknowns x, row-major
+    index = np.empty((dim, dim), dtype=int)  # x[index] is rho
+    index[n, m] = index[m, n] = np.arange(m.size)
 
     def pinned(x):  # A x
         out = gen(x[index])[rows]
@@ -602,35 +600,39 @@ def _solve_lu(gen: Generator) -> np.ndarray:
     )
 
 
-def _krylov_leg(gen: Generator, rho: np.ndarray, dt: float, steps: int, rem: float):
-    """(state, steps', rem'): RK4's steps of size dt, then one of size rem,
-    applied to rho as beta V p(H) e1 on the Krylov space of rho, with
-    nothing left, (steps', rem') = (0, 0); or, where KRYLOV_CAP vectors do
-    not certify them all, only the first k full steps, the largest of steps
-    (if rem > 0), steps // 2, steps // 4, ... that they certify, with
-    (steps - k, rem) left.
+def _krylov_leg(gen: Generator, rho: np.ndarray, span: float):
+    """(state, rest): the exact flow exp(span L) rho, applied as beta V
+    exp(span H) e1 on the Krylov space of rho, with rest = 0; or, where
+    KRYLOV_CAP vectors do not certify the whole span, the flow over the
+    longest tau of span/2, span/4, ... that they certify, rest = span - tau.
 
     Arnoldi builds the orthonormal basis V of rho, L rho, L^2 rho, ... with
     the generator's action, by classical Gram-Schmidt reorthogonalized once,
-    and the Hessenberg matrix H = V^T L V; p(H) e1 is
-    :func:`~qsuperpose.combined.rk4_apply` on H and e1, and beta = |rho|.
-    Every KRYLOV_CHECK vectors and at the cap, Saad's estimate beta
-    h_{m+1,m} |e_m^T p(H) e1| of the error (Saad, SIAM J. Numer. Anal. 29,
-    1992) must be at most KRYLOV_TOL; a basis that breaks down, h_{m+1,m} =
-    0, spans an invariant space and is exact.  The state must also keep
-    rho's trace within TRACE_TOL, as RK4 on the trace-preserving L does:
-    far past the relaxation time T(dt H)^steps annihilates a small space
-    that lacks the steady state, and Saad's estimate of that zero is zero
-    too.  The basis is allocated once, for KRYLOV_CAP vectors.  A leg whose
-    basis certifies not even one step is a :class:`StepError`."""
+    and the Hessenberg matrix H = V^T L V; beta = |rho|.  exp(tau H) e1 is
+    :func:`~qsuperpose.combined.taylor_apply` of degree 18 on s = max(1,
+    ceil(tau |H|_1)) steps.  Every KRYLOV_CHECK vectors and at the cap,
+    Saad's estimate beta h_{m+1,m} |e_m^T exp(tau H) e1| of the error (Saad,
+    SIAM J. Numer. Anal. 29, 1992) must be at most KRYLOV_TOL; a basis that
+    breaks down, h_{m+1,m} = 0, spans an invariant space and is exact.  The
+    state must also keep rho's trace within TRACE_TOL, as the flow of the
+    trace-preserving L does: far past the relaxation time exp(tau H)
+    annihilates a small space that lacks the steady state, and Saad's
+    estimate of that zero is zero too.  The basis is allocated once, for
+    KRYLOV_CAP vectors.  A leg that certifies no tau as long as one sub-step
+    1/|H|_1 is a StepError."""
     cap = KRYLOV_CAP
     beta, trace = np.linalg.norm(rho), np.trace(rho)
     basis = np.empty((cap, rho.size))  # pages never written take no memory
     basis[0] = rho.ravel() / beta
     hess = np.zeros((cap + 1, cap))
 
-    def certified(m, steps, rem):
-        p = rk4_apply(hess[:m, :m], np.eye(1, m)[0], dt, steps, rem)
+    def certified(m, tau):
+        h = hess[:m, :m]
+        sub = tau * float(np.abs(h).sum(axis=0).max())  # inf past the float range
+        if not sub < math.inf:
+            raise StepError(f"the flow over t={tau} takes no finite count of sub-steps")
+        s = max(1, math.ceil(sub))
+        p = taylor_apply(h, np.eye(1, m)[0], tau / s, s, 0.0, 18)
         out = beta * (p @ basis[:m]).reshape(rho.shape)
         # a non-finite p passes, and propagate refuses it as diverged
         error = beta * hess[m, m - 1] * abs(p[-1])
@@ -647,48 +649,46 @@ def _krylov_leg(gen: Generator, rho: np.ndarray, dt: float, steps: int, rem: flo
         m = j + 1
         hess[m, j] = np.linalg.norm(w)
         if hess[m, j] == 0.0 or m % KRYLOV_CHECK == 0 or m == cap:
-            out = certified(m, steps, rem)
+            out = certified(m, span)
             if out is not None:
-                return out, 0, 0.0
+                return out, 0.0
         if m < cap:
             basis[m] = w / hess[m, j]
-    first = steps if rem else steps // 2
-    while first:
-        out = certified(cap, first, 0.0)
+    sub_step = 1.0 / np.abs(hess[:cap]).sum(axis=0).max()
+    tau = 0.5 * span
+    while tau >= sub_step:
+        out = certified(cap, tau)
         if out is not None:
-            return out, steps - first, rem
-        first //= 2
+            return out, span - tau
+        tau *= 0.5
     raise StepError(
-        f"one RK4 step (dt={dt}) misses the Krylov error bound {KRYLOV_TOL} "
-        f"on {cap} vectors"
+        f"one sub-step 1/|H|_1 = {sub_step:.3g} misses the Krylov error bound "
+        f"{KRYLOV_TOL} on {cap} vectors"
     )
 
 
 def _lab_truncation(config: CavityConfig, trunc) -> int:
-    """The lab Fock cutoff N for ``trunc``: :func:`default_truncation` for
-    None, else ``trunc`` as a count from 8 to TRUNC_CAP."""
+    """The lab Fock cutoff N for ``trunc``: for None the fewer of
+    :func:`default_truncation`'s levels, whose TruncationError marks the
+    oracle's reach, and the :func:`_tail_truncation` that the steady state's
+    photon-number tail needs (16..136 inside that reach), else trunc as an
+    integer from 8 to TRUNC_CAP (else :class:`DomainError`)."""
     if trunc is None:
-        return default_truncation(config)
+        return min(default_truncation(config), _tail_truncation(config))
     return as_count("truncation", trunc, 8, TRUNC_CAP)
 
 
 def steady_state(config: CavityConfig, trunc: int | None = None) -> DensityMatrix:
-    """Steady state of the driven damped cavity on trunc lab Fock levels.
+    """Steady state of the driven damped cavity on the lab Fock levels of
+    :func:`_lab_truncation`.
 
-    trunc=None solves on the fewer of :func:`default_truncation`'s levels,
-    whose TruncationError marks the oracle's reach, and the
-    :func:`_tail_truncation` that the state's Gaussian photon-number tail
-    needs (16..136 inside that reach); any other trunc must be an integer
-    from 8 to TRUNC_CAP, else :class:`DomainError`.  The solve runs on
-    :func:`frame_truncation` levels of the frame (see
+    The solve runs on :func:`frame_truncation` levels of the frame (see
     :func:`steady_state_in_frame`).  Every call solves: the oracle keeps no
     state between calls.  Raises :class:`SolveError` when the steady state is
     not unique or misses a residual bound, and :class:`TruncationError` when
     it still has significant population near the cutoff.
     """
     dim = _lab_truncation(config, trunc)
-    if trunc is None:
-        dim = min(dim, _tail_truncation(config))
     return _frame_solve(config, dim, frame_truncation(config))
 
 
@@ -700,8 +700,9 @@ def steady_state_in_frame(
     rho = U rho_f U^T with U = :func:`frame_basis`; it must pass the lab tail
     check, the interior residual bound INTERIOR_TOL of the lab generator,
     taken from U and rho_f by :meth:`Generator.factored` in O(N^2 n_f), and
-    the :class:`DensityMatrix` checks.  dim is a count from 8 to 2 TRUNC_CAP,
-    room for the doubling check, and frame_dim a count from 8 to the
+    the :class:`DensityMatrix` checks, and a trace that is not positive and
+    finite is a TruncationError.  dim is a count from 8 to 2 TRUNC_CAP, room
+    for the doubling check, and frame_dim a count from 8 to the
     :func:`frame_cap` of the frame solve, else :class:`DomainError`."""
     dim = as_count("truncation", dim, 8, 2 * TRUNC_CAP)
     frame_dim = as_count("frame truncation", frame_dim, FRAME_MIN, frame_cap())
@@ -712,7 +713,13 @@ def _frame_solve(config: CavityConfig, dim: int, frame_dim: int) -> DensityMatri
     rho_f = _solve_lu(frame_generator(config, frame_dim))
     basis = frame_basis(*frame(config), dim, frame_dim)
     rho = basis @ rho_f @ basis.T
-    core = rho_f / np.trace(rho)  # rho = U core U^T once normalized
+    trace = np.trace(rho)
+    if not 0.0 < trace < math.inf:  # the basis underflowed, or overflowed
+        raise TruncationError(
+            f"the drive of {config} maps the steady state to trace {trace:.3g} "
+            f"on lab N = {dim} levels: beyond what this truncation holds"
+        )
+    core = rho_f / trace  # rho = U core U^T once normalized
     rho = _finalize(rho)
     _check_tail(np.diag(rho))  # a lab cutoff too low is a TruncationError
     # rows m, n <= N-3 are exact rows of the untruncated master equation
@@ -730,38 +737,29 @@ def _frame_solve(config: CavityConfig, dim: int, frame_dim: int) -> DensityMatri
 def propagate(
     config: CavityConfig, t: float, trunc: int | None = None
 ) -> DensityMatrix:
-    """Master-equation state at time t, starting from vacuum.
+    """Master-equation state at time t (in units of 1/kappa) from vacuum, on
+    the lab levels of :func:`_lab_truncation`, those of :func:`steady_state`.
 
-    Fixed-step RK4 with step dt = 0.2/(kappa max(N, 40)), well inside the
-    stability region of the fastest decaying coherence, and one last step
-    for the remainder of t, as :func:`~qsuperpose.combined.rk4_split` counts
-    them.  For the linear, time-independent lab :class:`Generator` each RK4
-    step is the polynomial T(dt L) of :func:`~qsuperpose.combined.rk4_apply`,
-    so all steps are one polynomial in L applied to the vacuum.
-    :func:`_krylov_leg` applies it on the vacuum's Krylov space,
-    built with the action that certifies the frame solution; where that space
-    reaches its cap, it applies the first part of the steps, and the next
-    leg builds its space from the state they reach.  A leg's state keeps
-    its input's trace within TRACE_TOL, and the final state must still
-    pass the :class:`DensityMatrix` checks.  Below N = 40 the step stays
-    that of N = 40: 0.2/(kappa N) pushed an eigenvalue below the -1e-10
-    positivity floor (kappa = 1, trunc = 12, a = 0.8, b = 0, t = 0.2 reached
-    -2.7e-10; now -2.2e-12).  So trunc=None takes :func:`default_truncation`'s
-    N, not the fewer levels of :func:`steady_state`'s tail bound: at a = 2.2,
-    b = 0, kappa t = 1, N = 24, 30 and 40 all end on an eigenvalue of
-    -1.4e-10, where the rule's N = 194 passes.  t is in the same time units
-    as 1/kappa.
+    The lab :class:`Generator` L is linear and time-independent, so the
+    state is the exact flow exp(t L) applied to the vacuum, which
+    :func:`_krylov_leg` applies on the vacuum's Krylov space, built with
+    the action that certifies the frame solution; where that space reaches
+    its cap, it applies the flow over the first part of t, and the next leg
+    builds its space from the state it reaches.  A leg's state keeps its
+    input's trace within TRACE_TOL, and the final state must still pass the
+    :class:`DensityMatrix` checks.  A negative or non-finite t is a StepError.
     """
     dim = _lab_truncation(config, trunc)
-    dt = 0.2 / (config.kappa * max(dim, 40))
-    steps, rem = rk4_split(t, dt)
+    if not finite("t", t) or t < 0:
+        raise StepError(f"time must be non-negative, got {t}")
     gen = lab_generator(config, dim)
     rho = np.zeros((dim, dim))
     rho[0, 0] = 1.0
-    while steps or rem:
-        rho, steps, rem = _krylov_leg(gen, rho, dt, steps, rem)
+    rest = float(t)
+    while rest:
+        rho, rest = _krylov_leg(gen, rho, rest)
     if not np.all(np.isfinite(rho)):
-        raise StepError(f"master-equation integration diverged (dt={dt})")
+        raise StepError(f"master-equation flow diverged (t={t})")
     return DensityMatrix(dim=dim, elements=_finalize(rho))
 
 

@@ -359,6 +359,30 @@ class TestVerify:
         assert err["error"] == "TruncationError"
         assert "exceeds the cap 200" in err["message"]
 
+    @pytest.mark.parametrize(
+        "eps1, eps2, cause",
+        (
+            # a = 40: the frame basis on 8 lab levels underflows to zeros
+            ("1e3", "1", "to trace 0 on lab N = 8 levels"),
+            # a = 4e298: the frame generator's diagonals overflow
+            ("1e300", "5e-324", "overflows the generator on 8 levels"),
+        ),
+    )
+    def test_drive_beyond_an_explicit_truncation_exit_code(
+        self, eps1, eps2, cause, capsys
+    ):
+        # refused before anything divides by the trace or solves, so no
+        # RuntimeWarning line precedes the error
+        argv = ["--kappa", "50", "--eps1", eps1, "--eps2", eps2, "--trunc", "8"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            assert main(["verify", *argv]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "TruncationError"
+        assert cause in record["message"] and "eps1=" in record["message"]
+
     def test_frame_beyond_the_dense_solve_exit_code(self, capsys, monkeypatch):
         # b = 0.9986 at an explicit lab cutoff asks for n_f = 261 frame
         # levels, beyond the 256 whose block solve fits ARRAY_BYTES_CAP:

@@ -19,6 +19,7 @@ from qsuperpose import (
     StepError,
     TruncationError,
     default_truncation,
+    evolve_moments,
     expect,
     propagate,
     q_coherent,
@@ -94,32 +95,6 @@ def sparse_steady_state(gen):
     return rho / np.trace(rho)
 
 
-def rk4_reference(config, t, dim):
-    """The fixed-step RK4 loop that :func:`propagate`'s Krylov legs
-    reproduce: from vacuum, floor(t/dt) steps of dt = 0.2/(kappa max(N, 40))
-    and one step of the remainder above 1e-15 max(t, 1), each with the lab
-    generator's action, then made Hermitian and of unit trace."""
-    gen = fock.lab_generator(config, dim)
-    dt = 0.2 / (config.kappa * max(dim, 40))
-    rho = np.zeros((dim, dim))
-    rho[0, 0] = 1.0
-
-    def step(rho, h):
-        k1 = gen(rho)
-        k2 = gen(rho + 0.5 * h * k1)
-        k3 = gen(rho + 0.5 * h * k2)
-        k4 = gen(rho + h * k3)
-        return rho + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    n_full, rem = divmod(t, dt)
-    for _ in range(int(n_full)):
-        rho = step(rho, dt)
-    if rem > 1e-15 * max(t, 1.0):
-        rho = step(rho, rem)
-    rho = 0.5 * (rho + rho.T)
-    return rho / np.trace(rho)
-
-
 def diagonals(am):
     """The lower, main and upper diagonals of the tridiagonal matrix am."""
     return am.diagonal(-1), am.diagonal(), am.diagonal(1)
@@ -192,6 +167,14 @@ def kron_generator(h, am, kappa):
 
 def lab_kron(config, dim):
     return kron_generator(hamiltonian(config, ladder(dim)), ladder(dim), config.kappa)
+
+
+def expm_reference(config, t, dim):
+    """exp(t L) applied to the vacuum, by scipy's expm of the dense
+    vectorized lab generator: the exact flow that :func:`propagate`'s Krylov
+    legs apply, from a reference that shares none of their code."""
+    vacuum = np.eye(1, dim * dim)[0]
+    return (sla.expm(t * lab_kron(config, dim)) @ vacuum).reshape(dim, dim)
 
 
 def hamiltonian_only(drive, dim, dtype=float):
@@ -368,25 +351,6 @@ class TestSymmetricSubspace:
         got = assembled(gen)
         assert np.array_equal(got[0], np.eye(1, m.size)[0])
         assert np.abs(got[1:] - want[1:]).max() <= 1e-13 * np.abs(want).max()
-
-    def test_propagate_matches_full_vector_rk4(self):
-        config, dim, t = REF_CONFIG, 16, 1.3
-        lind = lab_kron(config, dim)
-        dt = 0.2 / (config.kappa * max(dim, 40))
-        x = np.zeros(dim * dim, dtype=complex)
-        x[0] = 1.0
-        n_full, rem = divmod(t, dt)
-        assert rem > 0
-        for h in [dt] * int(n_full) + [rem]:
-            k1 = lind @ x
-            k2 = lind @ (x + 0.5 * h * k1)
-            k3 = lind @ (x + 0.5 * h * k2)
-            k4 = lind @ (x + h * k3)
-            x = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        want = x.reshape(dim, dim)
-        want = want / np.trace(want)
-        got = propagate(config, t, trunc=dim).elements
-        assert np.abs(got - want).max() <= 1e-12
 
 
 class TestBlockSolve:
@@ -953,10 +917,10 @@ class TestTailTruncation:
         "eps1, eps2, t", ((0.3, 0.2, 0.05), (1.1, 0.0, 1.0), (0.1, 0.405, 0.05))
     )
     def test_propagate_keeps_the_rule(self, eps1, eps2, t):
-        # every N <= 40 takes propagate's step of N = 40, and at (2.2, 0),
-        # kappa t = 1 they end on a negative eigenvalue (see its docstring)
+        # propagate takes steady_state's automatic N: 22, 30 and 75 levels
+        # where the lab rule asks 40, 194 and 117
         config = CavityConfig(1.0, eps1, eps2)
-        assert propagate(config, t).dim == default_truncation(config)
+        assert propagate(config, t).dim == steady_state(config).dim
 
 
 class TestFrameTruncation:
@@ -1303,7 +1267,7 @@ class TestPropagation:
 
     @pytest.mark.parametrize("kt", (1e3, 1e4, 1e6))
     def test_far_past_the_relaxation_time_is_the_steady_state(self, kt):
-        # there T(dt H)^steps annihilates a small Krylov space that lacks the
+        # there exp(kappa t H) annihilates a small Krylov space that lacks the
         # steady state, and Saad's error estimate with it; that state has
         # lost its trace, so a leg must also keep its input's trace
         rho = propagate(REF_CONFIG, kt)
@@ -1311,88 +1275,111 @@ class TestPropagation:
         for which in ("a", "a2", "adag_a"):
             assert abs(expect(rho, which) - expect(direct, which)) < 1e-10
 
+    @settings(max_examples=10, deadline=None)
+    @given(
+        kappa=st.floats(0.5, 2.0),
+        a=st.floats(0.0, 2.2),
+        b=st.floats(0.0, 0.89),
+        kt=st.floats(0.25, 4.0),
+    )
+    @example(kappa=1.0, a=2.2, b=0.0, kt=1.0)
+    def test_moments_match_the_moment_equations(self, kappa, a, b, kt):
+        # the automatic N across the lab reach, against the closed moment
+        # equations at a step whose own error is far below the bound
+        rho = propagate(CavityConfig(kappa, a * kappa / 2, b * kappa / 2), kt / kappa)
+        got = fock.moments(rho)
+        want = evolve_moments(ScaledParams(a, b), kt, dt=1e-3)
+        gap = max(abs(x - y) for x, y in zip(astuple(got), astuple(want)))
+        assert gap <= 1e-10 * (want.mean_photon + 1)
+
 
 class TestKrylovPropagation:
-    """propagate applies all its RK4 steps as one polynomial on the Krylov
-    space of the vacuum; the step-by-step loop of rk4_reference is the
+    """propagate applies the exact flow exp(t L) on the Krylov space of the
+    vacuum; scipy's expm of the dense vectorized generator is the
     reference."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(
         kappa=st.floats(0.5, 2.0),
         a=st.floats(0.0, 1.5),
         b=st.floats(0.0, 0.7),
-        dim=st.integers(8, 40),
-        when=st.sampled_from(("zero", "within_one_step", "whole_steps", "any")),
-        frac=st.floats(0.0, 1.0),
+        dim=st.integers(8, 24),
+        kt=st.floats(0.0, 8.0) | st.floats(0.0, 1e-6),
     )
-    def test_matches_the_step_by_step_loop(self, kappa, a, b, dim, when, frac):
+    @example(kappa=1.0, a=0.6, b=0.4, dim=16, kt=1.3)
+    @example(kappa=1.0, a=0.6, b=0.4, dim=12, kt=0.0)
+    @example(kappa=1.0, a=0.6, b=0.4, dim=12, kt=1e-300)
+    def test_matches_the_dense_expm(self, kappa, a, b, dim, kt):
         config = CavityConfig(kappa, a * kappa / 2, b * kappa / 2)
-        dt = 0.2 / (kappa * max(dim, 40))
-        t = {
-            "zero": 0.0,
-            "within_one_step": frac * dt,
-            "whole_steps": int(frac * 8 / (kappa * dt)) * dt,
-            "any": frac * 8 / kappa,
-        }[when]
-        want = rk4_reference(config, t, dim)
+        want = expm_reference(config, kt / kappa, dim)
         try:
-            got = propagate(config, t, trunc=dim).elements
-        except SolveError:
-            # refused only where the loop's state is not positive either
-            assert np.linalg.eigvalsh(want)[0] < -1e-10
-            return
+            got = propagate(config, kt / kappa, trunc=dim).elements
         except TruncationError:
+            # refused only where the exact state's tail is too heavy too
             with pytest.raises(TruncationError):
                 DensityMatrix(dim, want)
             return
-        assert np.abs(got - want).max() <= 1e-12
+        assert np.abs(got - want).max() <= 1e-13
 
     @pytest.mark.parametrize(
-        "eps1, eps2, dim, t", ((0.4, 0.0, 12, 0.2), (0.4, 0.15, 8, 0.05))
+        "eps1, eps2, dim, t",
+        (
+            # RK4's step left -1.817e-10 at kappa t = 0.25 and -1.404e-10 at
+            # kappa t = 1 on each of these N, below the positivity floor
+            *((1.1, 0.0, n, kt) for n in (24, 30, 40) for kt in (0.25, 0.5, 1.0)),
+            # and -2.7e-10 and -2.2e-10 here at a step of 0.2/(kappa N)
+            (0.4, 0.0, 12, 0.2),
+            (0.4, 0.15, 8, 0.05),
+        ),
     )
-    def test_small_truncations_take_the_default_step(self, eps1, eps2, dim, t):
-        # a step of 0.2/(kappa N) pushed these states' smallest eigenvalues
-        # to -2.7e-10 and -2.2e-10, below the positivity floor; steps no
-        # longer than at N = 40 leave -2.2e-12 and -8.5e-14
-        config = CavityConfig(1.0, eps1, eps2)
-        want = rk4_reference(config, t, dim)
-        assert np.linalg.eigvalsh(want)[0] > -1e-11
-        got = propagate(config, t, trunc=dim).elements
-        assert np.abs(got - want).max() <= 1e-12
+    def test_the_exact_flow_stays_positive(self, eps1, eps2, dim, t):
+        rho = propagate(CavityConfig(1.0, eps1, eps2), t, trunc=dim).elements
+        assert np.linalg.eigvalsh(rho)[0] >= -1e-13
 
     def test_one_krylov_space_at_the_default_truncation(self, monkeypatch):
-        # kappa t = 4 at N = 40 is 800 RK4 steps, 3200 generator actions
-        # one step at a time, and one leg of at most KRYLOV_CAP vectors
+        # kappa t = 4 on the tail's N = 22: one leg of at most KRYLOV_CAP
+        # generator actions
         calls = []
         action = Generator.__call__
         monkeypatch.setattr(
             Generator, "__call__", lambda gen, rho: calls.append(1) or action(gen, rho)
         )
         rho = propagate(REF_CONFIG, 4.0)
-        assert rho.dim == 40 and len(calls) <= fock.KRYLOV_CAP
+        assert rho.dim == 22 and len(calls) <= fock.KRYLOV_CAP
         monkeypatch.undo()
-        assert np.abs(rho.elements - rk4_reference(REF_CONFIG, 4.0, 40)).max() <= 1e-12
+        assert np.abs(rho.elements - expm_reference(REF_CONFIG, 4.0, 22)).max() <= 1e-13
 
     def test_legs_split_at_the_cap_give_the_same_state(self, monkeypatch):
         legs = []
         leg = fock._krylov_leg
 
-        def counted(gen, rho, dt, steps, rem):
-            legs.append(steps)
-            return leg(gen, rho, dt, steps, rem)
+        def counted(gen, rho, span):
+            legs.append(span)
+            return leg(gen, rho, span)
 
         monkeypatch.setattr(fock, "KRYLOV_CAP", 12)
         monkeypatch.setattr(fock, "_krylov_leg", counted)
         got = propagate(REF_CONFIG, 0.7, trunc=16).elements
         assert len(legs) > 2
-        assert np.abs(got - rk4_reference(REF_CONFIG, 0.7, 16)).max() <= 1e-12
+        assert np.abs(got - expm_reference(REF_CONFIG, 0.7, 16)).max() <= 1e-13
 
     @pytest.mark.parametrize("t", (0.7, 0.01))
     def test_a_cap_that_misses_one_step_is_a_step_error(self, t, monkeypatch):
-        # three vectors cannot hold one step, a polynomial of degree 4
+        # three vectors certify no span as long as one sub-step 1/|H|_1, and
+        # the first leg says so: without that floor each leg would certify
+        # an ever shorter span, and the legs would never end
+        legs = []
+        leg = fock._krylov_leg
+
+        def once(gen, rho, span):
+            if legs:
+                pytest.fail("a second leg ran")
+            legs.append(span)
+            return leg(gen, rho, span)
+
         monkeypatch.setattr(fock, "KRYLOV_CAP", 3)
-        with pytest.raises(StepError, match="one RK4 step"):
+        monkeypatch.setattr(fock, "_krylov_leg", once)
+        with pytest.raises(StepError, match="one sub-step 1/\\|H\\|_1 = .* on 3 vectors"):
             propagate(REF_CONFIG, t, trunc=16)
 
 
