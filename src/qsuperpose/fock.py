@@ -18,7 +18,7 @@ frame solve's residuals and certifies its solution, and it builds the
 Krylov space on which :func:`propagate` applies the exact exponential of
 the generator; the lab certificate takes the same operators to the factors of
 the mapped state (:meth:`Generator.factored`), and the steady-state solve
-writes its block rows straight from them (:func:`_block_rows`).
+fills its block rows from their diagonals (:func:`_block_rows`).
 
 Solver strategy: the steady state is solved in the frame D(delta) S(r) of
 :func:`frame`, where it is thermal with nbar depending on b only, so
@@ -31,13 +31,16 @@ state is real symmetric: one certified block LU solve on its n_f(n_f+1)/2
 unknowns rho_mn, m <= n, finds it (:func:`_solve_lu`).  Ordered row-major
 by m, an unknown couples only to those of m - 2..m + 2, the operators'
 bandwidth, so the rows of two consecutive m form a block tridiagonal
-system; it is eliminated block row by block row, each built from the
-generator's operators when it is needed, and only the eliminated upper
-blocks are kept.  Mapped to the lab basis, rho = U rho_f U^T with U[n, k] =
-<n|D S|k>, it must pass the lab tail check and an independent certificate:
-|(L_lab rho)_mn| <= 1e-9 max|rho| on the interior rows m, n <= N-3, exact
-rows of the untruncated master equation, computed from U and rho_f in
-O(N^2 n_f).
+system; it is eliminated block row by block row, one LAPACK solve each, and
+only the eliminated upper blocks are kept.  Where each coefficient of a
+block row goes depends on n_f and the bandwidth alone: that layout is made
+once per size and kept (:func:`_layout`, within ARRAY_BYTES_CAP/16 bytes),
+and each call fills each block row from the generator's diagonals, one
+product and one scatter, when the elimination reaches it.  Mapped to the
+lab basis, rho = U rho_f U^T with U[n, k] = <n|D S|k>, it must pass the lab
+tail check and an independent certificate: |(L_lab rho)_mn| <= 1e-9
+max|rho| on the interior rows m, n <= N-3, exact rows of the untruncated
+master equation, computed from U and rho_f in O(N^2 n_f).
 Any (delta, r) gives the same state once n_f is adequate, so the frame is
 no input to the answer; a wrong frame or too small an n_f misses that bound
 and raises SolveError.  Sizes follow the package's one rule
@@ -57,7 +60,15 @@ from numpy.linalg import LinAlgError, solve
 
 from .combined import MomentSet, taylor_apply
 from .errors import DomainError, SolveError, StepError, TruncationError
-from .params import CavityConfig, array_cap, as_count, finite, phase_point, scale
+from .params import (
+    ARRAY_BYTES_CAP,
+    CavityConfig,
+    array_cap,
+    as_count,
+    finite,
+    phase_point,
+    scale,
+)
 
 #: cap on the lab truncation, automatic or explicit
 TRUNC_CAP = 200
@@ -365,7 +376,11 @@ def frame_cap() -> int:
     at 16 n^3 bytes, ``array_cap(3)`` = 256.  The kept blocks C_j of n
     levels take (2/3) 8 n^3 bytes in float64 (twice that complex), the
     temporaries of each block row built on the way O(span window n^2), span
-    = 2 and window = 3 span levels for the oracle's generators."""
+    = 2 and window = 3 span levels for the oracle's generators.  The layouts
+    kept across calls (:func:`_kept`) take at most ARRAY_BYTES_CAP/16 = 16
+    MiB together, whatever sizes came before: one size takes about 130 n^2
+    bytes, 8.1 MiB at n = 256, and a layout larger than that bound alone
+    serves its call and is dropped."""
     return array_cap(3)
 
 
@@ -451,6 +466,96 @@ def _finalize(rho: np.ndarray) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+_KEPT: dict = {}  # (builder, *args) -> (layout, bytes), least recently used first
+_UNIT = np.array([0.0, 1.0, -1.0])  # the constants of the diagonal gather
+
+
+def _frozen(value) -> int:
+    """The bytes of the arrays in value, nested in tuples, each made read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+        return value.nbytes
+    return sum(map(_frozen, value)) if isinstance(value, tuple) else 0
+
+
+def _kept(build):
+    """build, its layouts kept by their arguments, least recently used
+    dropped first, while all kept take at most ARRAY_BYTES_CAP/16 bytes
+    (see :func:`frame_cap`); one larger serves its call only.  Every array
+    kept is read-only, and no layout depends on a config."""
+
+    def cached(*args):
+        key = (build.__name__, *args)
+        hit = _KEPT.pop(key, None)
+        if hit is None:
+            layout = build(*args)
+            hit = layout, _frozen(layout)
+        _KEPT[key] = hit
+        while sum(size for _, size in _KEPT.values()) > ARRAY_BYTES_CAP // 16:
+            del _KEPT[next(iter(_KEPT))]
+        return hit[0]
+
+    return cached
+
+
+@_kept
+def _unknowns(dim: int):
+    """(rows, index, probe, rhs) of the frame solve on dim levels: rows =
+    (m, n) of the unknowns x_mn, m <= n, row-major, x[index] is rho, the
+    probe of :func:`_probe`, and rhs its two right-hand sides, e_0 (the pinned
+    x_00 = 1) and the probe."""
+    rows = m, n = np.triu_indices(dim)
+    index = np.empty((dim, dim), dtype=int)
+    index[n, m] = index[m, n] = np.arange(m.size)
+    probe = _probe(m.size)
+    rhs = np.zeros((m.size, 2))
+    rhs[0, 0], rhs[:, 1] = 1.0, probe
+    return rows, index, probe, rhs
+
+
+@_kept
+def _layout(dim: int, span: int):
+    """(gather, blocks): where :func:`_block_rows` puts each coefficient of a
+    generator of bandwidth span on dim levels.
+
+    gather picks from the flat concatenation of (0, 1, -1), A, left and
+    right the diagonals X_t[m, m+d] of X = (A, left, -I) and Y_t[n, n+e] of Y
+    = (A, I, right^T), d, e = -span..span, columns (m, d) and (n, e), zero
+    past the corner.  blocks holds, per block row, (r0, r1, c0, dst, shape,
+    split): the coefficients T[m,d,n,e] = sum_t X_t[m,m+d] Y_t[n,n+e] of its
+    rows m are the product of gather's columns r0:r1 of X with those from c0
+    on of Y, and dst places each in the flat block row of that shape, its
+    row (m,n) and its column (k,l) = (m+d, n+e), folded onto (l,k) for l <
+    k; a coefficient of no row (n < m, the pinned (0,0), or past the corner)
+    goes to the one extra bin.  The blocks L_j, D_j and U_j split the
+    columns there.  About 100 dim^2 bytes for span = 2."""
+    width = 2 * span + 1
+    first = np.concatenate(([0], np.cumsum(np.arange(dim, 0, -1))))  # of (m,m)
+    level = np.arange(dim).repeat(width)  # m of column (m, d), n of (n, e)
+    shift = np.tile(np.arange(-span, span + 1), dim)
+    other = level + shift  # k = m+d, l = n+e
+    inside = (other >= 0) & (other < dim)
+    # (0, 1, -1) lead the flat operators, so an entry past the corner reads 0
+    at, turned = inside * (3 + level * dim + other), inside * (3 + other * dim + level)
+    unit = shift == 0
+    square = inside * dim * dim
+    gather = np.stack((at, at + square, 2 * unit, at, unit, turned + 2 * square))
+    blocks = []
+    for m0 in range(0, dim, span):
+        m1, lo, hi = min(m0 + span, dim), max(m0 - span, 0), min(m0 + 2 * span, dim)
+        r0, r1, c0 = m0 * width, m1 * width, m0 * width
+        m, k = level[r0:r1, None], other[r0:r1, None]
+        n, l = level[c0:], other[c0:]
+        shape = first[m1] - first[m0], first[hi] - first[lo]
+        p, q = np.minimum(k, l).clip(0, dim - 1), np.maximum(k, l)
+        place = (first[m] + n - m - first[m0]) * shape[1] + first[p] + q - p - first[lo]
+        keep = (n >= m) & (m + n > 0) & inside[r0:r1, None] & inside[c0:]
+        dst = np.where(keep, place, shape[0] * shape[1]).ravel()
+        split = first[m0] - first[lo], first[m1] - first[lo]
+        blocks.append((r0, r1, c0, dst, shape, split))
+    return gather, tuple(blocks)
+
+
 def _block_rows(gen: Generator):
     """The block rows (L_j, D_j, U_j) of the frame solve's system, each built
     when the caller reaches it.
@@ -463,43 +568,37 @@ def _block_rows(gen: Generator):
     Where left, right and A have bandwidth span, row (m,n) couples only to
     rho[k,l] and rho[l,k] with k = m-span..m+span.  So the rows of span
     consecutive m, block row j, couple only to the unknowns of block rows
-    j-1, j and j+1, its window.  Block row j is one product, T[m,k,n,l] = sum_t
-    X_t[m,k] Y_t[n,l] with X = (kappa A, left, -I) and Y = (A, I, right^T),
-    for m in the block, k in the window, and n and l from the block's and
-    the window's first level on.  Then rho[l,k] is added to column (k,l)
-    from T's swapped window, and rows n >= m and columns l >= k are taken.
-    T holds at most 3 span^2 n^2 entries."""
+    j-1, j and j+1, its window.  Where each coefficient goes depends on dim
+    and span alone, and :func:`_layout` keeps it; per call, the diagonals of
+    X = (kappa A, left, -I) and Y = (A, I, right^T) come in one gather, and
+    each block row is one product of them, the coefficients T[m,d,n,e] =
+    sum_t X_t[m,m+d] Y_t[n,n+e] of its rows, and one np.bincount that sums
+    them onto their places, the real and imaginary parts of a complex
+    generator apart.  T holds (2 span + 1)^2 span n entries per block row."""
     a = gen.jump
-    dim = len(a)
     r, c = np.nonzero((gen.left != 0) | (gen.right != 0) | (a != 0))
-    span = np.abs(r - c).max(initial=1)  # the bandwidth, at least 1
-    first = [0, *np.cumsum(np.arange(dim, 0, -1)).tolist()]  # of (m,m)
-    ident = np.identity(dim)
-    x = np.stack((gen.kappa * a, gen.left, -ident))
-    y = np.stack((a, ident, gen.right.T))
-    later = np.triu(np.ones((3 * span, 3 * span)), 1)[:, None]  # k < l
-    for m0 in range(0, dim, span):
-        m1, lo, hi = min(m0 + span, dim), max(m0 - span, 0), min(m0 + 2 * span, dim)
-        t = x[:, m0:m1, lo:hi].reshape(3, -1).T @ y[:, m0:, lo:].reshape(3, -1)
-        t = t.reshape(m1 - m0, hi - lo, dim - m0, dim - lo)
-        window = t[..., : hi - lo]
-        window += window.transpose(0, 3, 2, 1) * later[: hi - lo, :, : hi - lo]
-        row = [f - first[m0] for f in first[m0 : m1 + 1]]
-        col = [f - first[lo] for f in first[lo : hi + 1]]
-        band = np.empty((row[-1], col[-1]), t.dtype)
-        for i in range(m1 - m0):
-            for k in range(hi - lo):
-                band[row[i] : row[i + 1], col[k] : col[k + 1]] = t[i, k, i:, k:]
-        if not m0:
-            band[0] = 0.0
+    gather, blocks = _layout(len(a), int(np.abs(r - c).max(initial=1)))
+    diagonals = np.concatenate((_UNIT, a, gen.left, gen.right), axis=None)[gather]
+    diagonals[0] *= gen.kappa
+    x, y = diagonals[:3].T, diagonals[3:]
+    for r0, r1, c0, dst, shape, (start, stop) in blocks:
+        t = (x[r0:r1] @ y[:, c0:]).ravel()
+        size = shape[0] * shape[1]
+        if t.dtype.kind == "c":
+            band = np.bincount(dst, t.real, size + 1)[:size].astype(t.dtype)
+            band.imag = np.bincount(dst, t.imag, size + 1)[:size]
+        else:
+            band = np.bincount(dst, t, size + 1)[:size]
+        band = band.reshape(shape)
+        if not r0:
             band[0, 0] = 1.0
-        start, stop = col[m0 - lo], col[m1 - lo]
         yield band[:, :start], band[:, start:stop], band[:, stop:]
 
 
 def _schur(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """D'_j = D_j - L_j C_{j-1}: block row j's diagonal block once block row
-    j-1 is eliminated."""
+    """[D'_j | r'_j] = [D_j | r_j] - L_j [C_{j-1} | g_{j-1}]: block row j's
+    diagonal block and right-hand side once block row j-1 is eliminated, in
+    one product."""
     return diag - lower @ upper
 
 
@@ -510,27 +609,28 @@ def _sweep(gen: Generator, rhs: np.ndarray):
     and largest is max|A|, over the block rows it builds; rhs is one
     right-hand side, or several as columns.
 
-    Forward elimination builds each block row j when it reaches it and takes
-    C_j = D'_j^-1 U_j and g_j = D'_j^-1 (r_j - L_j g_{j-1}), with D'_j from
-    :func:`_schur`, in one LAPACK solve with partial pivoting; back
-    substitution gives x_j = g_j - C_j x_{j+1}.  The C_j are kept for that
-    back substitution only: each call eliminates afresh."""
-    uppers, parts, largest, start = [], [], 0.0, 0
-    for blocks in _block_rows(gen):
-        lower, diag, upper = blocks
-        largest = max(largest, *(np.abs(b).max(initial=0.0) for b in blocks))
-        r = rhs[start : start + len(diag)]
-        start += len(diag)
-        if parts:
-            diag = _schur(diag, lower, uppers[-1])
-            r = r - lower @ parts[-1]
-        both = solve(diag, np.column_stack([upper, r]))
-        uppers.append(both[:, : upper.shape[1]])
-        parts.append(both[:, upper.shape[1] :].reshape(r.shape))
+    Forward elimination builds each block row j when it reaches it, takes
+    max|A| over it in one reduction, and solves [C_j | g_j] = D'_j^-1 [U_j |
+    r_j - L_j g_{j-1}], with D'_j from :func:`_schur`, in one LAPACK solve
+    with partial pivoting; back substitution gives x_j = g_j - C_j x_{j+1}.
+    So a block row takes one solve and two products.  The C_j are kept for
+    that back substitution only: each call eliminates afresh."""
+    cols = rhs.reshape(len(rhs), -1)
+    kept, widths, largest, start = [], [], 0.0, 0
+    for lower, diag, upper in _block_rows(gen):
+        largest = max(largest, np.abs(np.concatenate((lower, diag, upper), 1)).max())
+        size = len(diag)
+        known = np.concatenate((diag, cols[start : start + size]), axis=1)
+        start += size
+        if kept:
+            known = _schur(known, lower, kept[-1])
+        kept.append(solve(known[:, :size], np.concatenate((upper, known[:, size:]), 1)))
+        widths.append(upper.shape[1])
+    parts = [both[:, width:] for both, width in zip(kept, widths)]
     forward = np.concatenate(parts)
     for j in range(len(parts) - 2, -1, -1):
-        parts[j] = parts[j] - uppers[j] @ parts[j + 1]
-    return np.concatenate(parts), forward, largest
+        parts[j] = parts[j] - kept[j][:, : widths[j]] @ parts[j + 1]
+    return np.concatenate(parts).reshape(rhs.shape), forward.reshape(rhs.shape), largest
 
 
 def _probe(size: int) -> np.ndarray:
@@ -557,20 +657,15 @@ def _solve_lu(gen: Generator) -> np.ndarray:
     refinement, a fresh sweep on the pinned residual; the state comes back
     normalized.  Both residuals take A x from gen's matrix action, rows m <=
     n of gen(x[index]) with row (0,0) read as x_00, independent of the block
-    rows that the elimination reads."""
-    dim = len(gen.jump)
-    rows = m, n = np.triu_indices(dim)  # the unknowns x, row-major
-    index = np.empty((dim, dim), dtype=int)  # x[index] is rho
-    index[n, m] = index[m, n] = np.arange(m.size)
+    rows that the elimination reads.  The unknowns' maps, the probe and the
+    right-hand sides come from :func:`_unknowns`, kept per size."""
+    rows, index, probe, rhs = _unknowns(len(gen.jump))
 
     def pinned(x):  # A x
         out = gen(x[index])[rows]
         out[0] = x[0]
         return out
 
-    probe = _probe(rows[0].size)
-    rhs = np.zeros((probe.size, 2))
-    rhs[0, 0], rhs[:, 1] = 1.0, probe
     # the probe's solution overflows on a singular system that the
     # elimination still carried through; the certificate then refuses it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -619,7 +714,8 @@ def _krylov_leg(gen: Generator, rho: np.ndarray, span: float):
     annihilates a small space that lacks the steady state, and Saad's
     estimate of that zero is zero too.  The basis is allocated once, for
     KRYLOV_CAP vectors.  A leg that certifies no tau as long as one sub-step
-    1/|H|_1 is a StepError."""
+    1/|H|_1 is a StepError, and so is an Arnoldi vector whose norm overflows
+    (a drive beyond the float range of the flow)."""
     cap = KRYLOV_CAP
     beta, trace = np.linalg.norm(rho), np.trace(rho)
     basis = np.empty((cap, rho.size))  # pages never written take no memory
@@ -642,12 +738,20 @@ def _krylov_leg(gen: Generator, rho: np.ndarray, span: float):
 
     for j in range(cap):
         w = gen(basis[j].reshape(rho.shape)).ravel()
-        for _ in range(2):
-            coef = basis[: j + 1] @ w
-            w -= coef @ basis[: j + 1]
-            hess[: j + 1, j] += coef
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            for _ in range(2):
+                coef = basis[: j + 1] @ w
+                w -= coef @ basis[: j + 1]
+                hess[: j + 1, j] += coef
+            norm = np.linalg.norm(w)
+        if not np.isfinite(norm):
+            raise StepError(
+                f"Arnoldi vector {j + 1} overflows on N = {len(rho)} levels: the "
+                f"drive (largest entry {np.abs(gen.drive).max():.3g}) is beyond "
+                "the float range of the flow"
+            )
         m = j + 1
-        hess[m, j] = np.linalg.norm(w)
+        hess[m, j] = norm
         if hess[m, j] == 0.0 or m % KRYLOV_CHECK == 0 or m == cap:
             out = certified(m, span)
             if out is not None:
@@ -684,9 +788,11 @@ def steady_state(config: CavityConfig, trunc: int | None = None) -> DensityMatri
 
     The solve runs on :func:`frame_truncation` levels of the frame (see
     :func:`steady_state_in_frame`).  Every call solves: the oracle keeps no
-    state between calls.  Raises :class:`SolveError` when the steady state is
-    not unique or misses a residual bound, and :class:`TruncationError` when
-    it still has significant population near the cutoff.
+    config-dependent state between calls, only the layouts of its block
+    solve, per size (:func:`_layout`).  Raises :class:`SolveError` when the
+    steady state is not unique or misses a residual bound, and
+    :class:`TruncationError` when it still has significant population near
+    the cutoff.
     """
     dim = _lab_truncation(config, trunc)
     return _frame_solve(config, dim, frame_truncation(config))

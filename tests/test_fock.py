@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -465,6 +466,60 @@ class TestBlockSolve:
                     yield blocks
 
             monkeypatch.setattr(fock, "_block_rows", shifted)
+        with pytest.raises(SolveError):
+            fock._solve_lu(gen)
+
+    @pytest.mark.parametrize("basis", ("frame", "lab", "complex"))
+    def test_the_layout_is_reused_across_sizes(self, basis, monkeypatch):
+        # sizes in alternation from an empty cache: each solve matches the
+        # sparse reference, and the size solved again on its kept layout
+        # gives the state of its first, freshly laid out solve bit for bit
+        monkeypatch.setattr(fock, "_KEPT", {})
+        states = {}
+        for dim in (8, 29, 9, 58, 8):
+            if basis == "lab":
+                gen = fock.lab_generator(self.CORNER, dim)
+            else:
+                gen = fock.frame_generator(self.CORNER, dim)
+            if basis == "complex":
+                gen = with_sides(gen.drive.astype(complex), gen.jump, gen.kappa)
+            rho = fock._solve_lu(gen)
+            assert np.abs(rho - sparse_steady_state(gen)).max() <= 1e-12
+            if dim in states:
+                assert np.array_equal(rho, states[dim])
+            states[dim] = rho
+        assert ("_layout", 8, 2) in fock._KEPT
+
+    def test_the_kept_layouts_stay_within_their_bound(self, monkeypatch):
+        # every frame size the solve accepts, laid out in turn with no solve:
+        # what is kept never passes ARRAY_BYTES_CAP/16, and the layout of the
+        # largest size, which fits that bound alone, is kept
+        monkeypatch.setattr(fock, "_KEPT", {})
+        for dim in range(fock.FRAME_MIN, fock.frame_cap() + 1):
+            fock._unknowns(dim)
+            fock._layout(dim, 2)
+            kept = sum(size for _, size in fock._KEPT.values())
+            assert kept <= ARRAY_BYTES_CAP // 16
+        assert ("_layout", fock.frame_cap(), 2) in fock._KEPT
+
+    @pytest.mark.parametrize("dim", (16, 29, 58))
+    def test_a_moved_coefficient_is_refused(self, dim, monkeypatch):
+        # the kept layout places the coefficient of rho[0,2] in row (2,2),
+        # left[2,0], third in block row 1's products (m = 2, d = -2, n = 2,
+        # e = 0); moved one column over, to (0,3), it solves another system,
+        # which the probe residual or the residual bound refuses
+        gen = fock.frame_generator(self.CORNER, dim)
+        fock._solve_lu(gen)
+        want = assembled(gen)
+        key = ("_layout", dim, 2)
+        (gather, blocks), size = fock._KEPT[key]
+        r0, r1, c0, dst, shape, split = blocks[1]
+        moved = dst.copy()
+        moved[2] += 1
+        blocks = (blocks[0], (r0, r1, c0, moved, shape, split), *blocks[2:])
+        monkeypatch.setitem(fock._KEPT, key, ((gather, blocks), size))
+        got = assembled(gen)
+        assert np.count_nonzero(got != want) in (1, 2)
         with pytest.raises(SolveError):
             fock._solve_lu(gen)
 
@@ -1446,6 +1501,15 @@ class TestKrylovPropagation:
         got = propagate(REF_CONFIG, 0.7, trunc=16).elements
         assert len(legs) > 2
         assert np.abs(got - expm_reference(REF_CONFIG, 0.7, 16)).max() <= 1e-13
+
+    @pytest.mark.parametrize("eps1", (1e200, 1e300))
+    def test_an_overflowing_arnoldi_vector_is_a_step_error(self, eps1):
+        # a finite generator whose action has a norm past the float range:
+        # refused with StepError, and no RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepError, match="overflows on N = 8 levels"):
+                propagate(CavityConfig(1.0, eps1, 0.0), 1.0, trunc=8)
 
     @pytest.mark.parametrize("t", (0.7, 0.01))
     def test_a_cap_that_misses_one_step_is_a_step_error(self, t, monkeypatch):
