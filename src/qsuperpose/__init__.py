@@ -52,8 +52,9 @@ from .superposed import (
 __version__ = "0.1.0"
 
 #: names served lazily, with the module that defines them, so that a process
-#: which never evaluates a Q function on a grid or touches the Fock oracle
-#: never imports them, nor numpy: the closed forms are plain float arithmetic
+#: which never touches the Fock oracle or the phase-space quadratures never
+#: imports them, nor numpy: the closed forms are plain float arithmetic, and
+#: so is the Q grid, which loads only when it is sampled
 _LAZY_NAMES = {
     "DensityMatrix": "fock",
     "default_truncation": "fock",
@@ -61,12 +62,12 @@ _LAZY_NAMES = {
     "propagate": "fock",
     "steady_state": "fock",
     "superposition_oracle": "fock",
-    "QGrid": "qfunctions",
+    "QGrid": "qgrid",
     "QuadratureSpec": "qfunctions",
     "char_fn_antinormal": "qfunctions",
     "q_coherent": "qfunctions",
     "q_from_char_fn": "qfunctions",
-    "q_grid": "qfunctions",
+    "q_grid": "qgrid",
     "q_squeezed": "qfunctions",
     "q_superposed": "qfunctions",
     "superpose_q_numeric": "qfunctions",

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .combined import coherent_term, quad_variance_single, steady_moments_combined
 from .errors import DomainError, NumericsError, ValidationError
-from .params import ARRAY_BYTES_CAP, CavityConfig, Q_KINDS, as_count, scale
+from .params import ARRAY_BYTES_CAP, CavityConfig, Q_KINDS, as_count, linspace, scale
 from .superposed import output_report
 
 SWEEP_PARAMS = ("kappa", "eps1", "eps2")
@@ -90,11 +90,19 @@ def _auto_or(text: str, parse, what: str):
         raise DomainError(f"{what} or 'auto', got {text!r}") from None
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.out is not None:
-        args.out.write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _emit(args: argparse.Namespace, write) -> None:
+    """``write(fh)`` on stdout, or on the --out file: the one place where a
+    command opens and writes --out, so a path that cannot be opened or
+    written is a :class:`DomainError` naming it (exit 2), not a traceback."""
+    if args.out is None:
+        write(sys.stdout)
+        return
+    try:
+        with args.out.open("w", encoding="utf-8") as fh:
+            write(fh)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise DomainError(f"cannot write --out {str(args.out)!r}: {reason}") from None
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
@@ -109,10 +117,11 @@ def _rows_to_csv(rows: list[dict]) -> str:
 def _write_rows(args: argparse.Namespace, rows: list[dict]) -> None:
     """CSV, or indented JSON: one object for ``report``, a list otherwise."""
     if args.format == "csv":
-        _emit(args, _rows_to_csv(rows))
+        text = _rows_to_csv(rows)
     else:
         doc = rows[0] if args.command == "report" else rows
-        _emit(args, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    _emit(args, lambda fh: fh.write(text))
 
 
 def _run_report(args: argparse.Namespace) -> int:
@@ -134,20 +143,6 @@ def _parse_sweep(text: str) -> tuple[str, float, float, int]:
     return param, start, stop, as_count("steps", steps, 2, SWEEP_CAP)
 
 
-def _linspace(start: float, stop: float, steps: int) -> list[float]:
-    """``np.linspace(start, stop, steps).tolist()`` for steps >= 2, by numpy's
-    own arithmetic: point i is i*step + start with step = (stop - start)/div
-    and div = steps - 1, or (i/div)*(stop - start) + start where that step
-    underflows to zero, and the last point is stop."""
-    div, delta = steps - 1, stop - start
-    step = delta / div
-    if step == 0:
-        points = [(i / div) * delta + start for i in range(div)]
-    else:
-        points = [i * step + start for i in range(div)]
-    return points + [stop]
-
-
 def _run_sweep(args: argparse.Namespace) -> int:
     config = _config(args)
     param, start, stop, steps = _parse_sweep(args.sweep)
@@ -159,24 +154,20 @@ def _run_sweep(args: argparse.Namespace) -> int:
     # names its endpoint before any row is computed
     for value in (start, stop):
         at(value)
-    rows = [report_payload(at(v)) for v in _linspace(start, stop, steps)]
+    rows = [report_payload(at(v)) for v in linspace(start, stop, steps)]
     _write_rows(args, rows)
     return 0
 
 
 def _run_qgrid(args: argparse.Namespace) -> int:
-    # the phase-space grids, and numpy with them, load only here
-    from .qfunctions import q_grid
+    # the grid is plain float arithmetic, loaded only here, with no numpy
+    from .qgrid import q_grid
 
     config = _config(args)
     extent = _auto_or(args.grid_extent, float, "grid extent must be a number")
     grid = q_grid(args.kind, scale(config), n=args.grid_n, extent=extent)
-    if args.format == "csv":
-        buf = io.StringIO()
-        grid.write_csv(buf)
-        _emit(args, buf.getvalue())
-    else:
-        _emit(args, json.dumps(grid.as_json_dict()) + "\n")
+    # --out is opened only now, so a refused grid leaves no file
+    _emit(args, grid.write_csv if args.format == "csv" else grid.write_json)
     return 0
 
 

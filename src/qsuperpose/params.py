@@ -23,8 +23,8 @@ and grid size is read by :func:`as_count`, an integer from its floor to its
 cap, and every cap set by memory comes from the one byte budget
 :data:`ARRAY_BYTES_CAP` through :func:`array_cap`.  Everything but the
 evaluation of Q on arrays is plain float arithmetic: numpy is imported only
-inside the functions that build arrays, so the closed-form commands never
-load it.
+inside the functions that build arrays, so the closed-form commands and
+``qgrid`` never load it.
 """
 
 import math
@@ -39,10 +39,11 @@ if TYPE_CHECKING:
 
 Q_KINDS = ("coherent", "squeezed", "superposed")
 #: bytes allowed for the largest complex array a size can make the package
-#: build: one axis of a 1-d phase-space sum, the n x n grid of q_grid, the
-#: n^3 complex values the superposition kernel forms per call (streamed a few
-#: n^2 at a time, so they bound its work rather than its memory), and the
-#: kept blocks of the Fock oracle's frame solve, at most 16 n_f^3 bytes;
+#: build: one axis of a 1-d phase-space sum, the n x n grid of q_grid (whose
+#: cells are floats, half that), the n^3 complex values the superposition
+#: kernel forms per call (streamed a few n^2 at a time, so they bound its
+#: work rather than its memory), and the kept blocks of the Fock oracle's
+#: frame solve, at most 16 n_f^3 bytes;
 #: :func:`array_cap` turns it into each cap on n
 ARRAY_BYTES_CAP = 2**28
 
@@ -102,12 +103,27 @@ def as_count(name: str, value, lo: int | None = None, hi: int | None = None) -> 
     return count
 
 
+def linspace(start: float, stop: float, steps: int) -> list[float]:
+    """``np.linspace(start, stop, steps).tolist()`` for steps >= 2, by numpy's
+    own arithmetic: point i is i*step + start with step = (stop - start)/div
+    and div = steps - 1, or (i/div)*(stop - start) + start where that step
+    underflows to zero, and the last point is stop.  The axes of a sweep and
+    of a Q grid, in plain floats."""
+    div, delta = steps - 1, stop - start
+    step = delta / div
+    if step == 0:
+        points = [(i / div) * delta + start for i in range(div)]
+    else:
+        points = [i * step + start for i in range(div)]
+    return points + [stop]
+
+
 def array_cap(k: int) -> int:
     """The largest n whose complex n^k array, 16 n^k bytes, fits
     :data:`ARRAY_BYTES_CAP`: 16,777,216 for the one axis of a 1-d
-    phase-space sum (k = 1), 4096 for the n x n grid of q_grid (k = 2), 256
-    for the n^3 values the superposition kernel forms per call and the frame
-    solve's kept blocks (k = 3)."""
+    phase-space sum (k = 1), 4096 for the n x n grid of q_grid (k = 2; its
+    cells are floats, half that), 256 for the n^3 values the superposition
+    kernel forms per call and the frame solve's kept blocks (k = 3)."""
     n = round((ARRAY_BYTES_CAP / 16) ** (1 / k))
     return n if 16 * n**k <= ARRAY_BYTES_CAP else n - 1
 

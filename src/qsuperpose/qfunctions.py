@@ -9,31 +9,32 @@ also on their own axes, and two brute-force cross-checks:
 * :func:`superpose_q_numeric` evaluates the raw 4-d superposition integral
   that composes the coherent and squeezed Q functions into the superposed one.
 
+The closed form sampled on a grid, :func:`~qsuperpose.qgrid.q_grid`, lives in
+:mod:`qsuperpose.qgrid`, in plain floats, and is served here too.
+
 Conventions: alpha is an ordinary Python complex number, and all phase-space
 integrals use d^2alpha = d(Re alpha) d(Im alpha); the 1/pi prefactors only
 normalize under that measure.
 """
 
-import io
 import math
-import warnings
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError, NormalizationWarning, QuadratureError
+from .errors import DomainError, QuadratureError
 from .params import (
     GaussianQ,
     ScaledParams,
     array_cap,
     as_count,
-    finite,
     gaussian_form,
     phase_point,
     phase_points,
     squeeze_coeffs,
 )
+from .qgrid import QGrid, q_grid  # noqa: F401 - served here too
 
 #: integrand-to-peak ratio above which a quadrature box is rejected
 BOUNDARY_RATIO = 1e-12
@@ -307,106 +308,3 @@ def superpose_q_numeric(
     const = -abs(alpha) ** 2 + a * alpha - a * a + 0.5 * v * alpha * alpha + shift
     pref = math.sqrt(sq.cx * sq.cy) / np.pi**3 * math.prod(x[1] - x[0] for x in axes)
     return float((pref * np.exp(const) * total).real)
-
-
-@dataclass(frozen=True)
-class QGrid:
-    """A Q function sampled on a centered square grid.
-
-    values[i, j] = Q(axis[i] + 1j*axis[j]) with axis = linspace(-extent,
-    extent, n); dx is the spacing.  ``normalization`` is the discrete
-    integral sum(values) * dx**2, which should be 1 for an adequate grid.
-    """
-
-    kind: str
-    params: ScaledParams
-    extent: float
-    n: int
-    dx: float
-    values: np.ndarray
-    normalization: float
-
-    def __post_init__(self):
-        if self.values.shape != (self.n, self.n):
-            raise DomainError(f"values must be {self.n}x{self.n}")
-        finite = np.all(np.isfinite(self.values)) and math.isfinite(self.normalization)
-        if not finite:
-            raise DomainError("Q values must be finite")
-        if np.any(self.values < 0):
-            raise DomainError("Q values must be non-negative")
-
-    def axis(self) -> np.ndarray:
-        return np.linspace(-self.extent, self.extent, self.n)
-
-    def write_csv(self, fh: io.TextIOBase) -> None:
-        """Rows of (re, im, q), row-major over the grid, 9 significant digits,
-        with the CRLF terminator of the csv module's default dialect (no cell
-        is ever quoted: every cell is a finite number)."""
-        labels = [f"{x:.9g}" for x in self.axis().tolist()]
-        fh.write("re,im,q\r\n")
-        for re, row in zip(labels, self.values.tolist()):
-            fh.write("".join([f"{re},{im},{q:.9g}\r\n" for im, q in zip(labels, row)]))
-
-    def as_json_dict(self) -> dict:
-        """Compact JSON envelope with the values flattened row-major."""
-        return {
-            "kind": self.kind,
-            "params": {
-                "a": float(f"{self.params.a:.9g}"),
-                "b": float(f"{self.params.b:.9g}"),
-            },
-            "extent": float(f"{self.extent:.9g}"),
-            "n": self.n,
-            "dx": float(f"{self.dx:.9g}"),
-            "normalization": float(f"{self.normalization:.9g}"),
-            "values": [float(f"{v:.9g}") for v in self.values.ravel().tolist()],
-        }
-
-
-def q_grid(
-    kind: str,
-    params: ScaledParams,
-    n: int = 128,
-    extent: float | None = None,
-) -> QGrid:
-    """Sample a closed-form Q function on a centered square grid.
-
-    extent=None covers the peak plus six standard deviations
-    (:meth:`GaussianQ.half_width`).  n is a count from 16 to ``array_cap(2)``
-    = 4096, whose complex n x n grid fits ``ARRAY_BYTES_CAP``, and extent is
-    finite and positive; anything else, or an unknown kind, raises
-    :class:`DomainError` before anything is allocated, and so does a closed
-    form that overflows at this drive.
-    If the discrete normalization deviates from one by more than 1e-4 a
-    :class:`NormalizationWarning` is issued and the deviation is left
-    visible in ``normalization``.
-    """
-    n = as_count("n", n, 16, array_cap(2))
-    if extent is not None and not finite("extent", extent):
-        raise DomainError(f"extent must be finite, got {extent}")
-    if extent is not None and extent <= 0:
-        raise DomainError(f"extent must be positive, got {extent}")
-    form = gaussian_form(params, kind)
-    if extent is None:
-        extent = form.half_width(6)
-    ax = np.linspace(-extent, extent, n)
-    alpha = ax[:, None] + 1j * ax[None, :]
-    dx = ax[1] - ax[0]
-    values = form(alpha)
-    norm = float(values.sum() * dx * dx)
-    if abs(norm - 1) > 1e-4:
-        warnings.warn(
-            NormalizationWarning(
-                f"discrete Q normalization {norm:.6g} deviates from 1; "
-                f"grid (n={n}, extent={extent:.3g}) is too coarse or too small"
-            )
-        )
-    return QGrid(
-        kind=kind,
-        params=params,
-        extent=float(extent),
-        n=n,
-        dx=float(dx),
-        values=values,
-        normalization=norm,
-    )

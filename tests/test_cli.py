@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qsuperpose
-from qsuperpose import CavityConfig, DomainError, cli, params, qfunctions
+from qsuperpose import CavityConfig, DomainError, cli, params, qgrid
 from qsuperpose.cli import main, report_payload
 from qsuperpose.verification import run_verification
 
@@ -106,6 +108,18 @@ class TestReport:
         assert error["message"].startswith(field)
         assert "for CavityConfig(kappa=" in error["message"]
 
+    @pytest.mark.parametrize("eps2", ("1e-20", "5e-11", "1e-9"))
+    def test_squeezing_of_a_tiny_pump(self, eps2, capsys):
+        # S = b/(2(1 + b)) exactly, from the float input eps2 with b = 2 eps2
+        # at kappa = 1, to 9 significant digits: (2 - var_plus)/2 printed
+        # 5.00000041e-11 at eps2 = 5e-11, and 0 at 1e-20
+        assert main(["report", "--eps1", "0.3", "--eps2", eps2]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        b = 2 * Fraction(float(eps2))
+        exact = b / (2 * (1 + b))
+        want = float(f"{Decimal(exact.numerator) / Decimal(exact.denominator):.9g}")
+        assert payload["squeezing"] == payload["squeezing_out"] == want
+
     def test_no_infinity_is_written(self, monkeypatch):
         # the JSON writer refuses what the payload's own check would miss
         monkeypatch.setattr(cli, "report_payload", lambda c: {"a": math.inf})
@@ -176,7 +190,7 @@ class TestSweep:
     @example(start=1e-310, stop=3e-310, steps=1000)  # subnormal stop - start
     def test_grid_is_numpys_linspace(self, start, stop, steps):
         want = np.linspace(start, stop, steps).tolist()
-        got = cli._linspace(start, stop, steps)
+        got = params.linspace(start, stop, steps)
         assert [x.hex() for x in got] == [x.hex() for x in want]
 
     def test_non_numeric_bound_rejected(self, capsys):
@@ -190,7 +204,7 @@ class TestSweep:
         # the cap is refused before the grid of points is made
         cap = cli.SWEEP_CAP
         assert cap == 32768
-        monkeypatch.setattr(cli, "_linspace", None)
+        monkeypatch.setattr(cli, "linspace", None)
         assert main(["sweep", "--sweep", f"eps2:0:0.4:{cap + 1}"]) == 2
         error = json.loads(capsys.readouterr().err)
         assert error == {
@@ -241,7 +255,7 @@ class TestQGrid:
             }
         # one point per axis above the memory cap; with the closed form
         # removed, a missing cap fails at once instead of allocating the grid
-        monkeypatch.setattr(qfunctions, "gaussian_form", None)
+        monkeypatch.setattr(qgrid, "gaussian_form", None)
         too_many = math.isqrt(params.ARRAY_BYTES_CAP // 16) + 1
         assert main(["qgrid", "--grid-n", str(too_many)]) == 2
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -297,7 +311,7 @@ class TestQGrid:
         assert list(record) == ["warning", "message"]
         assert record["warning"] == "NormalizationWarning"
         assert "normalization" in record["message"]
-        assert ".py" not in captured.err and qfunctions.__file__ not in captured.err
+        assert ".py" not in captured.err and qgrid.__file__ not in captured.err
 
 
 class TestVerify:
@@ -405,6 +419,39 @@ class TestVerify:
         assert {r["passed"] for r in rows} == {"True"}
 
 
+#: each command and format that writes --out
+OUT_COMMANDS = (
+    ["report"],
+    ["sweep", "--sweep", "eps2:0:0.45:5"],
+    ["qgrid", "--grid-n", "16"],
+    ["qgrid", "--grid-n", "16", "--format", "json"],
+    ["verify"],
+)
+
+
+class TestOutPath:
+    """An --out path that cannot be opened or written is invalid input: exit
+    2 with one JSON line naming it, not a traceback."""
+
+    @pytest.mark.parametrize("argv", OUT_COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("where", ("missing-directory", "directory"))
+    def test_unwritable_path_refused(self, argv, where, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "x.out" if where != "directory" else tmp_path
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "DomainError"
+        assert str(out) in record["message"]
+
+    def test_refused_grid_leaves_no_file(self, tmp_path, capsys):
+        # the grid is refused before --out is opened
+        out = tmp_path / "grid.csv"
+        assert main(["qgrid", "--eps1", "14", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+
+
 class TestArgumentErrors:
     """argparse's own errors are DomainErrors: exit 2 with one JSON line on
     stderr, like every other invalid input."""
@@ -477,6 +524,11 @@ CLOSED_FORM_RUNS = (
     ["report", "--eps1", "0.3", "--eps2", "0.2", "--format", "csv"],
     ["sweep", "--sweep", "eps2:0:0.45:5", "--eps1", "0.7"],
     ["sweep", "--sweep", "kappa:2:0.5:4", "--eps2", "0.2", "--format", "json"],
+    ["qgrid", "--eps1", "0.3", "--eps2", "0.2", "--grid-n", "17"],
+    ["qgrid", "--kind", "squeezed", "--eps2", "0.4", "--grid-n", "16", "--format", "json"],
+    # the corner rows underflow to 0.0 and to subnormals
+    ["qgrid", "--eps1", "0.3", "--grid-n", "33", "--grid-extent", "40"],
+    ["qgrid", "--eps1", "0.3", "--grid-n", "33", "--grid-extent", "40", "--format", "json"],
 )
 
 #: the names the package serves lazily, by the module that defines them
@@ -486,10 +538,10 @@ LAZY_NAMES = {
         "steady_state", "superposition_oracle",
     ),
     "qfunctions": (
-        "QGrid", "QuadratureSpec", "char_fn_antinormal", "q_coherent",
-        "q_from_char_fn", "q_grid", "q_squeezed", "q_superposed",
-        "superpose_q_numeric",
+        "QuadratureSpec", "char_fn_antinormal", "q_coherent", "q_from_char_fn",
+        "q_squeezed", "q_superposed", "superpose_q_numeric",
     ),
+    "qgrid": ("QGrid", "q_grid"),
 }
 
 
@@ -539,7 +591,7 @@ class TestColdPath:
         result = json.loads(proc.stdout)
         assert result["codes"] == [0, 0, 0, 0]
         assert result["numpy_before_qgrid"] is False  # report and sweep: no numpy
-        assert result["numpy_after_qgrid"] is True
+        assert result["numpy_after_qgrid"] is False  # nor qgrid
         assert result["before_verify"] is False  # report, sweep, qgrid: no scipy
         assert result["after_verify"] is False  # nor verify's Fock oracle
 

@@ -24,7 +24,7 @@ from qsuperpose import (
     superpose_q_numeric,
     superposition_oracle,
 )
-from qsuperpose import fock, qfunctions, superposed
+from qsuperpose import fock, qgrid, superposed
 from qsuperpose.params import ARRAY_BYTES_CAP, Q_KINDS, array_cap, as_count
 from qsuperpose.verification import run_verification
 from conftest import GRID_AB, phase_integral
@@ -176,7 +176,7 @@ SIZES = {
     ),
     "q_grid-n": (
         lambda n: q_grid("superposed", P_REF, n=n),
-        "n", 16, 4096, (qfunctions, "gaussian_form"),
+        "n", 16, 4096, (qgrid, "gaussian_form"),
     ),
     "moments_via_qfunction-n": (
         lambda n: moments_via_qfunction(P_REF, n=n),

@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from qsuperpose import (
     q_superposed,
     superpose_q_numeric,
 )
-from qsuperpose import qfunctions, verification
+from qsuperpose import qfunctions, qgrid, verification
 from qsuperpose.params import ARRAY_BYTES_CAP, gaussian_form, squeeze_coeffs
 from qsuperpose.qfunctions import _superposition_sum, trapezoid_weights
 
@@ -452,6 +453,13 @@ def _per_cell_json(grid) -> str:
     return json.dumps(env)
 
 
+def _written(write) -> str:
+    """The text a grid writer writes."""
+    buf = io.StringIO()
+    write(buf)
+    return buf.getvalue()
+
+
 def _assert_same_text(got: str, want: str) -> None:
     """Equality of long texts, reporting only the first difference (pytest's
     own diff of two long strings takes minutes)."""
@@ -477,10 +485,31 @@ class TestQGrid:
         grid = q_grid(kind, ScaledParams(a, b), n=n, extent=extent)
         want = _per_cell_csv(grid)
         assert "e-" in want  # the tails print in exponent form
-        buf = io.StringIO()
-        grid.write_csv(buf)
-        _assert_same_text(buf.getvalue(), want)
-        _assert_same_text(json.dumps(grid.as_json_dict()), _per_cell_json(grid))
+        _assert_same_text(_written(grid.write_csv), want)
+        _assert_same_text(_written(grid.write_json), _per_cell_json(grid) + "\n")
+
+    #: cells of a row: Q's range, with 0.0 and subnormals, whose JSON texts
+    #: are no %.9g text
+    cell = st.floats(0.0, 0.5) | st.sampled_from((0.0, 5e-324, 1e-310, 2.2e-308))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 6), data=st.data())
+    def test_row_formats_match_per_cell_formatting(self, n, data):
+        cells = data.draw(st.lists(self.cell, min_size=n * n, max_size=n * n))
+        grid = qgrid.QGrid(
+            "superposed", ScaledParams(0.6, 0.4), 4.0, n, 8 / (n - 1), 1.0, array("d", cells)
+        )
+        labels = [f"{x:.9g}" for x in grid.axis()]
+        rows = [cells[i : i + n] for i in range(0, n * n, n)]
+        want_csv = "re,im,q\r\n" + "".join(
+            f"{re},{im},{q:.9g}\r\n"
+            for re, row in zip(labels, rows)
+            for im, q in zip(labels, row)
+        )
+        assert _written(grid.write_csv) == want_csv
+        json_rows = [json.dumps([float(f"{v:.9g}") for v in row])[1:-1] for row in rows]
+        values = _written(grid.write_json).partition('"values": [')[2]
+        assert values == ", ".join(json_rows) + "]}\n"
 
     def test_vacuum_normalization(self):
         grid = q_grid("coherent", ScaledParams(0.0, 0.0), n=128, extent=6.0)
@@ -501,7 +530,7 @@ class TestQGrid:
 
     def test_non_finite_size_and_extent_rejected(self, params_ref, monkeypatch):
         # rejected before the closed form is built or anything allocated
-        monkeypatch.setattr(qfunctions, "gaussian_form", None)
+        monkeypatch.setattr(qgrid, "gaussian_form", None)
         for n in (math.nan, math.inf, 32.5):
             with pytest.raises(DomainError, match="n must be a finite integer"):
                 q_grid("superposed", params_ref, n=n)
@@ -513,7 +542,7 @@ class TestQGrid:
         # the smallest n whose complex n x n grid exceeds the byte cap; with
         # the closed form removed, a missing cap fails at once instead of
         # allocating the grid
-        monkeypatch.setattr(qfunctions, "gaussian_form", None)
+        monkeypatch.setattr(qgrid, "gaussian_form", None)
         n = math.isqrt(ARRAY_BYTES_CAP // 16) + 1
         with pytest.raises(DomainError, match="cap"):
             q_grid("superposed", params_ref, n=n)
@@ -537,9 +566,7 @@ class TestQGrid:
 
     def test_csv_serialization(self, params_ref):
         grid = q_grid("superposed", params_ref, n=16, extent=4.0)
-        buf = io.StringIO()
-        grid.write_csv(buf)
-        rows = list(csv.reader(io.StringIO(buf.getvalue())))
+        rows = list(csv.reader(io.StringIO(_written(grid.write_csv))))
         assert rows[0] == ["re", "im", "q"]
         assert len(rows) == 16 * 16 + 1
         re, im, q = (float(v) for v in rows[1])
@@ -548,7 +575,7 @@ class TestQGrid:
 
     def test_json_envelope(self, params_ref):
         grid = q_grid("superposed", params_ref, n=16, extent=4.0)
-        env = json.loads(json.dumps(grid.as_json_dict()))
+        env = json.loads(_written(grid.write_json))
         assert env["kind"] == "superposed"
         assert env["params"] == {"a": 0.6, "b": 0.4}
         assert env["n"] == 16
