@@ -57,7 +57,6 @@ __version__ = "0.1.0"
 #: so is the Q grid, which loads only when it is sampled
 _LAZY_NAMES = {
     "DensityMatrix": "fock",
-    "default_truncation": "fock",
     "expect": "fock",
     "propagate": "fock",
     "steady_state": "fock",
@@ -109,7 +108,6 @@ __all__ = [
     "ValidationError",
     "char_fn_antinormal",
     "coherent_term",
-    "default_truncation",
     "evolve_moments",
     "expect",
     "gaussian_form",

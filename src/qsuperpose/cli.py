@@ -90,10 +90,15 @@ def _auto_or(text: str, parse, what: str):
         raise DomainError(f"{what} or 'auto', got {text!r}") from None
 
 
+def _unwritable(path: Path, reason) -> DomainError:
+    return DomainError(f"cannot write --out {str(path)!r}: {reason}")
+
+
 def _emit(args: argparse.Namespace, write) -> None:
     """``write(fh)`` on stdout, or on the --out file: the one place where a
     command opens and writes --out, so a path that cannot be opened or
-    written is a :class:`DomainError` naming it (exit 2), not a traceback."""
+    written is a :class:`DomainError` naming it (exit 2), not a traceback.
+    :func:`main` refuses a missing directory before the command runs."""
     if args.out is None:
         write(sys.stdout)
         return
@@ -101,8 +106,7 @@ def _emit(args: argparse.Namespace, write) -> None:
         with args.out.open("w", encoding="utf-8") as fh:
             write(fh)
     except OSError as exc:
-        reason = exc.strerror or exc
-        raise DomainError(f"cannot write --out {str(args.out)!r}: {reason}") from None
+        raise _unwritable(args.out, exc.strerror or exc) from None
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
@@ -267,6 +271,9 @@ def main(argv=None) -> int:
         warnings.showwarning = _print_warning
         try:
             args = build_parser().parse_args(argv)
+            # a missing directory is refused before any work is done
+            if args.out is not None and not args.out.parent.is_dir():
+                raise _unwritable(args.out, "No such directory")
             return args.run(args)
         except ValidationError as exc:
             _print_error(exc)

@@ -22,9 +22,9 @@ fills its block rows from their diagonals (:func:`_block_rows`).
 
 Solver strategy: the steady state is solved in the frame D(delta) S(r) of
 :func:`frame`, where it is thermal with nbar depending on b only, so
-n_f = 8..29 frame levels hold it (8..11 for b <= 0.5), and N = 16..136
-lab levels its Gaussian photon-number tail (:func:`_tail_truncation`)
-where the lab rule of the oracle's reach asks N = 40..200.
+n_f = 8..36 frame levels hold it (8..11 for b <= 0.5), and N = 16..200
+lab levels its Gaussian photon-number tail (:func:`_tail_truncation`); a
+tail that asks more than TRUNC_CAP = 200 marks the oracle's reach.
 There A = cosh r b - sinh r b^dag + delta; every drive is real, so L is real
 and commutes with transposition, L(rho^T) = (L rho)^T, and the unique steady
 state is real symmetric: one certified block LU solve on its n_f(n_f+1)/2
@@ -276,37 +276,6 @@ def frame_basis(delta: float, r: float, dim: int, frame_dim: int) -> np.ndarray:
     return out
 
 
-def default_truncation(config: CavityConfig) -> int:
-    """The lab rule that sets the oracle's reach: 40 for moderate drives (b <
-    0.7, a <= 1), growing as 40/(1-b^2) (or 40*a^2) beyond, capped at 200.
-    :func:`steady_state` and :func:`propagate` run on at most this many
-    levels, and on fewer where :func:`_tail_truncation` bounds the tail
-    (:func:`_lab_truncation`).
-
-    The squeezed-state Fock tail is heavy.  Measured with the frame solver
-    (lab N and frame n_f doubled together): at b = 0.8 a cutoff of 40 leaves
-    5.6e-8 in the top 4 levels, violating the tail-mass requirement, and the
-    moments at N = 40 and N = 80 differ by 5.0e-9 at b = 0.74 and 2.7e-8 at
-    b = 0.76, against the 1e-8 of the doubling check.  So the scaling branch
-    starts at 0.7.
-    """
-    p = scale(config)
-    if p.b < 0.7 and p.a <= 1.0:
-        return 40
-    # a is compared with the cap before it is squared, which overflows for
-    # a > 1.3e154: beyond sqrt(TRUNC_CAP/40) the rule asks too many levels
-    if p.a > math.sqrt(TRUNC_CAP / 40):
-        n = "40 a^2"
-    else:
-        n = math.ceil(40 * max(1.0 / ((1.0 - p.b) * (1.0 + p.b)), p.a**2))
-        if n <= TRUNC_CAP:
-            return n
-    raise TruncationError(
-        f"automatic truncation {n} exceeds the cap {TRUNC_CAP} "
-        f"for (a={p.a}, b={p.b}); this regime is out of the oracle's reach"
-    )
-
-
 def _tail_truncation(config: CavityConfig) -> int:
     """The fewest lab levels N, at least LAB_MIN, whose tail-check window,
     the top ceil(0.1 N) levels, starts at or above a photon number M that
@@ -328,22 +297,36 @@ def _tail_truncation(config: CavityConfig) -> int:
     within one level of the exact minimum over the oracle's reach.  N never
     enters the answer: the tail check, the interior certificate and the
     :class:`DensityMatrix` checks still judge the state, so a bound too low
-    is a TruncationError, never a wrong state."""
-    b = scale(config).b
-    delta = frame(config)[0]
-    n_x, n_p = -b / (2.0 * (1.0 + b)), b / (2.0 * (1.0 - b))
-    end = min(math.log(2.0 - b) - math.log(b), 8.0) if b else 8.0
-    s = end * np.arange(1, 32) / 32
-    mu = -np.expm1(s)
-    cumulant = (
-        -0.5 * (np.log1p(mu * n_x) + np.log1p(mu * n_p))
-        - mu * delta * delta / (1.0 + mu * n_x)
+    is a TruncationError, never a wrong state.
+
+    An N above TRUNC_CAP is a TruncationError that names it: the oracle's
+    reach ends there (b ~ 0.929 at a = 0, a ~ 10.16 at b = 0)."""
+    p = scale(config)
+    b, delta = p.b, frame(config)[0]
+    # delta is compared with the cap before it is squared, which overflows
+    # for delta > 1.3e154: beyond sqrt(TRUNC_CAP), <n> >= delta^2 alone asks
+    # more levels than the cap
+    if delta > math.sqrt(TRUNC_CAP):
+        n = "above delta^2"
+    else:
+        n_x, n_p = -b / (2.0 * (1.0 + b)), b / (2.0 * (1.0 - b))
+        end = min(math.log(2.0 - b) - math.log(b), 8.0) if b else 8.0
+        s = end * np.arange(1, 32) / 32
+        mu = -np.expm1(s)
+        cumulant = (
+            -0.5 * (np.log1p(mu * n_x) + np.log1p(mu * n_p))
+            - mu * delta * delta / (1.0 + mu * n_x)
+        )
+        m = float(((cumulant - math.log(TAIL_TOL / 100)) / s).min())
+        n = max(LAB_MIN, math.ceil(m))
+        while n - math.ceil(0.1 * n) < m:
+            n += 1
+        if n <= TRUNC_CAP:
+            return n
+    raise TruncationError(
+        f"automatic truncation {n} exceeds the cap {TRUNC_CAP} "
+        f"for (a={p.a}, b={p.b}); this regime is out of the oracle's reach"
     )
-    m = float(((cumulant - math.log(TAIL_TOL / 100)) / s).min())
-    n = max(LAB_MIN, math.ceil(m))
-    while n - math.ceil(0.1 * n) < m:
-        n += 1
-    return n
 
 
 def frame_truncation(config: CavityConfig) -> int:
@@ -772,13 +755,12 @@ def _krylov_leg(gen: Generator, rho: np.ndarray, span: float):
 
 
 def _lab_truncation(config: CavityConfig, trunc) -> int:
-    """The lab Fock cutoff N for ``trunc``: for None the fewer of
-    :func:`default_truncation`'s levels, whose TruncationError marks the
-    oracle's reach, and the :func:`_tail_truncation` that the steady state's
-    photon-number tail needs (16..136 inside that reach), else trunc as an
-    integer from 8 to TRUNC_CAP (else :class:`DomainError`)."""
+    """The lab Fock cutoff N for ``trunc``: for None the
+    :func:`_tail_truncation` that the steady state's photon-number tail
+    needs, whose TruncationError above TRUNC_CAP marks the oracle's reach,
+    else trunc as an integer from 8 to TRUNC_CAP (else :class:`DomainError`)."""
     if trunc is None:
-        return min(default_truncation(config), _tail_truncation(config))
+        return _tail_truncation(config)
     return as_count("truncation", trunc, 8, TRUNC_CAP)
 
 
@@ -792,7 +774,8 @@ def steady_state(config: CavityConfig, trunc: int | None = None) -> DensityMatri
     solve, per size (:func:`_layout`).  Raises :class:`SolveError` when the
     steady state is not unique or misses a residual bound, and
     :class:`TruncationError` when it still has significant population near
-    the cutoff.
+    the cutoff, or when its automatic cutoff, the tail's N, exceeds
+    TRUNC_CAP.
     """
     dim = _lab_truncation(config, trunc)
     return _frame_solve(config, dim, frame_truncation(config))

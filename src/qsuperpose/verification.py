@@ -35,7 +35,8 @@ from .superposed import (
 STANDARD_A = (0.0, 0.3, 0.6)
 STANDARD_B = (0.0, 0.2, 0.4, 0.8)
 
-#: phase points probed by the kernel and transform checks
+#: offsets from the drive a of the phase points the kernel check probes,
+#: near the superposed Q's peak
 KERNEL_POINTS = (0j, 0.5 + 0.2j, -0.3 + 0.4j, 0.25 - 0.35j, 0.1 + 0.6j)
 
 #: agreement of the oracle's moments with those at doubled truncations
@@ -108,15 +109,17 @@ def check_superposition_kernel(params: ScaledParams) -> CheckResult:
     spec = QuadratureSpec()
     form = gaussian_form(params, "superposed")
     dev = 0.0
-    for alpha in KERNEL_POINTS:
+    for z in KERNEL_POINTS:
+        alpha = params.a + z
         closed = form(alpha)
-        if closed == 0:
-            raise DomainError(f"closed-form Q underflows to 0 at alpha = {alpha}")
         dev = max(dev, abs(superpose_q_numeric(alpha, params, spec) - closed) / closed)
     return _within("superposition_kernel_4d", dev, spec.rtol, "relative")
 
 
 def check_charfn_transform(params: ScaledParams) -> CheckResult:
+    """The coherent and squeezed Q from their characteristic functions
+    against the closed forms, at 25 points of a square of half-width 1.2
+    about each Q's mean: a for the coherent kind, 0 for the squeezed."""
     pts = [
         complex(re, im)
         for re in np.linspace(-1.2, 1.2, 5)
@@ -125,7 +128,8 @@ def check_charfn_transform(params: ScaledParams) -> CheckResult:
     dev = 0.0
     for kind in ("coherent", "squeezed"):
         form = gaussian_form(params, kind)
-        for alpha in pts:
+        for z in pts:
+            alpha = form.mean + z
             dev = max(dev, abs(q_from_char_fn(alpha, params, kind) - form(alpha)))
     return _within("charfn_transform", dev, 1e-4)
 

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qsuperpose
-from qsuperpose import CavityConfig, DomainError, cli, params, qgrid
+from qsuperpose import CavityConfig, DomainError, cli, params, qgrid, verification
 from qsuperpose.cli import main, report_payload
 from qsuperpose.verification import run_verification
 
@@ -360,13 +360,14 @@ class TestVerify:
         assert first == second
 
     def test_impossible_truncation_exit_code(self, capsys):
-        # b = 0.9 needs a cutoff beyond the oracle's cap
-        assert main(["verify", "--eps2", "0.45"]) == 3
+        # b = 0.93: the tail asks 203 levels, beyond the oracle's cap
+        assert main(["verify", "--eps2", "0.465"]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "TruncationError"
 
     def test_overflowing_drive_is_out_of_reach(self, capsys):
-        # a = 4e298: the lab rule compares a with the cap before squaring it
+        # a = 4e298: the tail bound compares delta with the cap before
+        # squaring it
         argv = ["--kappa", "50", "--eps1", "1e300", "--eps2", "0.49999999999999"]
         assert main(["verify", *argv]) == 3
         err = json.loads(capsys.readouterr().err)
@@ -443,6 +444,20 @@ class TestOutPath:
         record = json.loads(err)
         assert record["error"] == "DomainError"
         assert str(out) in record["message"]
+
+    def test_missing_directory_refused_before_verify_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            pytest.fail("run_verification ran")
+
+        monkeypatch.setattr(verification, "run_verification", refuse)
+        out = tmp_path / "no" / "such" / "x.json"
+        assert main(["verify", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "DomainError"
+        assert not out.parent.exists()
 
     def test_refused_grid_leaves_no_file(self, tmp_path, capsys):
         # the grid is refused before --out is opened
@@ -534,8 +549,8 @@ CLOSED_FORM_RUNS = (
 #: the names the package serves lazily, by the module that defines them
 LAZY_NAMES = {
     "fock": (
-        "DensityMatrix", "default_truncation", "expect", "propagate",
-        "steady_state", "superposition_oracle",
+        "DensityMatrix", "expect", "propagate", "steady_state",
+        "superposition_oracle",
     ),
     "qfunctions": (
         "QuadratureSpec", "char_fn_antinormal", "q_coherent", "q_from_char_fn",

@@ -19,7 +19,6 @@ from qsuperpose import (
     SolveError,
     StepError,
     TruncationError,
-    default_truncation,
     evolve_moments,
     expect,
     propagate,
@@ -550,16 +549,24 @@ class TestFrame:
     thermal, and maps the frame state back to the lab basis; an interior
     residual of the lab generator certifies the mapped state."""
 
-    # a = 1, b = 0.884: default N = 184, frame n_f = 28
+    # a = 1, b = 0.884: the tail's N = 123, frame n_f = 28
     EDGE = CavityConfig(1.0, 0.5, 0.442)
 
     @pytest.mark.parametrize(
-        "a,b",
-        ((0.0, 0.0), (2.2, 0.0), (0.0, 0.89), (2.2, 0.89), (0.6, 0.4), (1.0, 0.85)),
+        "a,b,dim",
+        (
+            (0.0, 0.0, 40),
+            (2.2, 0.0, 194),
+            (0.0, 0.89, 193),
+            (2.2, 0.89, 194),
+            (0.6, 0.4, 40),
+            (1.0, 0.85, 145),
+        ),
+        ids=("0.0-0.0", "2.2-0.0", "0.0-0.89", "2.2-0.89", "0.6-0.4", "1.0-0.85"),
     )
-    def test_basis_matches_matrix_exponentials(self, a, b):
+    def test_basis_matches_matrix_exponentials(self, a, b, dim):
         config = CavityConfig(1.0, a / 2, b / 2)
-        dim, frame_dim = default_truncation(config), frame_truncation(config)
+        frame_dim = frame_truncation(config)
         delta, r = fock.frame(config)
         # the flipped frame of the mutation guard too, and a lab basis
         # smaller than the frame's
@@ -607,11 +614,10 @@ class TestFrame:
     @pytest.mark.parametrize("mutation", ("flipped_r", "scaled_by_0.8", "half_frame"))
     def test_wrong_frame_is_refused(self, mutation, monkeypatch):
         # any frame gives the same state once n_f is adequate; these leave
-        # 28 levels (14 for half_frame) too few for the frame state.  On the
-        # lab rule's 184 levels each misses the interior bound; on the 123
-        # that the tail needs, flipped_r is a TruncationError instead and
+        # 28 levels (14 for half_frame) too few for the frame state.  On 184
+        # lab levels each misses the interior bound; on the 123 that the
+        # tail needs, flipped_r is a TruncationError instead and
         # scaled_by_0.8 misses the bound by 5x only
-        assert default_truncation(self.EDGE) == 184
         true_frame, true_trunc = fock.frame, fock.frame_truncation
 
         def wrong_frame(config):
@@ -639,15 +645,21 @@ class TestFrame:
             steady_state(self.EDGE, trunc=40)
 
     @pytest.mark.parametrize(
-        "kappa,a,b",
-        ((1.0, 2.2, 0.89), (0.5, 0.3, 0.85), (2.0, 1.9, 0.4), (1.3, 0.0, 0.8)),
+        "kappa,a,b,dim",
+        (
+            (1.0, 2.2, 0.89, 194),
+            (0.5, 0.3, 0.85, 145),
+            (2.0, 1.9, 0.4, 145),
+            (1.3, 0.0, 0.8, 112),
+        ),
+        ids=("1.0-2.2-0.89", "0.5-0.3-0.85", "2.0-1.9-0.4", "1.3-0.0-0.8"),
     )
-    def test_factored_certificate_is_the_dense_action(self, kappa, a, b):
+    def test_factored_certificate_is_the_dense_action(self, kappa, a, b, dim):
         # L(U C U^T) from the factors against the lab generator applied to
         # U C U^T, for the solved core (|L rho| at the certificate's scale)
         # and for a core that is no steady state
         config = CavityConfig(kappa, a * kappa / 2, b * kappa / 2)
-        dim, frame_dim = default_truncation(config), frame_truncation(config)
+        frame_dim = frame_truncation(config)
         basis = fock.frame_basis(*fock.frame(config), dim, frame_dim)
         solved = fock._solve_lu(fock.frame_generator(config, frame_dim))
         other = np.random.default_rng(5).standard_normal((frame_dim, frame_dim))
@@ -690,10 +702,12 @@ class TestFrame:
     @settings(max_examples=15, deadline=None)
     @given(kappa=st.floats(0.5, 2.0), a=st.floats(0.0, 2.2), b=st.floats(0.0, 0.89))
     def test_moments_match_the_lab_solve(self, kappa, a, b):
+        # the reference solves the truncated lab generator on twice the
+        # levels that the frame solve's state is mapped to
         config = CavityConfig(kappa, a * kappa / 2, b * kappa / 2)
-        dim = default_truncation(config)
-        lab = DensityMatrix(dim, sparse_steady_state(fock.lab_generator(config, dim)))
         rho = steady_state(config)
+        dim = 2 * rho.dim
+        lab = DensityMatrix(dim, sparse_steady_state(fock.lab_generator(config, dim)))
         for which in ("a", "a2", "adag_a"):
             assert abs(expect(rho, which) - expect(lab, which)) <= 1e-8
 
@@ -728,9 +742,10 @@ class TestSteadyState:
             assert abs(expect(lo, which) - expect(hi, which)) < 1e-8
 
     def test_truncation_doubling_at_default_cutoff(self):
-        # b = 0.75: a cutoff of 40 leaves moments off by ~1e-7
+        # b = 0.75: a cutoff of 40 leaves moments off by ~1e-7, one of 92
+        # holds them
         config = CavityConfig(1.0, 0.0, 0.375)
-        dim = default_truncation(config)
+        dim = 92
         lo = steady_state(config, trunc=dim)
         hi = steady_state(config, trunc=2 * dim)
         for which in ("a", "a2", "adag_a"):
@@ -953,34 +968,10 @@ class TestTruncationRule:
         assert propagate(REF_CONFIG, 0.0, np.int64(12)).dim == 12
 
 
-class TestDefaultTruncation:
-    def test_moderate_drive(self):
-        assert default_truncation(REF_CONFIG) == 40
-
-    def test_scales_near_threshold(self):
-        # b = 0.85: ceil(40 / (1 - 0.7225)) = 145
-        assert default_truncation(CavityConfig(1.0, 0.0, 0.425)) == 145
-
-    def test_scales_from_b_07(self):
-        # b = 0.75: ceil(40 / (1 - 0.5625)) = 92
-        assert default_truncation(CavityConfig(1.0, 0.0, 0.375)) == 92
-
-    def test_cap_exceeded(self):
-        with pytest.raises(TruncationError):
-            default_truncation(CavityConfig(1.0, 0.0, 0.45))  # b = 0.9 -> 211
-
-    @pytest.mark.parametrize("eps1", (1.125, 1e150, 1e300))
-    def test_large_drive_is_refused_before_it_is_squared(self, eps1):
-        # a = 2.25 asks 203 levels; a = 4e298 would overflow a^2
-        config = CavityConfig(50.0 if eps1 == 1e300 else 1.0, eps1, 0.2)
-        with pytest.raises(TruncationError, match="40 a\\^2 exceeds the cap 200"):
-            default_truncation(config)
-
-
 class TestTailTruncation:
     """steady_state with trunc=None solves on the levels that a Chernoff
-    bound on its Gaussian photon-number tail asks, at most
-    default_truncation's, whose TruncationError still marks the reach."""
+    bound on its Gaussian photon-number tail asks; more than TRUNC_CAP is a
+    TruncationError that names them, and marks the oracle's reach."""
 
     @pytest.mark.parametrize(
         "a,b,want",
@@ -991,10 +982,13 @@ class TestTailTruncation:
             (0.2, 0.81, 75),
             (1.0, 0.884, 123),
             (2.2, 0.89, 130),
+            # inside the edge of the reach
+            (0.0, 0.925, 189),
+            (10.0, 0.0, 196),
+            (8.0, 0.9, 163),
         ),
     )
     def test_solved_levels(self, a, b, want):
-        # the rule asks 40, 40, 194, 117, 184 and 194 levels here
         assert steady_state(CavityConfig(1.0, a / 2, b / 2)).dim == want
 
     @settings(max_examples=40, deadline=None)
@@ -1010,12 +1004,12 @@ class TestTailTruncation:
     @example(kappa=1.0, a=2.236, b=0.894)
     def test_the_tail_levels_hold_the_state(self, kappa, a, b):
         config = CavityConfig(kappa, a * kappa / 2, b * kappa / 2)
-        rule = default_truncation(config)
         rho = steady_state(config)
-        assert fock.LAB_MIN <= rho.dim <= rule
+        assert fock.LAB_MIN <= rho.dim <= fock.TRUNC_CAP
         top = rho.elements.diagonal()[rho.dim - math.ceil(0.1 * rho.dim) :]
         assert top.sum() <= fock.TAIL_TOL / 10
-        got, want = fock.moments(rho), fock.moments(steady_state(config, rule))
+        hi = fock.steady_state_in_frame(config, 2 * rho.dim, frame_truncation(config))
+        got, want = fock.moments(rho), fock.moments(hi)
         gap = max(abs(x - y) for x, y in zip(astuple(got), astuple(want)))
         assert gap <= 1e-10 * (want.mean_photon + 1)
 
@@ -1024,9 +1018,25 @@ class TestTailTruncation:
     )
     def test_propagate_keeps_the_rule(self, eps1, eps2, t):
         # propagate takes steady_state's automatic N: 22, 30 and 75 levels
-        # where the lab rule asks 40, 194 and 117
         config = CavityConfig(1.0, eps1, eps2)
         assert propagate(config, t).dim == steady_state(config).dim
+
+
+    @pytest.mark.parametrize("a,b", ((0.0, 0.93), (10.2, 0.0)))
+    def test_cap_exceeded(self, a, b):
+        # just outside the reach, the tail asks 203 levels
+        with pytest.raises(TruncationError, match="truncation 203 exceeds the cap 200"):
+            steady_state(CavityConfig(1.0, a / 2, b / 2))
+
+    @pytest.mark.parametrize("eps1", (1e150, 1e300))
+    def test_large_drive_is_refused_before_it_is_squared(self, eps1):
+        # delta > sqrt(TRUNC_CAP) is refused unsquared: delta = 4e298/1.4
+        # would overflow delta^2 in the tail's cumulant
+        config = CavityConfig(50.0 if eps1 == 1e300 else 1.0, eps1, 0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TruncationError, match="delta\\^2 exceeds the cap 200"):
+                steady_state(config)
 
 
 class TestFrameTruncation:
@@ -1475,7 +1485,7 @@ class TestKrylovPropagation:
         rho = propagate(CavityConfig(1.0, eps1, eps2), t, trunc=dim).elements
         assert np.linalg.eigvalsh(rho)[0] >= -1e-13
 
-    def test_one_krylov_space_at_the_default_truncation(self, monkeypatch):
+    def test_one_krylov_space_at_the_automatic_truncation(self, monkeypatch):
         # kappa t = 4 on the tail's N = 22: one leg of at most KRYLOV_CAP
         # generator actions
         calls = []

@@ -6,6 +6,7 @@ row reports."""
 import cmath
 import copy
 import dataclasses
+import math
 import types
 import warnings
 from unittest import mock
@@ -152,9 +153,9 @@ def test_normalization_check_refuses_an_overflowing_drive():
 
 
 def test_kernel_check_refuses_an_underflowing_closed_form():
-    # a = 27.1: the closed Q underflows to 0 at some probe points, which
-    # the relative deviation divided by
-    with pytest.raises(DomainError, match="underflows to 0"):
+    # a = 27.1: the closed Q is evaluated uncentred, and its exponent
+    # overflows at the probe points about its peak (from a ~ 26.6)
+    with pytest.raises(DomainError, match="closed-form Q"):
         check_superposition_kernel(ScaledParams(27.1, 0.0))
 
 
@@ -263,10 +264,36 @@ def test_pair_variance_check_catches_a_flipped_squeeze(monkeypatch, params_ref):
     assert not check_pair_variance_quadrature(params_ref, mom).passed
 
 
+@settings(max_examples=30, deadline=None)
+@given(kappa=st.floats(0.5, 2.0), a=st.floats(0.0, 10.0), b=st.floats(0.0, 0.925))
+@example(kappa=1.0, a=8.0, b=0.9)  # N = 163, frame 30
+@example(kappa=2.0, a=10.0, b=0.0)  # N = 196
+@example(kappa=1.0, a=10.0, b=0.925)  # asks 220
+def test_every_row_passes_or_the_tail_refuses(kappa, a, b):
+    # the Fock oracle's reach ends where the tail of a state it solves asks
+    # more than TRUNC_CAP levels: inside it every row passes, with no numpy
+    # warning, and outside it the refusal names the first such state's N
+    eps1, eps2 = a * kappa / 2, b * kappa / 2
+    config = CavityConfig(kappa, eps1, eps2)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = verification.run_verification(config)
+    except TruncationError as exc:
+        solved = (config, CavityConfig(kappa, 0.0, eps2), CavityConfig(kappa, eps1, 0.0))
+        with pytest.MonkeyPatch.context() as uncapped:
+            uncapped.setattr(fock, "TRUNC_CAP", math.inf)
+            asks = [fock._tail_truncation(c) for c in solved]
+        want = next(n for n in asks if n > fock.TRUNC_CAP)
+        assert str(exc).startswith(f"automatic truncation {want} exceeds the cap 200")
+    else:
+        assert [r.name for r in results if not r.passed] == []
+
+
 def test_doubling_row_names_what_it_doubled():
     # a = 2.2, b = 0.89: the corner of the oracle's reach; the solve
     # truncates in the frame, so both the lab N and n_f are doubled, from
-    # the 130 lab levels that the state's tail asks (the rule asks 194)
+    # the 130 lab levels that the state's tail asks
     config = CavityConfig(1.0, 1.1, 0.445)
     res = verification.check_truncation_doubling(config, fock.steady_state(config))
     assert res.passed
