@@ -22,9 +22,6 @@ from .params import ScaledParams, finite
 if TYPE_CHECKING:
     import numpy as np
 
-#: default dimensionless integration step (in units of 1/kappa)
-DEFAULT_DT = 0.01
-
 
 @dataclass(frozen=True)
 class MomentSet:
@@ -96,76 +93,57 @@ def _moment_system(params: ScaledParams):
     return m, c
 
 
-def rk4_split(t: float, dt: float) -> tuple[int, float]:
-    """(steps, rem): time t as whole RK4 steps of dt and a remainder, kept
-    only above 1e-15 max(t, 1) (else 0.0).  StepError unless t is finite
-    and non-negative, dt finite and positive, and t/dt within the float
-    range."""
-    if not finite("t", t) or t < 0:
-        raise StepError(f"time must be non-negative, got {t}")
-    if not finite("dt", dt) or dt <= 0:
-        raise StepError(f"step must be positive, got {dt}")
-    n_full, rem = divmod(t, dt)
-    if not math.isfinite(n_full):
-        raise StepError(f"t/dt is beyond the float range: t={t}, dt={dt}")
-    return int(n_full), rem if rem > 1e-15 * max(t, 1.0) else 0.0
-
-
-def taylor_apply(
-    m: "np.ndarray", y: "np.ndarray", dt: float, steps: int, rem: float, degree: int
-) -> "np.ndarray":
-    """T(rem M) T(dt M)^steps y for the square matrix M = m, with T(z) the
-    Taylor polynomial of exp(z) of the given degree, summed term by term:
-    at degree 4 classical RK4's steps of dt and then one of rem (none for
-    rem = 0) on dy/dt = M y, and at degree 18 with s >= t |M|_1 steps of t/s
-    exp(t M) y to rounding (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).
-    The steps are one power of T(dt M), applied by repeated squaring with
-    one matrix-vector product per set bit of steps.  A diverging step
-    overflows its powers to inf and nan, which the caller refuses."""
+def taylor_apply(m: "np.ndarray", y: "np.ndarray", t: float) -> "np.ndarray":
+    """exp(t M) y for the square matrix M = m, to rounding: the degree-18
+    Taylor polynomial T(h M) of exp(h M), summed term by term, on s =
+    max(1, ceil(t |M|_1)) sub-steps of h = t/s (Al-Mohy & Higham, SIAM J.
+    Sci. Comput. 33, 2011), as the power T(h M)^s applied by repeated
+    squaring with one matrix-vector product per set bit of s.  A t |M|_1
+    that is not finite is a StepError; powers that overflow to inf and nan
+    are returned for the caller to refuse."""
     import numpy as np
 
-    def taylor(h):
-        step = term = np.identity(len(m))
-        for k in range(1, degree + 1):
-            term = term @ (h * m) / k
-            step = step + term
-        return step
-
+    norm = t * float(np.abs(m).sum(axis=0).max())  # inf past the float range
+    if not norm < math.inf:
+        raise StepError(f"the flow over t={t} takes no finite count of sub-steps")
+    steps = max(1, math.ceil(norm))
+    h = t / steps
+    power = term = np.identity(len(m))
+    for k in range(1, 19):
+        term = term @ (h * m) / k
+        power = power + term
     with np.errstate(over="ignore", invalid="ignore"):
-        power = taylor(dt)
         while steps:
             if steps & 1:
                 y = power @ y
             steps >>= 1
             if steps:
                 power = power @ power
-        if rem:
-            y = taylor(rem) @ y
     return y
 
 
-def evolve_moments(params: ScaledParams, t: float, dt: float = DEFAULT_DT) -> MomentSet:
-    """Integrate the closed moment equations from vacuum up to time t.
+def evolve_moments(params: ScaledParams, t: float) -> MomentSet:
+    """The closed moment equations' exact flow from vacuum up to time t.
 
-    t and dt are in units of 1/kappa.  Classic fixed-step RK4; the system is
-    linear with eigenvalues bounded by kappa(1+b), so the default step is far
-    inside the stability region.  :func:`taylor_apply` takes the steps on the
-    augmented system [[M, c], [0, 0]] acting on (y, 1), on which every step
-    is the same matrix polynomial.  <a^dag> and <a^dag^2> are
+    t is in units of 1/kappa.  The system is linear, so the moments at t are
+    exp(t A) (0, 1) for the augmented system A = [[M, c], [0, 0]] acting on
+    (y, 1), applied by :func:`taylor_apply`.  <a^dag> and <a^dag^2> are
     propagated as independent components and checked against <a> and <a^2>
-    instead of being assumed equal.
+    instead of being assumed equal.  A negative or non-finite t is a
+    StepError, and so is a result that is not finite or exceeds 1e12.
     """
     import numpy as np
 
-    steps, rem = rk4_split(t, dt)
+    if not finite("t", t) or t < 0:
+        raise StepError(f"time must be non-negative, got {t}")
     m, c = _moment_system(params)
     aug = np.zeros((6, 6))
     aug[:5, :5], aug[:5, 5] = m, c
     y = np.zeros(6)
     y[5] = 1.0
-    y = taylor_apply(aug, y, dt, steps, rem, 4)
+    y = taylor_apply(aug, y, t)
     if not np.all(np.isfinite(y)) or np.abs(y).max() > 1e12:
-        raise StepError(f"moment integration diverged (dt={dt})")
+        raise StepError(f"moment integration diverged (t={t})")
     if not (abs(y[1] - y[0]) < 1e-10 and abs(y[3] - y[2]) < 1e-10):
         raise NumericsError("conjugate-moment symmetry broken during integration")
     return MomentSet(mean_amp=float(y[0]), mean_sq=float(y[2]), mean_photon=float(y[4]))

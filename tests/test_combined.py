@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from qsuperpose import (
     DomainError,
@@ -26,21 +27,6 @@ MEAN_AMP_REF = 0.4285714285714286  # 3/7
 MEAN_SQ_REF = -0.054421768707483
 MEAN_PHOTON_REF = 0.27891156462585037
 TRANSIENT_KT2 = 0.3792723352971346  # 0.6 * (1 - e^-1)
-
-
-def rk4_loop(params, t, dt):
-    """The moment ODEs stepped one RK4 step at a time from vacuum: the
-    reference for evolve_moments' powers of its step."""
-    m, c = _moment_system(params)
-    y = np.zeros(5)
-    n_full, rem = divmod(t, dt)
-    for h in [dt] * int(n_full) + ([rem] if rem > 1e-15 * max(t, 1.0) else []):
-        k1 = m @ y + c
-        k2 = m @ (y + 0.5 * h * k1) + c
-        k3 = m @ (y + 0.5 * h * k2) + c
-        k4 = m @ (y + h * k3) + c
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
 
 
 class TestSteadyMoments:
@@ -112,40 +98,31 @@ class TestEvolveMoments:
 
     def test_bad_step(self, params_ref):
         with pytest.raises(StepError):
-            evolve_moments(params_ref, 1.0, dt=0.0)
-        with pytest.raises(StepError):
-            evolve_moments(params_ref, 1.0, dt=-0.1)
-        with pytest.raises(StepError):
             evolve_moments(params_ref, -1.0)
-        # a step count beyond the float range, not an untyped OverflowError
-        with pytest.raises(StepError, match="beyond the float range"):
-            evolve_moments(params_ref, 1e300, dt=1e-10)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        a=st.floats(0.0, 2.0),
-        b=st.floats(0.0, 0.9),
-        t=st.floats(0.0, 60.0),
-        dt=st.sampled_from((0.01, 0.037, 0.1, 0.5)),
-    )
-    def test_powers_match_the_step_by_step_loop(self, a, b, t, dt):
-        # the same steps in another order of rounding: up to 6000 steps of
-        # float64 arithmetic on moments of order one
-        p = ScaledParams(a, b)
-        want = rk4_loop(p, t, dt)
-        got = evolve_moments(p, t, dt)
-        scale = max(1.0, np.abs(want).max())
-        assert abs(got.mean_amp - want[0]) <= 1e-12 * scale
-        assert abs(got.mean_sq - want[2]) <= 1e-12 * scale
-        assert abs(got.mean_photon - want[4]) <= 1e-12 * scale
-
-    def test_divergence_detected(self):
-        # a step far outside the RK4 stability region must not return junk
         with pytest.raises(StepError):
-            evolve_moments(ScaledParams(0.6, 0.0), 1000.0, dt=10.0)
-        # powers of a diverging step overflow to inf and nan: still a StepError
-        with pytest.raises(StepError):
-            evolve_moments(ScaledParams(0.6, 0.0), 1e6, dt=10.0)
+            evolve_moments(params_ref, float("inf"))
+        # t |M|_1 beyond the float range: no finite count of sub-steps
+        with pytest.raises(StepError, match="no finite count of sub-steps"):
+            evolve_moments(params_ref, 1.7e308)
+        # about 2^997 sub-steps, a finite count: the power reaches the steady state
+        got = evolve_moments(params_ref, 1e300)
+        want = steady_moments_combined(params_ref)
+        for x, y in zip(dataclasses.astuple(got), dataclasses.astuple(want)):
+            assert abs(x - y) <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(a=st.floats(0.0, 2.0), b=st.floats(0.0, 0.95), t=st.floats(0.0, 100.0))
+    def test_matches_the_matrix_exponential(self, a, b, t):
+        # scipy's expm of the augmented system [[M, c], [0, 0]] on (0, 1)
+        m, c = _moment_system(ScaledParams(a, b))
+        aug = np.zeros((6, 6))
+        aug[:5, :5], aug[:5, 5] = m, c
+        want = expm(t * aug)[:, 5]
+        got = evolve_moments(ScaledParams(a, b), t)
+        bound = 1e-13 * max(1.0, np.abs(want).max())
+        assert abs(got.mean_amp - want[0]) <= bound
+        assert abs(got.mean_sq - want[2]) <= bound
+        assert abs(got.mean_photon - want[4]) <= bound
 
 
 class TestQuadVarianceSingle:

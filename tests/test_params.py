@@ -107,10 +107,6 @@ class TestNonRealInputs:
                 id="evolve_moments-t-str",
             ),
             pytest.param(
-                lambda: evolve_moments(ScaledParams(0.1, 0.1), 1.0, "0.1"),
-                id="evolve_moments-dt-str",
-            ),
-            pytest.param(
                 lambda: propagate(CavityConfig(1.0, 0.3, 0.2), "1"),
                 id="propagate-t-str",
             ),
