@@ -50,12 +50,11 @@ def report_payload(config: CavityConfig) -> dict:
     overflows the float range, or is no finite number, is a
     :class:`DomainError` naming it and config: JSON has no infinity."""
     p = scale(config)
-    try:
-        payload = output_report(config).to_dict()
-    except OverflowError:  # a^2 in mean_photon, and in the fields after it
+    if not math.isfinite(p.a * p.a):  # a^2 in mean_photon, and in the fields after it
         raise DomainError(
             f"mean_photon overflows the float range (a = {p.a:.9g}) for {config}"
-        ) from None
+        )
+    payload = output_report(config).to_dict()
     combined = steady_moments_combined(p)
     vp, vm = quad_variance_single(p)
     payload.update(
@@ -66,7 +65,7 @@ def report_payload(config: CavityConfig) -> dict:
             "combined_var_plus": vp,
             "combined_var_minus": vm,
             "combined_coherent_term": coherent_term(p),
-            "coherent_mean_photon": p.a**2,
+            "coherent_mean_photon": p.a * p.a,
         }
     )
     payload = {k: _round9(v) for k, v in payload.items()}

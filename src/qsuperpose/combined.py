@@ -59,7 +59,8 @@ def coherent_term(params: ScaledParams) -> float:
     the combined treatment the pump alters the coherent light's own photon
     number, which has no physical justification.
     """
-    return (params.a / (1 + params.b)) ** 2
+    amp = params.a / (1 + params.b)
+    return amp * amp  # inf, not OverflowError, past the float range
 
 
 def steady_moments_combined(params: ScaledParams) -> MomentSet:
@@ -69,8 +70,8 @@ def steady_moments_combined(params: ScaledParams) -> MomentSet:
     # denominator 1-b^2 as b -> 1
     one_minus_b2 = (1 - b) * (1 + b)
     mean_amp = a / (1 + b)
-    mean_sq = a**2 / (1 + b) ** 2 - b / (2 * one_minus_b2)
-    mean_photon = a**2 / (1 + b) ** 2 + b**2 / (2 * one_minus_b2)
+    mean_sq = a * a / (1 + b) ** 2 - b / (2 * one_minus_b2)
+    mean_photon = a * a / (1 + b) ** 2 + b**2 / (2 * one_minus_b2)
     return MomentSet(mean_amp, mean_sq, mean_photon)
 
 
@@ -154,7 +155,7 @@ def variance_expansion(mom: MomentSet, baseline: float) -> tuple[float, float]:
     m = <a>, s = <a^2>, n = <a^dag a> about ``baseline``: baseline + 2n +
     2s - 4m^2 and baseline + 2n - 2s."""
     m, s, n = mom.mean_amp, mom.mean_sq, mom.mean_photon
-    return baseline + 2 * n + 2 * s - 4 * m**2, baseline + 2 * n - 2 * s
+    return baseline + 2 * n + 2 * s - 4 * m * m, baseline + 2 * n - 2 * s
 
 
 def checked_variances(
@@ -162,8 +163,12 @@ def checked_variances(
 ) -> tuple[float, float]:
     """The closed-form variances ``closed`` of a_+ and a_-, once their
     :func:`variance_expansion` agrees with them; any disagreement is a bug
-    and raises :class:`NumericsError` naming the ``what`` it checked."""
+    and raises :class:`NumericsError` naming the ``what`` it checked.
+    An expansion that is no finite number, as for moments past the float
+    range, is a :class:`DomainError` naming it too."""
     var_plus, var_minus = variance_expansion(mom, baseline)
+    if not (math.isfinite(var_plus) and math.isfinite(var_minus)):
+        raise DomainError(f"the {what} of the moments {mom} overflows the float range")
     closed_plus, closed_minus = closed
     # the expansion cancels moments that diverge as b -> 1, so allow the
     # corresponding roundoff on top of the 1e-12 agreement

@@ -684,7 +684,8 @@ def _krylov_leg(gen: Generator, rho: np.ndarray, span: float):
     """(state, rest): the exact flow exp(span L) rho, applied as beta V
     exp(span H) e1 on the Krylov space of rho, with rest = 0; or, where
     KRYLOV_CAP vectors do not certify the whole span, the flow over the
-    longest tau of span/2, span/4, ... that they certify, rest = span - tau.
+    longest tau of s, 2s, 4s, ... below span that they certify, tried upward
+    from one sub-step s = 1/|H|_1 up to the first that fails, rest = span - tau.
 
     Arnoldi builds the orthonormal basis V of rho, L rho, L^2 rho, ... with
     the generator's action, by classical Gram-Schmidt reorthogonalized once,
@@ -740,12 +741,11 @@ def _krylov_leg(gen: Generator, rho: np.ndarray, span: float):
         if m < cap:
             basis[m] = w / hess[m, j]
     sub_step = 1.0 / np.abs(hess[:cap]).sum(axis=0).max()
-    tau = 0.5 * span
-    while tau >= sub_step:
-        out = certified(cap, tau)
-        if out is not None:
-            return out, span - tau
-        tau *= 0.5
+    reached, tau = None, sub_step
+    while tau < span and (out := certified(cap, tau)) is not None:
+        reached, tau = (out, span - tau), 2.0 * tau
+    if reached is not None:
+        return reached
     raise StepError(
         f"one sub-step 1/|H|_1 = {sub_step:.3g} misses the Krylov error bound "
         f"{KRYLOV_TOL} on {cap} vectors"

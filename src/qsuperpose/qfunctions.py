@@ -10,7 +10,7 @@ also on their own axes, and two brute-force cross-checks:
   that composes the coherent and squeezed Q functions into the superposed one.
 
 The closed form sampled on a grid, :func:`~qsuperpose.qgrid.q_grid`, lives in
-:mod:`qsuperpose.qgrid`, in plain floats, and is served here too.
+:mod:`qsuperpose.qgrid`, in plain floats.
 
 Conventions: alpha is an ordinary Python complex number, and all phase-space
 integrals use d^2alpha = d(Re alpha) d(Im alpha); the 1/pi prefactors only
@@ -34,7 +34,6 @@ from .params import (
     phase_points,
     squeeze_coeffs,
 )
-from .qgrid import QGrid, q_grid  # noqa: F401 - served here too
 
 #: integrand-to-peak ratio above which a quadrature box is rejected
 BOUNDARY_RATIO = 1e-12

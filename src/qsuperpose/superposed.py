@@ -45,8 +45,8 @@ def superposed_moments(params: ScaledParams) -> MomentSet:
     one_minus_b2 = (1 - b) * (1 + b)  # full precision as b -> 1
     return MomentSet(
         mean_amp=a,
-        mean_sq=a**2 - b / (2 * one_minus_b2),
-        mean_photon=a**2 + b**2 / (2 * one_minus_b2),
+        mean_sq=a * a - b / (2 * one_minus_b2),
+        mean_photon=a * a + b**2 / (2 * one_minus_b2),
     )
 
 

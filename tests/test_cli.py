@@ -638,6 +638,14 @@ class TestColdPath:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_package_import_loads_no_submodule(self):
+        # every public name is served from its home module on first use
+        proc = run_fresh(
+            "import sys, qsuperpose\n"
+            "sys.exit(any(m.startswith('qsuperpose.') for m in sys.modules))"
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_fock_leaves_qfunctions_unloaded(self):
         proc = run_fresh(
             "import sys, qsuperpose.fock\n"

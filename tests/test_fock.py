@@ -1396,6 +1396,26 @@ class TestPropagation:
         for which in ("a", "a2", "adag_a"):
             assert abs(expect(rho, which) - expect(direct, which)) < 1e-10
 
+    def test_a_span_past_the_cap_takes_few_flows(self, monkeypatch):
+        # at 1e300 every leg fills KRYLOV_CAP vectors, and 1e300 - tau
+        # rounds to 1e300, so each leg searches its tau afresh: doubling up
+        # from one sub-step takes a few flows a leg, where halving down from
+        # span/2 would take about a thousand
+        calls, flow = [], fock.taylor_apply
+
+        def counted(*args):
+            calls.append(args)
+            return flow(*args)
+
+        monkeypatch.setattr(fock, "taylor_apply", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = propagate(REF_CONFIG, 1e300)
+        assert len(calls) <= 100
+        direct = steady_state(REF_CONFIG)
+        for which in ("a", "a2", "adag_a"):
+            assert abs(expect(rho, which) - expect(direct, which)) < 1e-10
+
     @settings(max_examples=10, deadline=None)
     @given(
         kappa=st.floats(0.5, 2.0),

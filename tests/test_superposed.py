@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -12,12 +13,14 @@ from qsuperpose import (
     SINGLE_BEAM_BASELINE,
     ScaledParams,
     SqueezingReport,
+    coherent_term,
     moments_via_qfunction,
     output_pair_baseline,
     output_report,
     quad_variance_pair,
     quad_variance_single,
     quadrature_squeezing,
+    scale,
     steady_moments_combined,
     superposed_moments,
 )
@@ -193,6 +196,44 @@ class TestQuadratureSqueezing:
         single_plus, _ = quad_variance_single(p)
         halved = 0.5 * (SINGLE_BEAM_BASELINE - single_plus)
         assert abs(quadrature_squeezing(p) - halved) <= 1e-12
+
+
+class TestFloatRange:
+    """At a = 1e300, a^2 is past the float range: each closed form returns
+    inf or refuses with a DomainError, never an untyped OverflowError."""
+
+    CONFIG = CavityConfig(1e-300, 0.5, 0.0)
+
+    def test_moments_overflow_to_inf(self):
+        p = scale(self.CONFIG)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = (
+                superposed_moments(p).mean_photon,
+                steady_moments_combined(p).mean_photon,
+                coherent_term(p),
+            )
+        assert got == (math.inf,) * 3
+
+    @pytest.mark.parametrize(
+        "closed_form, arg",
+        (
+            (quad_variance_pair, scale(CONFIG)),
+            (quad_variance_single, scale(CONFIG)),
+            (output_report, CONFIG),
+        ),
+        ids=("quad_variance_pair", "quad_variance_single", "output_report"),
+    )
+    def test_variances_are_refused(self, closed_form, arg):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="variance of the moments .* overflows"):
+                closed_form(arg)
+
+    def test_an_overflowing_expansion_is_refused(self):
+        # a = 1e154: a^2 = 1e308 is finite, but 2<a^dag a> in the expansion is not
+        with pytest.raises(DomainError, match="pair variance"):
+            quad_variance_pair(ScaledParams(1e154, 0.0))
 
 
 class TestOutputReport:
